@@ -5,8 +5,9 @@ parameter ``h`` (Planck's constant), so every identity it reports is
 exact: no floating point enters outside the truncated Fock-space
 module.  The main layers are
 
-* :mod:`weylmin.scalars` -- Gaussian-rational coefficients and
-  polynomials/rational functions in ``h``;
+* :mod:`weylmin.scalars` -- the sparse-polynomial kernel every exact
+  type shares (operators, canonical form, Euclid), Gaussian-rational
+  coefficients, and polynomials/rational functions in ``h``;
 * :mod:`weylmin.weyl` -- normal-ordered elements of the algebra with
   derivations, the Laplacian, and the star involution;
 * :mod:`weylmin.holomorphic` -- rational functions of the holomorphic

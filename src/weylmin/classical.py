@@ -4,7 +4,9 @@ In the limit the generators commute, L becomes u + i v and Ls becomes
 u - i v, so every element degenerates to an ordinary polynomial in two
 real variables.  :class:`UVPoly` is that polynomial ring (coefficients
 still GaussRational; hermitian elements land in the real subring), and
-:func:`classical_limit` performs the substitution.
+:func:`classical_limit` performs the substitution.  UVPoly is built on the
+kernel in :mod:`weylmin.scalars`: the operator mixin, the canonicaliser and
+the (total degree, u-degree) term order that algebra elements use too.
 """
 
 from __future__ import annotations
@@ -13,30 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .scalars import GaussLike, GaussRational
+from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
 from .weyl import WeylElement
 
 
-def _canon(
-    items: Iterable[tuple[tuple[int, int], GaussRational]],
-) -> tuple[tuple[tuple[int, int], GaussRational], ...]:
-    acc: dict[tuple[int, int], GaussRational] = {}
-    for pq, c in items:
-        cur = acc.get(pq)
-        acc[pq] = c if cur is None else cur + c
-    return tuple(
-        sorted(
-            ((pq, c) for pq, c in acc.items() if not c.is_zero()),
-            key=lambda t: (t[0][0] + t[0][1], t[0][0]),
-        )
-    )
-
-
 @dataclass(frozen=True, init=False)
-class UVPoly:
+class UVPoly(Ring):
     """Commutative polynomial in the real coordinates (u, v)."""
 
     terms: tuple[tuple[tuple[int, int], GaussRational], ...]
+
+    LIFTS = (GaussRational, int, Fraction)
 
     def __init__(
         self,
@@ -45,42 +34,33 @@ class UVPoly:
             Iterable[tuple[tuple[int, int], GaussLike]],
         ] = (),
     ) -> None:
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
         object.__setattr__(
-            self, "terms", _canon((pq, GaussRational.coerce(c)) for pq, c in items)
+            self, "terms", canon(terms, bidegree_order, GaussRational.coerce)
         )
+
+    @classmethod
+    def _lift(cls, x: GaussLike) -> "UVPoly":
+        return cls({(0, 0): x})
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "UVPoly") -> "UVPoly":
-        return UVPoly(self.terms + other.terms)
-
-    def __sub__(self, other: "UVPoly") -> "UVPoly":
-        return self + (-other)
+    def _add(self, o: "UVPoly") -> "UVPoly":
+        return UVPoly(self.terms + o.terms)
 
     def __neg__(self) -> "UVPoly":
         return UVPoly((pq, -c) for pq, c in self.terms)
 
-    def __mul__(self, other: "UVPoly") -> "UVPoly":
-        out = []
-        for (p1, q1), c1 in self.terms:
-            for (p2, q2), c2 in other.terms:
-                out.append(((p1 + p2, q1 + q2), c1 * c2))
-        return UVPoly(out)
+    def _mul(self, o: "UVPoly") -> "UVPoly":
+        return UVPoly(
+            ((p1 + p2, q1 + q2), c1 * c2)
+            for (p1, q1), c1 in self.terms
+            for (p2, q2), c2 in o.terms
+        )
 
     def scale(self, c: GaussLike) -> "UVPoly":
         co = GaussRational.coerce(c)
         return UVPoly((pq, cc * co) for pq, cc in self.terms)
-
-    def __pow__(self, n: int) -> "UVPoly":
-        out = UV_ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     def diff(self, var: str) -> "UVPoly":
         """Partial derivative with respect to "u" or "v"."""
@@ -94,11 +74,6 @@ class UVPoly:
         return all(not c.im for _, c in self.terms)
 
 
-UV_ZERO = UVPoly()
-UV_ONE = UVPoly({(0, 0): 1})
-UV_U = UVPoly({(1, 0): 1})
-UV_V = UVPoly({(0, 1): 1})
-
 _Z_PLUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, 1)})
 _Z_MINUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, -1)})
 
@@ -108,13 +83,12 @@ def classical_limit(a: WeylElement) -> UVPoly:
 
     Only the h-degree-zero part of each coefficient survives.
     """
-    out = UV_ZERO
+    out = []
     for (k, l), c in a.terms:
-        c0 = c.constant()
-        if c0.is_zero():
-            continue
-        out = out + (_Z_PLUS**k * _Z_MINUS**l).scale(c0)
-    return out
+        c0 = c.coeff(0)
+        if not c0.is_zero():
+            out.extend((pq, z * c0) for pq, z in (_Z_PLUS**k * _Z_MINUS**l).terms)
+    return UVPoly(out)
 
 
 def classical_limit_fraction(a: WeylElement) -> dict[tuple[int, int], Fraction]:

@@ -3,9 +3,9 @@
 Subcommands mirror the library: the surface constructors, the exact
 verifier, conjugation, the Fock catenoid residual check, and a one-shot
 expression evaluator.  Exit codes: 0 success / verification passed,
-1 verification or residual-tolerance failure, 2 parse or input error,
-3 non-integrable Weierstrass data, 4 non-polynomial primitive (out of
-the supported scope).
+1 verification failure, or a Fock residual or tail bound not below the
+tolerance, 2 parse or input error, 3 non-integrable Weierstrass data,
+4 non-polynomial primitive (out of the supported scope).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .fock import FockConfig, residual_report
-from .holomorphic import NotIntegrableError, PolyLambda, RatLambda
+from .holomorphic import NotIntegrableError, PolyLambda
 from .parse import ParseError, parse_rat, parse_weyl
 from .render import surface_latex, surface_text, weyl_latex, weyl_text
 from .serialize import (
@@ -61,10 +61,6 @@ def _parse_offsets(text: Optional[str], n: int) -> Optional[list[Fraction]]:
         raise ValueError(f"bad offset value: {exc}") from exc
 
 
-def _parse_rat_arg(expr: str) -> RatLambda:
-    return parse_rat(expr)
-
-
 def _parse_poly_arg(expr: str) -> PolyLambda:
     value = parse_rat(expr)
     if not value.is_polynomial():
@@ -101,6 +97,8 @@ def _read_surface(path: str) -> Surface:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DeserializeError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DeserializeError("invalid JSON: nested too deeply") from exc
     return surface_from_obj(obj)
 
 
@@ -109,14 +107,14 @@ def _read_surface(path: str) -> Surface:
 
 def _cmd_surface_from_fg(args: argparse.Namespace) -> int:
     s = surface_from_fg(
-        _parse_rat_arg(args.f), _parse_rat_arg(args.g), _parse_offsets(args.offsets, 3)
+        parse_rat(args.f), parse_rat(args.g), _parse_offsets(args.offsets, 3)
     )
     _emit_surface(s, args.fmt, args.out)
     return EXIT_OK
 
 
 def _cmd_surface_from_F(args: argparse.Namespace) -> int:
-    s = surface_from_F(_parse_rat_arg(args.F), _parse_offsets(args.offsets, 3))
+    s = surface_from_F(parse_rat(args.F), _parse_offsets(args.offsets, 3))
     _emit_surface(s, args.fmt, args.out)
     return EXIT_OK
 
@@ -159,7 +157,7 @@ def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     report = residual_report(config)
     _emit(dumps_canonical(fock_report_to_obj(report)), args.out)
     worst = max(report["residuals"].values())
-    return EXIT_OK if worst < args.tol else EXIT_VERIFY
+    return EXIT_OK if worst < args.tol and report["tail_bound"] < args.tol else EXIT_VERIFY
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -60,8 +60,8 @@ class FockConfig:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
-        if not (self.hbar > 0):
-            raise ValueError("hbar must be positive")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise ValueError("hbar must be positive and finite")
         if self.safe_rows is None:
             object.__setattr__(self, "safe_rows", self.dim // 3)
         if not (0 < self.safe_rows < self.dim):

@@ -17,17 +17,22 @@ every multiplicity-one remainder vanishes.  :meth:`RatLambda.primitive`
 returns the primitive normalized to vanish at L = 0 whenever it is
 defined there.
 
-Internally the coefficient ring is widened to the field of h-rationals
-(:class:`~weylmin.scalars.HbarRat`) so that monic gcds exist even when h
-divides leading coefficients; public values always come back with
-HbarPoly coefficients and cleared h-denominators.
+Internally the coefficient ring is widened to the field of h-rationals:
+a "kpoly" (:class:`KPoly`) is a polynomial in L over
+:class:`~weylmin.scalars.HbarRat`, so monic gcds exist even when h divides
+leading coefficients.  PolyLambda and KPoly are both
+:class:`~weylmin.scalars.Poly`, so they share the kernel's multiply,
+derivative, power, Euclidean division and gcd; the extended gcd, the
+Diophantine solver and Yun's algorithm here are built on it.  Public
+values always come back with HbarPoly coefficients and cleared
+h-denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 from .scalars import (
     GaussRational,
@@ -36,6 +41,8 @@ from .scalars import (
     HbarPoly,
     HbarRat,
     HR_ONE,
+    Field,
+    Poly,
     hp_exact_div,
     hp_gcd,
     hp_lcm,
@@ -47,123 +54,11 @@ class NotIntegrableError(ValueError):
     """No Lambda-rational primitive exists (a logarithmic part remains)."""
 
 
-def _canon_poly(
-    items: Iterable[tuple[int, HbarPoly]],
-) -> tuple[tuple[int, HbarPoly], ...]:
-    acc: dict[int, HbarPoly] = {}
-    for deg, c in items:
-        if deg < 0:
-            raise ValueError("negative Lambda-degree")
-        cur = acc.get(deg)
-        acc[deg] = c if cur is None else cur + c
-    return tuple(sorted((d, c) for d, c in acc.items() if not c.is_zero()))
-
-
-@dataclass(frozen=True, init=False)
-class PolyLambda:
+class PolyLambda(Poly):
     """Polynomial in L with HbarPoly coefficients, stored canonically."""
 
-    coeffs: tuple[tuple[int, HbarPoly], ...]
-
-    def __init__(
-        self,
-        coeffs: Union[Mapping[int, HbarLike], Iterable[tuple[int, HbarLike]]] = (),
-    ) -> None:
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        canon = _canon_poly((d, HbarPoly.coerce(c)) for d, c in items)
-        object.__setattr__(self, "coeffs", canon)
-
-    @staticmethod
-    def const(c: HbarLike) -> "PolyLambda":
-        return PolyLambda({0: c})
-
-    @staticmethod
-    def coerce(x: "PolyLike") -> "PolyLambda":
-        if isinstance(x, PolyLambda):
-            return x
-        return PolyLambda.const(HbarPoly.coerce(x))
-
-    @staticmethod
-    def _try(x: object) -> "PolyLambda | None":
-        if isinstance(x, PolyLambda):
-            return x
-        if isinstance(x, (HbarPoly, GaussRational, int, Fraction)):
-            return PolyLambda.const(HbarPoly.coerce(x))
-        return None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        """Degree in L; -1 for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else -1
-
-    def leading(self) -> HbarPoly:
-        return self.coeffs[-1][1] if self.coeffs else HbarPoly()
-
-    def coeff(self, deg: int) -> HbarPoly:
-        for d, c in self.coeffs:
-            if d == deg:
-                return c
-        return HbarPoly()
-
-    def constant_coeff(self) -> HbarPoly:
-        return self.coeff(0)
-
-    def __add__(self, other: "PolyLike") -> "PolyLambda":
-        o = PolyLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return PolyLambda(self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "PolyLike") -> "PolyLambda":
-        o = PolyLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: "PolyLike") -> "PolyLambda":
-        o = PolyLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "PolyLambda":
-        return PolyLambda((d, -c) for d, c in self.coeffs)
-
-    def __mul__(self, other: "PolyScalarLike") -> "PolyLambda":
-        if isinstance(other, PolyLambda):
-            out = []
-            for d1, c1 in self.coeffs:
-                for d2, c2 in other.coeffs:
-                    out.append((d1 + d2, c1 * c2))
-            return PolyLambda(out)
-        if isinstance(other, (HbarPoly, GaussRational, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other: "PolyScalarLike") -> "PolyLambda":
-        return self * other
-
-    def scale(self, c: HbarLike) -> "PolyLambda":
-        co = HbarPoly.coerce(c)
-        return PolyLambda((d, cc * co) for d, cc in self.coeffs)
-
-    def __pow__(self, n: int) -> "PolyLambda":
-        if n < 0:
-            raise ValueError("negative power of a PolyLambda")
-        out = PL_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def derivative(self) -> "PolyLambda":
-        return PolyLambda((d - 1, c * d) for d, c in self.coeffs if d > 0)
+    COEFF = HbarPoly
+    LIFTS = (HbarPoly, GaussRational, int, Fraction)
 
     def __str__(self) -> str:
         from .render import poly_lambda_text
@@ -172,148 +67,61 @@ class PolyLambda:
 
 
 PolyLike = Union[PolyLambda, HbarPoly, GaussRational, int, Fraction]
-PolyScalarLike = PolyLike
 
 PL_ZERO = PolyLambda()
 PL_ONE = PolyLambda.const(1)
-PL_LAM = PolyLambda({1: 1})
 
 
-# ---------------------------------------------------------------------------
-# Internal polynomial arithmetic over the h-rational coefficient field.
-# A "kpoly" is a dict {Lambda-degree: HbarRat} with no zero values.
-# ---------------------------------------------------------------------------
+class KPoly(Poly):
+    """Polynomial in L over the h-rational field, the "kpoly" of integration.
 
-KPoly = dict
+    Widening the coefficients to a field makes Euclidean division, monic
+    gcds and squarefree factorization available even when h divides
+    leading coefficients.
+    """
 
-_KR_ZERO = HbarRat(0)
-
-
-def _kp(p: PolyLambda) -> KPoly:
-    return {d: HbarRat(c) for d, c in p.coeffs}
+    COEFF = HbarRat
+    LIFTS = (HbarRat, HbarPoly, GaussRational, int, Fraction)
 
 
-def _kp_norm(a: KPoly) -> KPoly:
-    return {d: c for d, c in a.items() if not c.is_zero()}
+KP_ONE = KPoly.const(1)
 
 
-def _kp_deg(a: KPoly) -> int:
-    return max(a) if a else -1
-
-
-def _kp_lc(a: KPoly) -> HbarRat:
-    return a[max(a)] if a else _KR_ZERO
-
-
-def _kp_add(a: KPoly, b: KPoly) -> KPoly:
-    out = dict(a)
-    for d, c in b.items():
-        out[d] = out.get(d, _KR_ZERO) + c
-    return _kp_norm(out)
-
-
-def _kp_neg(a: KPoly) -> KPoly:
-    return {d: -c for d, c in a.items()}
-
-
-def _kp_sub(a: KPoly, b: KPoly) -> KPoly:
-    return _kp_add(a, _kp_neg(b))
-
-def _kp_mul(a: KPoly, b: KPoly) -> KPoly:
-    out: KPoly = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = d1 + d2
-            out[d] = out.get(d, _KR_ZERO) + c1 * c2
-    return _kp_norm(out)
-
-
-def _kp_scale(a: KPoly, c: HbarRat) -> KPoly:
-    if c.is_zero():
-        return {}
-    return {d: cc * c for d, cc in a.items()}
-
-
-def _kp_monic(a: KPoly) -> tuple[KPoly, HbarRat]:
-    """Return (a / lc, lc)."""
-    lc = _kp_lc(a)
-    if lc.is_zero() or lc == HR_ONE:
-        return dict(a), HR_ONE
+def _monic_quotient(nk: KPoly, dk: KPoly) -> tuple[KPoly, KPoly]:
+    """Scale both halves of nk/dk so that the denominator is monic."""
+    lc = dk.leading()
+    if lc == HR_ONE:
+        return nk, dk
     inv = lc.inverse()
-    return {d: c * inv for d, c in a.items()}, lc
-
-
-def _kp_divmod(a: KPoly, b: KPoly) -> tuple[KPoly, KPoly]:
-    if not b:
-        raise ZeroDivisionError("division by zero polynomial")
-    rem = dict(a)
-    quo: KPoly = {}
-    db, lb = _kp_deg(b), _kp_lc(b)
-    while rem and _kp_deg(rem) >= db:
-        dr = _kp_deg(rem)
-        q = rem[dr] / lb
-        quo[dr - db] = quo.get(dr - db, _KR_ZERO) + q
-        for d, c in b.items():
-            nd = d + dr - db
-            nc = rem.get(nd, _KR_ZERO) - c * q
-            if nc.is_zero():
-                rem.pop(nd, None)
-            else:
-                rem[nd] = nc
-    return _kp_norm(quo), _kp_norm(rem)
-
-
-def _kp_exact_div(a: KPoly, b: KPoly) -> KPoly:
-    q, r = _kp_divmod(a, b)
-    if r:
-        raise ValueError("inexact polynomial division")
-    return q
-
-
-def _kp_gcd(a: KPoly, b: KPoly) -> KPoly:
-    while b:
-        a, b = b, _kp_divmod(a, b)[1]
-    return _kp_monic(a)[0]
-
-
-def _kp_derivative(a: KPoly) -> KPoly:
-    return _kp_norm({d - 1: c * HbarRat(d) for d, c in a.items() if d > 0})
+    return nk.scale(inv), dk.scale(inv)
 
 
 def _kp_ext_gcd(a: KPoly, b: KPoly) -> tuple[KPoly, KPoly, KPoly]:
     """Monic g = gcd(a, b) together with s, t such that s a + t b = g."""
-    r0, r1 = dict(a), dict(b)
-    s0, s1 = {0: HR_ONE}, {}
-    t0, t1 = {}, {0: HR_ONE}
-    while r1:
-        q, r = _kp_divmod(r0, r1)
+    r0, r1 = a, b
+    s0, s1 = KP_ONE, KPoly()
+    t0, t1 = KPoly(), KP_ONE
+    while not r1.is_zero():
+        q, r = r0.divmod_poly(r1)
         r0, r1 = r1, r
-        s0, s1 = s1, _kp_sub(s0, _kp_mul(q, s1))
-        t0, t1 = t1, _kp_sub(t0, _kp_mul(q, t1))
-    g, lc = _kp_monic(r0)
-    inv = lc.inverse() if not lc.is_zero() else HR_ONE
-    return g, _kp_scale(s0, inv), _kp_scale(t0, inv)
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    inv = r0.leading().inverse()
+    return r0.monic(), s0.scale(inv), t0.scale(inv)
 
 
 def _kp_diophantine(a: KPoly, b: KPoly, c: KPoly) -> tuple[KPoly, KPoly]:
     """Solve s a + t b = c with deg s < deg b, for gcd(a, b) dividing c."""
     g, s0, t0 = _kp_ext_gcd(a, b)
-    q = _kp_exact_div(c, g)
-    s = _kp_mul(s0, q)
-    if _kp_deg(s) >= _kp_deg(b):
-        qs, s = _kp_divmod(s, b)
-        t = _kp_add(_kp_mul(t0, q), _kp_mul(qs, a))
+    q = hp_exact_div(c, g)
+    s = s0 * q
+    if s.degree() >= b.degree():
+        qs, s = s.divmod_poly(b)
+        t = t0 * q + qs * a
     else:
-        t = _kp_mul(t0, q)
+        t = t0 * q
     # t is determined by s through t = (c - s a) / b.
     return s, t
-
-
-def _kp_pow(a: KPoly, n: int) -> KPoly:
-    out: KPoly = {0: HR_ONE}
-    for _ in range(n):
-        out = _kp_mul(out, a)
-    return out
 
 
 def _kp_yun(a: KPoly) -> list[tuple[KPoly, int]]:
@@ -322,24 +130,24 @@ def _kp_yun(a: KPoly) -> list[tuple[KPoly, int]]:
     Returns pairwise-coprime monic squarefree factors with multiplicities
     such that the product of q_i^(m_i) reproduces the input.
     """
-    if _kp_deg(a) <= 0:
+    if a.degree() <= 0:
         return []
-    da = _kp_derivative(a)
-    g = _kp_gcd(a, da)
-    if _kp_deg(g) == 0:
+    da = a.derivative()
+    g = hp_gcd(a, da)
+    if g.degree() == 0:
         return [(a, 1)]
-    w = _kp_exact_div(a, g)
-    y = _kp_exact_div(da, g)
-    z = _kp_sub(y, _kp_derivative(w))
+    w = hp_exact_div(a, g)
+    y = hp_exact_div(da, g)
+    z = y - w.derivative()
     out: list[tuple[KPoly, int]] = []
     i = 1
-    while _kp_deg(w) > 0:
-        gi = _kp_gcd(w, z)
-        if _kp_deg(gi) > 0:
+    while w.degree() > 0:
+        gi = hp_gcd(w, z)
+        if gi.degree() > 0:
             out.append((gi, i))
-        w = _kp_exact_div(w, gi)
-        y = _kp_exact_div(z, gi)
-        z = _kp_sub(y, _kp_derivative(w))
+        w = hp_exact_div(w, gi)
+        y = hp_exact_div(z, gi)
+        z = y - w.derivative()
         i += 1
     return out
 
@@ -347,14 +155,11 @@ def _kp_yun(a: KPoly) -> list[tuple[KPoly, int]]:
 def _clear_hbar(nk: KPoly, dk: KPoly) -> tuple[PolyLambda, PolyLambda]:
     """Scale a kpoly quotient so both halves have HbarPoly coefficients."""
     lead = HP_ONE
-    for c in list(nk.values()) + list(dk.values()):
+    for _, c in nk.coeffs + dk.coeffs:
         lead = hp_lcm(lead, c.den)
 
     def _to_poly(a: KPoly) -> PolyLambda:
-        out = []
-        for d, c in a.items():
-            out.append((d, c.num * hp_exact_div(lead, c.den)))
-        return PolyLambda(out)
+        return PolyLambda((d, c.num * hp_exact_div(lead, c.den)) for d, c in a.coeffs)
 
     return _to_poly(nk), _to_poly(dk)
 
@@ -365,7 +170,7 @@ def _rat_from_kp(nk: KPoly, dk: KPoly) -> "RatLambda":
 
 
 @dataclass(frozen=True, init=False)
-class RatLambda:
+class RatLambda(Field):
     """Reduced quotient of two PolyLambda.
 
     Canonical form: numerator and denominator coprime over the h-rational
@@ -379,7 +184,9 @@ class RatLambda:
     num: PolyLambda
     den: PolyLambda
 
-    def __init__(self, num: "RatCoercible" = PL_ZERO, den: "RatCoercible" = PL_ONE) -> None:
+    LIFTS = (PolyLambda, HbarPoly, GaussRational, int, Fraction)
+
+    def __init__(self, num: "PolyLike" = PL_ZERO, den: "PolyLike" = PL_ONE) -> None:
         n = PolyLambda.coerce(num)
         d = PolyLambda.coerce(den)
         if d.is_zero():
@@ -387,15 +194,12 @@ class RatLambda:
         if n.is_zero():
             n, d = PL_ZERO, PL_ONE
         else:
-            nk, dk = _kp(n), _kp(d)
-            g = _kp_gcd(nk, dk)
-            if _kp_deg(g) > 0:
-                nk = _kp_exact_div(nk, g)
-                dk = _kp_exact_div(dk, g)
-            dk, lc = _kp_monic(dk)
-            if lc != HR_ONE:
-                nk = _kp_scale(nk, lc.inverse())
-            n, d = _clear_hbar(nk, dk)
+            nk, dk = KPoly(n.coeffs), KPoly(d.coeffs)
+            g = hp_gcd(nk, dk)
+            if g.degree() > 0:
+                nk = hp_exact_div(nk, g)
+                dk = hp_exact_div(dk, g)
+            n, d = _clear_hbar(*_monic_quotient(nk, dk))
             content = HbarPoly()
             for _, c in n.coeffs + d.coeffs:
                 content = hp_gcd(content, c)
@@ -407,21 +211,7 @@ class RatLambda:
 
     @staticmethod
     def from_poly(p: "PolyLike") -> "RatLambda":
-        return RatLambda(PolyLambda.coerce(p))
-
-    @staticmethod
-    def coerce(x: "RatLike") -> "RatLambda":
-        if isinstance(x, RatLambda):
-            return x
-        return RatLambda.from_poly(PolyLambda.coerce(x))
-
-    @staticmethod
-    def _try(x: object) -> "RatLambda | None":
-        if isinstance(x, RatLambda):
-            return x
-        if isinstance(x, (PolyLambda, HbarPoly, GaussRational, int, Fraction)):
-            return RatLambda.from_poly(PolyLambda.coerce(x))
-        return None
+        return RatLambda(p)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -435,53 +225,19 @@ class RatLambda:
             raise ValueError("RatLambda value is not a polynomial")
         return self.num
 
-    def __add__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "RatLambda") -> "RatLambda":
         return RatLambda(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> "RatLambda":
         return RatLambda(-self.num, self.den)
 
-    def __mul__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "RatLambda") -> "RatLambda":
         return RatLambda(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "RatLambda":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero RatLambda")
         return RatLambda(self.den, self.num)
-
-    def __truediv__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: "RatLike") -> "RatLambda":
-        o = RatLambda._try(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def scale(self, c: HbarLike) -> "RatLambda":
         return RatLambda(self.num.scale(c), self.den)
@@ -501,45 +257,36 @@ class RatLambda:
         remainders, with each q squarefree and deg A < deg q.  The element
         has a rational primitive iff the remainder list is empty.
         """
-        nk, dk = _kp(self.num), _kp(self.den)
-        dk, lc = _kp_monic(dk)
-        if lc != HR_ONE:
-            nk = _kp_scale(nk, lc.inverse())
-        quo, rem = _kp_divmod(nk, dk)
+        nk, dk = _monic_quotient(KPoly(self.num.coeffs), KPoly(self.den.coeffs))
+        quo, rem = nk.divmod_poly(dk)
 
-        prim = _rat_from_kp(
-            {d + 1: c / HbarRat(d + 1) for d, c in quo.items()}, {0: HR_ONE}
-        )
+        prim = _rat_from_kp(KPoly((d + 1, c / (d + 1)) for d, c in quo.coeffs), KP_ONE)
         leftovers: list[tuple[KPoly, KPoly]] = []
-        if not rem:
+        if rem.is_zero():
             return prim, leftovers
 
         pieces: list[tuple[KPoly, KPoly, int]] = []
         cof = dk
         for q, m in _kp_yun(dk):
-            big = _kp_pow(q, m)
-            rest = _kp_exact_div(cof, big)
-            if _kp_deg(rest) <= 0:
-                c = _kp_lc(rest)
-                piece = rem if c == HR_ONE else _kp_scale(rem, c.inverse())
-                pieces.append((piece, q, m))
-                rem = {}
+            big = q**m
+            rest = hp_exact_div(cof, big)
+            if rest.degree() <= 0:
+                # cof and big are monic, so rest is 1
+                pieces.append((rem, q, m))
                 break
             s, t = _kp_diophantine(rest, big, rem)
             pieces.append((s, q, m))
             rem, cof = t, rest
 
         for a, q, m in pieces:
-            qp = _kp_derivative(q)
+            qp = q.derivative()
             while m > 1:
                 u, v = _kp_diophantine(qp, q, a)
-                step = HbarRat(m - 1)
-                prim = prim + _rat_from_kp(
-                    _kp_scale(u, -step.inverse()), _kp_pow(q, m - 1)
-                )
-                a = _kp_add(v, _kp_scale(_kp_derivative(u), step.inverse()))
+                step = Fraction(1, m - 1)
+                prim = prim + _rat_from_kp(u.scale(-step), q ** (m - 1))
+                a = v + u.derivative().scale(step)
                 m -= 1
-            if a:
+            if not a.is_zero():
                 leftovers.append((a, q))
         return prim, leftovers
 
@@ -555,13 +302,13 @@ class RatLambda:
         """
         prim, leftovers = self._hermite()
         if leftovers:
-            dens = ", ".join(str(_rat_from_kp(q, {0: HR_ONE}).num) for _, q in leftovers)
+            dens = ", ".join(str(_rat_from_kp(q, KP_ONE).num) for _, q in leftovers)
             raise NotIntegrableError(
                 f"no Lambda-rational primitive: nonzero residues on ({dens})"
             )
-        d0 = prim.den.constant_coeff()
+        d0 = prim.den.coeff(0)
         if not d0.is_zero():
-            n0 = prim.num.constant_coeff()
+            n0 = prim.num.coeff(0)
             if not n0.is_zero():
                 prim = prim - RatLambda(PolyLambda.const(n0), PolyLambda.const(d0))
         return prim
@@ -572,12 +319,10 @@ class RatLambda:
         return rat_text(self)
 
 
-RatCoercible = Union[PolyLambda, HbarPoly, GaussRational, int, Fraction]
-RatLike = Union[RatLambda, RatCoercible]
+RatLike = Union[RatLambda, PolyLike]
 
 RL_ZERO = RatLambda()
-RL_ONE = RatLambda.from_poly(PL_ONE)
-RL_LAM = RatLambda.from_poly(PL_LAM)
+RL_ONE = RatLambda(PL_ONE)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ Two evaluation modes share the grammar:
 * rat mode produces a RatLambda and forbids the names U, V and Ls;
   division is unrestricted.
 
+Expressions nest at most ``MAX_DEPTH`` levels: every parenthesised
+group, unary minus, power and link of an operator chain is one level, so
+``L+L+L`` is three deep.  The cap keeps the recursive parser and
+evaluators far from Python's recursion limit.
+
 All failures raise :class:`ParseError` carrying a 0-based position into
 the source string.
 """
@@ -134,12 +139,29 @@ Node = Union[Num, Name, Neg, BinOp, Pow]
 
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _UNARY_PREC = 3
+MAX_DEPTH = 200
+
+
+def _level(height: int, pos: int) -> int:
+    """One more nesting level on top of a subtree of the given height."""
+    if height >= MAX_DEPTH:
+        raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return height + 1
 
 
 class _Parser:
+    """Recursive descent; each parse_* method returns (node, height).
+
+    ``open`` counts the parse_expr calls in progress.  Each of them lies
+    under its own level of the finished tree, so capping it rejects deep
+    input before the recursion gets deep, and never rejects anything that
+    the height check would pass.
+    """
+
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.i = 0
+        self.open = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -150,36 +172,35 @@ class _Parser:
         return t
 
     def parse(self) -> Node:
-        node = self.parse_expr(0)
+        node, _ = self.parse_expr(0)
         t = self.peek()
         if t.kind != "END":
             raise ParseError(f"unexpected {t.text!r}", t.pos)
         return node
 
-    def parse_expr(self, min_prec: int) -> Node:
-        left = self.parse_unary()
+    def parse_expr(self, min_prec: int) -> tuple[Node, int]:
+        self.open = _level(self.open, self.peek().pos)
+        left, height = self.parse_unary()
         while True:
             t = self.peek()
-            if t.kind != "OP" or t.text not in _BIN_PREC:
-                return left
-            prec = _BIN_PREC[t.text]
-            if prec < min_prec:
-                return left
+            if t.kind != "OP" or t.text not in _BIN_PREC or _BIN_PREC[t.text] < min_prec:
+                self.open -= 1
+                return left, height
             self.next()
-            right = self.parse_expr(prec + 1)
-            left = BinOp(t.text, left, right, t.pos)
+            right, rh = self.parse_expr(_BIN_PREC[t.text] + 1)
+            left, height = BinOp(t.text, left, right, t.pos), _level(max(height, rh), t.pos)
 
-    def parse_unary(self) -> Node:
+    def parse_unary(self) -> tuple[Node, int]:
         t = self.peek()
         if t.kind == "OP" and t.text == "-":
             self.next()
             # unary minus binds tighter than * and / but looser than ^
-            operand = self.parse_expr(_UNARY_PREC + 1)
-            return Neg(operand, t.pos)
+            operand, height = self.parse_expr(_UNARY_PREC + 1)
+            return Neg(operand, t.pos), _level(height, t.pos)
         return self.parse_power()
 
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Node, int]:
+        base, height = self.parse_atom()
         t = self.peek()
         if t.kind == "OP" and t.text == "^":
             self.next()
@@ -189,23 +210,23 @@ class _Parser:
             if e.kind != "NUM":
                 raise ParseError("exponent must be a nonnegative integer", e.pos)
             self.next()
-            return Pow(base, int(e.text), t.pos)
-        return base
+            return Pow(base, int(e.text), t.pos), _level(height, t.pos)
+        return base, height
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> tuple[Node, int]:
         t = self.next()
         if t.kind == "NUM":
-            return Num(int(t.text), t.pos)
+            return Num(int(t.text), t.pos), 1
         if t.kind == "NAME":
             if t.text not in _NAMES:
                 raise ParseError(f"unknown name {t.text!r}", t.pos)
-            return Name(t.text, t.pos)
+            return Name(t.text, t.pos), 1
         if t.kind == "LPAREN":
-            node = self.parse_expr(0)
+            node, height = self.parse_expr(0)
             closing = self.next()
             if closing.kind != "RPAREN":
                 raise ParseError("expected ')'", closing.pos)
-            return node
+            return node, _level(height, t.pos)
         if t.kind == "END":
             raise ParseError("unexpected end of input", t.pos)
         raise ParseError(f"unexpected {t.text!r}", t.pos)
@@ -244,11 +265,7 @@ def _eval_scalar(node: Node) -> GaussRational:
     if isinstance(node, Neg):
         return -_eval_scalar(node.operand)
     if isinstance(node, Pow):
-        base = _eval_scalar(node.base)
-        out = GaussRational(1)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
+        return _eval_scalar(node.base) ** node.exponent
     left = _eval_scalar(node.left)
     right = _eval_scalar(node.right)
     if node.op == "+":
@@ -313,11 +330,7 @@ def _eval_rat(node: Node) -> RatLambda:
     if isinstance(node, Neg):
         return -_eval_rat(node.operand)
     if isinstance(node, Pow):
-        base = _eval_rat(node.base)
-        out = RatLambda.coerce(1)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
+        return _eval_rat(node.base) ** node.exponent
     left = _eval_rat(node.left)
     right = _eval_rat(node.right)
     if node.op == "+":

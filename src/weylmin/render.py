@@ -6,9 +6,10 @@ appear in the canonical order (total degree, then L-degree), coefficients
 as exact rationals.
 
 LaTeX output presents elements in U,V-ordered form (every monomial
-``U^p V^q`` with all U factors to the left), obtained with the reordering
+``U^p V^q`` with all U factors to the left).  Each ``L^k Ls^l`` is expanded
+one linear factor ``U +- iV`` at a time, moving the new U left with
 
-    V^a U^b = sum_j j! C(a,j) C(b,j) (-i h)^j U^(b-j) V^(a-j),
+    (U^p V^q) U = U^(p+1) V^q - i h q U^p V^(q-1),
 
 which tends to match how hermitian surface components are written down.
 """
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from .scalars import GaussRational, HbarPoly
+from .scalars import GR_I, GaussRational, HbarPoly, canon
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .holomorphic import PolyLambda, RatLambda
@@ -130,64 +129,33 @@ def weyl_text(a: "WeylElement") -> str:
     return _join_terms(parts)
 
 
-@lru_cache(maxsize=None)
-def _uv_reorder(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    # V^a U^b = sum_j coef_j (-i)^j h^j U^(b-j) V^(a-j); returns (j, j! C C).
-    return tuple(
-        (j, factorial(j) * comb(a, j) * comb(b, j)) for j in range(min(a, b) + 1)
-    )
+def _uv_order(pair: tuple) -> tuple[int, int]:
+    (p, q), _ = pair
+    return p + q, -p
 
 
 def uv_ordered_terms(a: "WeylElement") -> tuple[tuple[tuple[int, int], HbarPoly], ...]:
     """Rewrite in the U,V-ordered basis U^p V^q (U powers to the left)."""
-    acc: dict[tuple[int, int], HbarPoly] = {}
-
-    def add(p: int, q: int, c: HbarPoly) -> None:
-        cur = acc.get((p, q))
-        acc[(p, q)] = c if cur is None else cur + c
-
+    out = []
     for (k, l), coeff in a.terms:
         # expand L^k Ls^l with L = U + iV, Ls = U - iV, one linear factor
         # at a time, keeping the table U,V ordered throughout.
-        words: dict[tuple[int, int], HbarPoly] = {(0, 0): coeff}
-        for _ in range(k):
-            words = _uv_mul_linear(words, GaussRational(1), GaussRational(0, 1))
-        for _ in range(l):
-            words = _uv_mul_linear(words, GaussRational(1), GaussRational(0, -1))
-        for (p, q), c in words.items():
-            add(p, q, c)
-    items = tuple(
-        sorted(
-            ((pq, c) for pq, c in acc.items() if not c.is_zero()),
-            key=lambda t: (t[0][0] + t[0][1], -t[0][0]),
-        )
-    )
-    return items
+        words = (((0, 0), coeff),)
+        for cv in (GR_I,) * k + (-GR_I,) * l:
+            words = _uv_mul_linear(words, cv)
+        out.extend(words)
+    return canon(out, _uv_order)
 
 
-def _uv_mul_linear(
-    words: dict[tuple[int, int], HbarPoly], cu: GaussRational, cv: GaussRational
-) -> dict[tuple[int, int], HbarPoly]:
-    """Multiply a U,V-ordered table on the right by cu*U + cv*V."""
-    out: dict[tuple[int, int], HbarPoly] = {}
-
-    def add(p: int, q: int, c: HbarPoly) -> None:
-        if c.is_zero():
-            return
-        cur = out.get((p, q))
-        out[(p, q)] = c if cur is None else cur + c
-
-    minus_i = GaussRational(0, -1)
-    for (p, q), c in words.items():
-        # (U^p V^q) V
-        if not cv.is_zero():
-            add(p, q + 1, c * cv)
-        # (U^p V^q) U = sum_j j! C(q,j) C(1,...) -- move U through V^q
-        if not cu.is_zero():
-            for j, coef in _uv_reorder(q, 1):
-                term = (c * cu * coef * (minus_i**j)).shift(j)
-                add(p + 1 - j, q - j, term)
-    return out
+def _uv_mul_linear(words: tuple, cv: GaussRational) -> tuple:
+    """Multiply a U,V-ordered table on the right by U + cv*V."""
+    out = []
+    for (p, q), c in words:
+        out.append(((p, q + 1), c.scale(cv)))
+        out.append(((p + 1, q), c))
+        if q:
+            out.append(((p, q - 1), c.scale(GaussRational(0, -q)).shift(1)))
+    return canon(out)
 
 
 def weyl_latex(a: "WeylElement") -> str:

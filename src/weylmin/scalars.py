@@ -1,6 +1,21 @@
-"""Exact scalar arithmetic.
+"""Exact scalars and the one sparse-polynomial kernel.
 
-Three layers of coefficients, all exact:
+Every exact type of the package is assembled from three pieces here:
+
+* :class:`Ring` and :class:`Field` -- the operator mixins.  A type names
+  the scalar types it embeds (``LIFTS``) and how it embeds one
+  (``_lift``), and implements ``_add``, ``_mul`` and ``__neg__`` on its
+  own type (plus ``inverse`` for a field).  The mixin supplies
+  ``coerce``, the binary and reflected operators, ``/`` for fields, and
+  ``**`` by repeated squaring.
+* :func:`canon` -- the one canonicaliser: sum the coefficients of equal
+  keys, drop zero sums, sort.  Integer degrees sort as they are; the
+  bivariate types pass :func:`bidegree_order`.
+* :class:`Poly` -- univariate polynomials over any coefficient type, with
+  the one multiply, derivative, Euclidean division, :meth:`Poly.monic`
+  and :func:`hp_gcd` (the last three need a coefficient field).
+
+On top of them sit the three scalar layers, all exact:
 
 * :class:`GaussRational` -- complex numbers a + b*i with rational parts,
   the base field for every coefficient in the package.
@@ -16,11 +31,119 @@ forms.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
+
+
+class Ring:
+    """Operators shared by every exact type.
+
+    Binary operators lift a scalar operand (an instance of one of
+    ``LIFTS``) with ``_lift`` and return NotImplemented for anything else,
+    so ``2 * x`` and ``x * 2`` both work.
+    """
+
+    LIFTS: tuple = ()
+
+    @classmethod
+    def _lift(cls, x):
+        return cls(x)
+
+    @classmethod
+    def _try(cls, x):
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, cls.LIFTS):
+            return cls._lift(x)
+        return None
+
+    @classmethod
+    def coerce(cls, x):
+        o = cls._try(x)
+        if o is None:
+            raise TypeError(f"cannot use {type(x).__name__} as {cls.__name__}")
+        return o
+
+    def __add__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else self._add(o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else self._add(-o)
+
+    def __rsub__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else o._add(-self)
+
+    def __mul__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else self._mul(o)
+
+    def __rmul__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else o * self
+
+    def __pow__(self, n: int):
+        """``self**n`` by repeated squaring; a negative n needs a Field."""
+        if n < 0:
+            if not isinstance(self, Field):
+                raise ValueError(f"negative power of a {type(self).__name__}")
+            return self.inverse() ** -n
+        out, base = self._lift(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+
+class Field(Ring):
+    """A Ring whose nonzero elements have an ``inverse``."""
+
+    def __truediv__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else self._mul(o.inverse())
+
+    def __rtruediv__(self, other):
+        o = self._try(other)
+        return NotImplemented if o is None else o._mul(self.inverse())
+
+
+def canon(
+    items: Union[Mapping, Iterable[tuple]],
+    order: Optional[Callable] = None,
+    coerce: Optional[Callable] = None,
+) -> tuple:
+    """The canonical tuple of ``(key, coeff)`` pairs.
+
+    Coefficients of equal keys are summed and zero sums dropped; the pairs
+    are sorted by key, or by ``order(pair)`` when given.  A Mapping is read
+    as its items, and ``coerce`` converts each coefficient first.
+    """
+    if isinstance(items, Mapping):
+        items = items.items()
+    if coerce is not None:
+        items = [(key, coerce(c)) for key, c in items]
+    acc: dict = {}
+    for key, c in items:
+        cur = acc.get(key)
+        acc[key] = c if cur is None else cur + c
+    return tuple(sorted([kc for kc in acc.items() if not kc[1].is_zero()], key=order))
+
+
+def bidegree_order(pair: tuple) -> tuple[int, int]:
+    """Sort key of bivariate terms: total degree, then the first degree."""
+    (k, l), _ = pair
+    return k + l, k
 
 
 def _frac(x: Rational) -> Fraction:
@@ -32,7 +155,7 @@ def _frac(x: Rational) -> Fraction:
 
 
 @dataclass(frozen=True, init=False)
-class GaussRational:
+class GaussRational(Field):
     """Exact complex number ``re + im*i`` with rational components.
 
     Fractions keep themselves in lowest terms with positive denominators,
@@ -42,23 +165,11 @@ class GaussRational:
     re: Fraction
     im: Fraction
 
+    LIFTS = (int, Fraction)
+
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
-
-    @staticmethod
-    def coerce(x: "GaussLike") -> "GaussRational":
-        if isinstance(x, GaussRational):
-            return x
-        return GaussRational(_frac(x))
-
-    @staticmethod
-    def _try(x: object) -> "GaussRational | None":
-        if isinstance(x, GaussRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussRational(x)
-        return None
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -66,65 +177,23 @@ class GaussRational:
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.re, -self.im)
 
-    def __add__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "GaussRational") -> "GaussRational":
         return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> "GaussRational":
         return GaussRational(-self.re, -self.im)
 
-    def __mul__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "GaussRational") -> "GaussRational":
         return GaussRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "GaussRational":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussRational(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def inverse(self) -> "GaussRational":
         n = self.re * self.re + self.im * self.im
         if not n:
             raise ZeroDivisionError("inverse of zero GaussRational")
         return GaussRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: "GaussLike") -> "GaussRational":
-        o = GaussRational._try(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -143,160 +212,151 @@ GaussLike = Union[GaussRational, int, Fraction]
 GR_ZERO = GaussRational(0)
 GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
-GR_HALF = GaussRational(Fraction(1, 2))
-
-
-def _canon_hbar(items: Iterable[tuple[int, GaussRational]]) -> tuple[tuple[int, GaussRational], ...]:
-    acc: dict[int, GaussRational] = {}
-    for deg, c in items:
-        if deg < 0:
-            raise ValueError("negative h-degree")
-        cur = acc.get(deg)
-        acc[deg] = c if cur is None else cur + c
-    return tuple(sorted((d, c) for d, c in acc.items() if not c.is_zero()))
 
 
 @dataclass(frozen=True, init=False)
-class HbarPoly:
-    """Polynomial in the central parameter ``h`` over GaussRational.
+class Poly(Ring):
+    """Univariate polynomial over the coefficient type ``COEFF``.
 
-    Stored as a sorted tuple of ``(degree, coefficient)`` pairs with no
-    zero coefficients, which makes equality and hashing structural.
+    Stored as a tuple of ``(degree, coefficient)`` pairs sorted by degree
+    with no zero coefficients, which makes equality and hashing structural.
+    Subclasses set ``COEFF`` and ``LIFTS``.  Division, :meth:`monic` and
+    :func:`hp_gcd` need a coefficient field.
     """
 
-    coeffs: tuple[tuple[int, GaussRational], ...]
+    coeffs: tuple
 
-    def __init__(
-        self,
-        coeffs: Union[Mapping[int, GaussLike], Iterable[tuple[int, GaussLike]]] = (),
-    ) -> None:
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = coeffs
-        canon = _canon_hbar((d, GaussRational.coerce(c)) for d, c in items)
-        object.__setattr__(self, "coeffs", canon)
+    def __init__(self, coeffs: Union[Mapping, Iterable[tuple]] = ()) -> None:
+        canonical = canon(coeffs, coerce=self.COEFF.coerce)
+        if canonical and canonical[0][0] < 0:
+            raise ValueError("negative degree")
+        object.__setattr__(self, "coeffs", canonical)
 
-    @staticmethod
-    def const(c: GaussLike) -> "HbarPoly":
-        return HbarPoly({0: GaussRational.coerce(c)})
+    @classmethod
+    def _of(cls, coeffs: tuple):
+        """Wrap a tuple of pairs that is already canonical."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
-    @staticmethod
-    def hbar(deg: int = 1, c: GaussLike = 1) -> "HbarPoly":
-        return HbarPoly({deg: GaussRational.coerce(c)})
+    @classmethod
+    def const(cls, c):
+        return cls(((0, c),))
 
-    @staticmethod
-    def coerce(x: "HbarLike") -> "HbarPoly":
-        if isinstance(x, HbarPoly):
-            return x
-        return HbarPoly.const(GaussRational.coerce(x))
-
-    @staticmethod
-    def _try(x: object) -> "HbarPoly | None":
-        if isinstance(x, HbarPoly):
-            return x
-        if isinstance(x, (GaussRational, int, Fraction)):
-            return HbarPoly.const(GaussRational.coerce(x))
-        return None
+    _lift = const
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def degree(self) -> int:
-        """Degree in h; -1 for the zero polynomial."""
+        """Degree; -1 for the zero polynomial."""
         return self.coeffs[-1][0] if self.coeffs else -1
 
-    def leading(self) -> GaussRational:
-        if not self.coeffs:
-            return GR_ZERO
-        return self.coeffs[-1][1]
+    def leading(self):
+        return self.coeffs[-1][1] if self.coeffs else self.COEFF.coerce(0)
 
-    def constant(self) -> GaussRational:
-        """The h-degree-zero coefficient."""
+    def coeff(self, deg: int):
         for d, c in self.coeffs:
-            if d == 0:
+            if d == deg:
                 return c
-        return GR_ZERO
+        return self.COEFF.coerce(0)
+
+    def _add(self, o):
+        return self._of(canon(self.coeffs + o.coeffs))
+
+    def __neg__(self):
+        return self._of(tuple((d, -c) for d, c in self.coeffs))
+
+    def _mul(self, o):
+        return self._of(
+            canon([(d1 + d2, c1 * c2) for d1, c1 in self.coeffs for d2, c2 in o.coeffs])
+        )
+
+    def scale(self, c):
+        """Multiply every coefficient by the scalar ``c``."""
+        co = self.COEFF.coerce(c)
+        if co.is_zero():
+            return self._of(())
+        return self._of(tuple((d, cc * co) for d, cc in self.coeffs))
+
+    def derivative(self):
+        return self._of(tuple((d - 1, c * d) for d, c in self.coeffs if d))
+
+    def divmod_poly(self, other):
+        """Euclidean division: ``(q, r)`` with self = q*other + r, deg r < deg other."""
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        *lower, (db, lb) = other.coeffs
+        inv = lb.inverse()
+        rem = dict(self.coeffs)
+        quo = []
+        while rem:
+            dr = max(rem)
+            if dr < db:
+                break
+            q = rem.pop(dr) * inv
+            quo.append((dr - db, q))
+            for d, c in lower:
+                nd = d + dr - db
+                nc = rem[nd] - c * q if nd in rem else -(c * q)
+                if nc.is_zero():
+                    del rem[nd]
+                else:
+                    rem[nd] = nc
+        return self._of(tuple(reversed(quo))), self._of(canon(rem))
+
+    def monic(self):
+        """Divided by the leading coefficient; zero stays zero."""
+        if self.is_zero() or self.leading() == self.COEFF.coerce(1):
+            return self
+        return self.scale(self.leading().inverse())
+
+
+def hp_gcd(a: Poly, b: Poly) -> Poly:
+    """Monic gcd of two polynomials over a coefficient field (Euclid)."""
+    while not b.is_zero():
+        a, b = b, a.divmod_poly(b)[1]
+    return a.monic()
+
+
+def hp_lcm(a: Poly, b: Poly) -> Poly:
+    if a.is_zero() or b.is_zero():
+        return a._of(())
+    return hp_exact_div(a * b, hp_gcd(a, b)).monic()
+
+
+def hp_exact_div(a: Poly, b: Poly) -> Poly:
+    q, r = a.divmod_poly(b)
+    if not r.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+class HbarPoly(Poly):
+    """Polynomial in the central parameter ``h`` over GaussRational."""
+
+    COEFF = GaussRational
+    LIFTS = (GaussRational, int, Fraction)
+
+    @staticmethod
+    def hbar(deg: int = 1, c: GaussLike = 1) -> "HbarPoly":
+        return HbarPoly({deg: c})
 
     def conjugate(self) -> "HbarPoly":
         """Complex-conjugate coefficients; h itself is hermitian and fixed."""
-        return HbarPoly((d, c.conjugate()) for d, c in self.coeffs)
+        return self._of(tuple((d, c.conjugate()) for d, c in self.coeffs))
 
     def shift(self, j: int) -> "HbarPoly":
         """Multiply by h**j (j may be negative if every degree allows it)."""
         if j == 0:
             return self
-        if j < 0 and any(d + j < 0 for d, _ in self.coeffs):
+        if self.coeffs and self.coeffs[0][0] + j < 0:
             raise ValueError("not divisible by the requested power of h")
-        return HbarPoly((d + j, c) for d, c in self.coeffs)
-
-    def __add__(self, other: "HbarLike") -> "HbarPoly":
-        o = HbarPoly._try(other)
-        if o is None:
-            return NotImplemented
-        return HbarPoly(self.coeffs + o.coeffs)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "HbarLike") -> "HbarPoly":
-        o = HbarPoly._try(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: "HbarLike") -> "HbarPoly":
-        o = HbarPoly._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self) -> "HbarPoly":
-        return HbarPoly((d, -c) for d, c in self.coeffs)
-
-    def __mul__(self, other: "HbarScalarLike") -> "HbarPoly":
-        o = HbarPoly._try(other)
-        if o is None:
-            return NotImplemented
-        out: list[tuple[int, GaussRational]] = []
-        for d1, c1 in self.coeffs:
-            for d2, c2 in o.coeffs:
-                out.append((d1 + d2, c1 * c2))
-        return HbarPoly(out)
-
-    def __rmul__(self, other: "HbarScalarLike") -> "HbarPoly":
-        return self * other
+        return self._of(tuple((d + j, c) for d, c in self.coeffs))
 
     def evaluate(self, hbar: float) -> complex:
         """Numerical value at a concrete hbar (used by the Fock layer)."""
         return sum((complex(c) * hbar**d for d, c in self.coeffs), 0j)
-
-    def divmod_poly(self, other: "HbarPoly") -> tuple["HbarPoly", "HbarPoly"]:
-        """Euclidean division; the coefficient field makes this exact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero HbarPoly")
-        rem = dict(self.coeffs)
-        quo: dict[int, GaussRational] = {}
-        db = other.degree()
-        lb = other.leading()
-        while rem:
-            dr = max(rem)
-            if dr < db:
-                break
-            q = rem[dr] / lb
-            quo[dr - db] = q
-            for d, c in other.coeffs:
-                nd = d + dr - db
-                nc = rem.get(nd, GR_ZERO) - c * q
-                if nc.is_zero():
-                    rem.pop(nd, None)
-                else:
-                    rem[nd] = nc
-        return HbarPoly(quo), HbarPoly(rem)
-
-    def monic(self) -> "HbarPoly":
-        if self.is_zero():
-            return self
-        return self * self.leading().inverse()
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -313,36 +373,14 @@ class HbarPoly:
 
 
 HbarLike = Union[HbarPoly, GaussRational, int, Fraction]
-HbarScalarLike = HbarLike
 
 HP_ZERO = HbarPoly()
 HP_ONE = HbarPoly.const(1)
 HP_HBAR = HbarPoly.hbar()
 
 
-def hp_gcd(a: HbarPoly, b: HbarPoly) -> HbarPoly:
-    """Monic gcd in the Euclidean ring of h-polynomials."""
-    while not b.is_zero():
-        a, b = b, a.divmod_poly(b)[1]
-    return a.monic()
-
-
-def hp_lcm(a: HbarPoly, b: HbarPoly) -> HbarPoly:
-    if a.is_zero() or b.is_zero():
-        return HP_ZERO
-    g = hp_gcd(a, b)
-    return (a * b).divmod_poly(g)[0].monic()
-
-
-def hp_exact_div(a: HbarPoly, b: HbarPoly) -> HbarPoly:
-    q, r = a.divmod_poly(b)
-    if not r.is_zero():
-        raise ValueError("inexact HbarPoly division")
-    return q
-
-
 @dataclass(frozen=True, init=False)
-class HbarRat:
+class HbarRat(Field):
     """Quotient of h-polynomials, reduced, with a monic denominator.
 
     This is the coefficient field backing gcd, squarefree factorization
@@ -352,6 +390,8 @@ class HbarRat:
     num: HbarPoly
     den: HbarPoly
 
+    LIFTS = (HbarPoly, GaussRational, int, Fraction)
+
     def __init__(self, num: HbarLike, den: HbarLike = HP_ONE) -> None:
         n = HbarPoly.coerce(num)
         d = HbarPoly.coerce(den)
@@ -359,29 +399,15 @@ class HbarRat:
             raise ZeroDivisionError("zero denominator in HbarRat")
         if n.is_zero():
             n, d = HP_ZERO, HP_ONE
-        else:
+        elif d != HP_ONE:
             g = hp_gcd(n, d)
             if g.degree() > 0:
                 n = hp_exact_div(n, g)
                 d = hp_exact_div(d, g)
             lc = d.leading().inverse()
-            n, d = n * lc, d * lc
+            n, d = n.scale(lc), d.scale(lc)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
-
-    @staticmethod
-    def coerce(x: "HbarRatLike") -> "HbarRat":
-        if isinstance(x, HbarRat):
-            return x
-        return HbarRat(HbarPoly.coerce(x))
-
-    @staticmethod
-    def _try(x: object) -> "HbarRat | None":
-        if isinstance(x, HbarRat):
-            return x
-        if isinstance(x, (HbarPoly, GaussRational, int, Fraction)):
-            return HbarRat(HbarPoly.coerce(x))
-        return None
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -394,53 +420,19 @@ class HbarRat:
             raise ValueError("HbarRat has a nontrivial h-denominator")
         return self.num
 
-    def __add__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
+    def _add(self, o: "HbarRat") -> "HbarRat":
         return HbarRat(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __neg__(self) -> "HbarRat":
         return HbarRat(-self.num, self.den)
 
-    def __mul__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
+    def _mul(self, o: "HbarRat") -> "HbarRat":
         return HbarRat(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "HbarRat":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero HbarRat")
         return HbarRat(self.den, self.num)
-
-    def __truediv__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: "HbarRatLike") -> "HbarRat":
-        o = HbarRat._try(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
 
     def __str__(self) -> str:
         if self.is_polynomial():
@@ -448,7 +440,4 @@ class HbarRat:
         return f"({self.num})/({self.den})"
 
 
-HbarRatLike = Union[HbarRat, HbarPoly, GaussRational, int, Fraction]
-
-HR_ZERO = HbarRat(HP_ZERO)
 HR_ONE = HbarRat(HP_ONE)

@@ -25,8 +25,9 @@ class DeserializeError(ValueError):
 
 
 def dumps_canonical(obj: dict) -> str:
-    """The one true JSON layout for files and stdout."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one true JSON layout for files and stdout; strict JSON, so NaN
+    and infinities raise ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- scalars -----------------------------------------------------------------

@@ -40,6 +40,9 @@ from .scalars import (
     HP_HBAR,
     HbarLike,
     HbarPoly,
+    Ring,
+    bidegree_order,
+    canon,
 )
 
 
@@ -64,26 +67,8 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _canon_terms(
-    items: Iterable[tuple[Bidegree, HbarPoly]],
-) -> tuple[tuple[Bidegree, HbarPoly], ...]:
-    acc: dict[Bidegree, HbarPoly] = {}
-    for kl, c in items:
-        k, l = kl
-        if k < 0 or l < 0:
-            raise ValueError("negative monomial degree")
-        cur = acc.get(kl)
-        acc[kl] = c if cur is None else cur + c
-    return tuple(
-        sorted(
-            ((kl, c) for kl, c in acc.items() if not c.is_zero()),
-            key=lambda t: (t[0][0] + t[0][1], t[0][0]),
-        )
-    )
-
-
 @dataclass(frozen=True, init=False)
-class WeylElement:
+class WeylElement(Ring):
     """An algebra element in normal-ordered canonical form.
 
     ``terms`` maps bidegrees ``(k, l)`` (power of L, power of Ls) to
@@ -93,36 +78,33 @@ class WeylElement:
 
     terms: tuple[tuple[Bidegree, HbarPoly], ...]
 
+    LIFTS = (HbarPoly, GaussRational, int, Fraction)
+
     def __init__(
         self,
         terms: Union[
             Mapping[Bidegree, HbarLike], Iterable[tuple[Bidegree, HbarLike]]
         ] = (),
     ) -> None:
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        canon = _canon_terms((kl, HbarPoly.coerce(c)) for kl, c in items)
-        object.__setattr__(self, "terms", canon)
+        canonical = canon(terms, bidegree_order, HbarPoly.coerce)
+        if any(k < 0 or l < 0 for (k, l), _ in canonical):
+            raise ValueError("negative monomial degree")
+        object.__setattr__(self, "terms", canonical)
+
+    @classmethod
+    def _sum(cls, items: Iterable[tuple[Bidegree, HbarPoly]]) -> "WeylElement":
+        """The sum of (bidegree, HbarPoly) pairs, without coercion."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "terms", canon(items, bidegree_order))
+        return e
+
+    @classmethod
+    def _lift(cls, x: HbarLike) -> "WeylElement":
+        return cls({(0, 0): x})
 
     @staticmethod
     def basis(k: int, l: int, coeff: HbarLike = 1) -> "WeylElement":
         return WeylElement({(k, l): coeff})
-
-    @staticmethod
-    def coerce(x: "WeylLike") -> "WeylElement":
-        if isinstance(x, WeylElement):
-            return x
-        return WeylElement({(0, 0): HbarPoly.coerce(x)})
-
-    @staticmethod
-    def _try(x: object) -> "WeylElement | None":
-        if isinstance(x, WeylElement):
-            return x
-        if isinstance(x, (HbarPoly, GaussRational, int, Fraction)):
-            return WeylElement({(0, 0): HbarPoly.coerce(x)})
-        return None
 
     # -- basic structure -------------------------------------------------
 
@@ -148,66 +130,34 @@ class WeylElement:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: "WeylLike") -> "WeylElement":
-        o = WeylElement._try(other)
-        if o is None:
-            return NotImplemented
-        return WeylElement(self.terms + o.terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "WeylLike") -> "WeylElement":
-        o = WeylElement._try(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: "WeylLike") -> "WeylElement":
-        o = WeylElement._try(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+    def _add(self, o: "WeylElement") -> "WeylElement":
+        return WeylElement._sum(self.terms + o.terms)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement((kl, -c) for kl, c in self.terms)
+        return WeylElement._sum((kl, -c) for kl, c in self.terms)
 
-    def __mul__(self, other: "WeylScalarLike") -> "WeylElement":
-        if isinstance(other, WeylElement):
-            out: list[tuple[Bidegree, HbarPoly]] = []
-            for (k1, l1), c1 in self.terms:
-                for (k2, l2), c2 in other.terms:
-                    base = c1 * c2
-                    for j, coef in _reorder(l1, k2):
-                        out.append(
-                            ((k1 + k2 - j, l1 + l2 - j), (base * coef).shift(j))
-                        )
-            return WeylElement(out)
-        if isinstance(other, (HbarPoly, GaussRational, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other: "WeylScalarLike") -> "WeylElement":
-        if isinstance(other, (HbarPoly, GaussRational, int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: "WeylLike") -> "WeylElement":
+        o = self._try(other)
+        if o is None:
+            return NotImplemented
+        out: list[tuple[Bidegree, HbarPoly]] = []
+        for (k1, l1), c1 in self.terms:
+            for (k2, l2), c2 in o.terms:
+                base = c1 * c2
+                for j, coef in _reorder(l1, k2):
+                    c = base.scale(coef).shift(j) if j else base
+                    out.append(((k1 + k2 - j, l1 + l2 - j), c))
+        return WeylElement._sum(out)
 
     def scale(self, c: HbarLike) -> "WeylElement":
         co = HbarPoly.coerce(c)
-        return WeylElement((kl, cc * co) for kl, cc in self.terms)
-
-    def __pow__(self, n: int) -> "WeylElement":
-        if n < 0:
-            raise ValueError("negative power of a WeylElement")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
+        return WeylElement._sum((kl, cc * co) for kl, cc in self.terms)
 
     # -- involution ------------------------------------------------------
 
     def star(self) -> "WeylElement":
         """The antihomomorphic involution: (L^k Ls^l)* = L^l Ls^k."""
-        return WeylElement(((l, k), c.conjugate()) for (k, l), c in self.terms)
+        return WeylElement._sum(((l, k), c.conjugate()) for (k, l), c in self.terms)
 
     def is_hermitian(self) -> bool:
         return self == self.star()
@@ -223,14 +173,10 @@ class WeylElement:
     # -- calculus --------------------------------------------------------
 
     def _d(self) -> "WeylElement":
-        return WeylElement(
-            ((k - 1, l), c * k) for (k, l), c in self.terms if k > 0
-        )
+        return WeylElement._sum(((k - 1, l), c.scale(k)) for (k, l), c in self.terms if k)
 
     def _dbar(self) -> "WeylElement":
-        return WeylElement(
-            ((k, l - 1), c * l) for (k, l), c in self.terms if l > 0
-        )
+        return WeylElement._sum(((k, l - 1), c.scale(l)) for (k, l), c in self.terms if l)
 
     def derive(self, direction: Direction) -> "WeylElement":
         if direction is Direction.D:
@@ -249,7 +195,7 @@ class WeylElement:
 
     def shift_hbar(self, j: int) -> "WeylElement":
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""
-        return WeylElement((kl, c.shift(j)) for kl, c in self.terms)
+        return WeylElement._sum((kl, c.shift(j)) for kl, c in self.terms)
 
     def __str__(self) -> str:
         from .render import weyl_text
@@ -258,7 +204,6 @@ class WeylElement:
 
 
 WeylLike = Union[WeylElement, HbarPoly, GaussRational, int, Fraction]
-WeylScalarLike = WeylLike
 
 ZERO = WeylElement()
 ONE = WeylElement.basis(0, 0)

@@ -161,6 +161,18 @@ def rat_equal_crossmul(r1, r2) -> bool:
     return pd_sub(pd_mul(p1, q2), pd_mul(p2, q1)) == {}
 
 
+# -- powers -------------------------------------------------------------------
+
+
+def repeated_power(x, n: int, one):
+    """x**n as |n| repeated products of x (of its inverse when n < 0)."""
+    base = x.inverse() if n < 0 else x
+    out = one
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
 # -- closed-form Fock matrix entries -----------------------------------------
 
 

@@ -113,6 +113,13 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--in", "/nonexistent/x.json")
         assert code == 2
 
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, _, err = run(capsys, "verify", "--in", str(deep))
+        assert code == 2
+        assert err.startswith("input error:")
+
 
 class TestConjugateCommand:
     def test_round_trip_through_files(self, tmp_path, capsys):
@@ -151,6 +158,23 @@ class TestFockCommand:
         assert code == 1
         assert json.loads(out)["kind"] == "fock-residuals"
 
+    def test_tail_bound_failure_exit(self, capsys):
+        # every residual is below --tol, but the truncation tail is not
+        code, out, err = run(
+            capsys, "fock", "catenoid", "--dim", "16", "--hbar", "2",
+            "--safe-rows", "14", "--tol", "1000",
+        )
+        doc = json.loads(out)
+        assert max(doc["residuals"].values()) < 1000 <= doc["tail_bound"]
+        assert code == 1
+        assert err == ""
+
+    def test_non_finite_hbar_rejected(self, capsys):
+        for value in ("inf", "nan", "-inf"):
+            code, out, err = run(capsys, "fock", "catenoid", "--dim", "16", f"--hbar={value}")
+            assert code == 2
+            assert out == "" and "hbar" in err
+
 
 class TestEvalCommand:
     def test_default_text(self, capsys):
@@ -184,3 +208,22 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "--expr", "1/(U+V)")
         assert code == 2
         assert "division" in err
+
+
+class TestDeepInput:
+    """Input nested past the parser's depth cap is a parse error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--expr", "(" * 2000 + "L" + ")" * 2000],
+            ["eval", "--expr", "L+" * 3000 + "L"],
+            ["eval", "--expr=" + "-" * 3000 + "L"],
+            ["surface", "from-F", "--F", "L+" * 3000 + "L"],
+        ],
+        ids=["parentheses", "operator-chain", "unary-minus", "from-F-chain"],
+    )
+    def test_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("parse error:")

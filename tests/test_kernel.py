@@ -1,0 +1,97 @@
+"""The shared sparse-polynomial kernel: canonical form, powers, Euclid."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import random_poly_lambda, random_weyl, repeated_power
+from weylmin.classical import UVPoly, classical_limit
+from weylmin.holomorphic import KPoly, PolyLambda
+from weylmin.scalars import (
+    GaussRational,
+    HbarPoly,
+    HbarRat,
+    bidegree_order,
+    canon,
+    hp_exact_div,
+    hp_gcd,
+)
+from weylmin.weyl import LAM, ONE
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+gauss = st.builds(GaussRational, rationals, rationals)
+small_hbar_polys = st.builds(HbarPoly, st.lists(st.tuples(st.integers(0, 2), gauss), max_size=2))
+hbar_rats = st.builds(HbarRat, small_hbar_polys, small_hbar_polys.filter(lambda p: not p.is_zero()))
+
+# Polynomials in L over the h-rational field; the same routines over
+# GaussRational are checked through HbarPoly in test_scalars.py.
+kpolys = st.builds(KPoly, st.lists(st.tuples(st.integers(0, 3), hbar_rats), max_size=3))
+nonzero_kpolys = kpolys.filter(lambda p: not p.is_zero())
+
+
+class TestCanon:
+    def test_sums_drops_zeros_and_sorts(self):
+        one, two = GaussRational(1), GaussRational(2)
+        pairs = [(3, one), (0, two), (3, -one), (1, one), (0, two)]
+        assert canon(pairs) == ((0, GaussRational(4)), (1, one))
+        assert canon({2: one, 0: 1}, coerce=GaussRational.coerce) == ((0, one), (2, one))
+
+    def test_bidegree_order(self):
+        pairs = [((0, 2), GaussRational(1)), ((1, 0), GaussRational(2)), ((2, 0), GaussRational(3))]
+        assert [kl for kl, _ in canon(pairs, bidegree_order)] == [(1, 0), (0, 2), (2, 0)]
+
+
+class TestPower:
+    @given(gauss.filter(lambda x: not x.is_zero()), st.integers(-6, 6))
+    def test_gauss_rational(self, x, n):
+        assert x**n == repeated_power(x, n, GaussRational(1))
+
+    def test_weyl_element(self):
+        rng = random.Random(70)
+        for _ in range(8):
+            x = random_weyl(rng, max_deg=2, terms=3)
+            for n in range(6):
+                assert x**n == repeated_power(x, n, ONE)
+
+    def test_poly_lambda(self):
+        rng = random.Random(71)
+        for _ in range(10):
+            x = random_poly_lambda(rng, 3, 3)
+            for n in range(7):
+                assert x**n == repeated_power(x, n, PolyLambda.const(1))
+
+    def test_uv_poly(self):
+        rng = random.Random(72)
+        for _ in range(10):
+            x = classical_limit(random_weyl(rng, max_deg=2, terms=3))
+            for n in range(6):
+                assert x**n == repeated_power(x, n, UVPoly({(0, 0): 1}))
+
+    def test_negative_power_needs_a_field(self):
+        assert GaussRational(2) ** -2 == GaussRational(Fraction(1, 4))
+        for x in (LAM, PolyLambda({1: 1}), UVPoly({(1, 0): 1}), HbarPoly({1: 1})):
+            with pytest.raises(ValueError):
+                x**-1
+
+
+class TestEuclidOverHbarRat:
+    @settings(max_examples=60, deadline=None)
+    @given(kpolys, nonzero_kpolys)
+    def test_divmod(self, a, b):
+        q, r = a.divmod_poly(b)
+        assert a == q * b + r
+        assert r.degree() < b.degree()
+
+    @settings(max_examples=30, deadline=None)
+    @given(nonzero_kpolys, nonzero_kpolys)
+    def test_gcd_is_monic_common_divisor(self, a, b):
+        g = hp_gcd(a, b)
+        assert g.leading() == HbarRat(1)
+        for p in (a, b):
+            assert hp_exact_div(p, g) * g == p
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            KPoly({1: 1}).divmod_poly(KPoly())

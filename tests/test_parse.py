@@ -2,8 +2,8 @@
 
 import pytest
 
-from weylmin.holomorphic import RatLambda
-from weylmin.parse import ParseError, parse_rat, parse_weyl
+from weylmin.holomorphic import PolyLambda, RatLambda
+from weylmin.parse import MAX_DEPTH, ParseError, parse_rat, parse_weyl
 from weylmin.scalars import GaussRational, HbarPoly
 from weylmin.weyl import HBAR, LAM, LAM_STAR, ONE, U, V, WeylElement
 
@@ -99,3 +99,22 @@ class TestRatMode:
             parse_rat("L^^2")
         with pytest.raises(ParseError):
             parse_rat("L^(1/2)")
+
+
+class TestDepthCap:
+    """Parentheses, unary minus and operator-chain links each add a level."""
+
+    def test_deepest_accepted(self):
+        n = MAX_DEPTH - 1
+        assert parse_weyl("(" * n + "L" + ")" * n) == LAM
+        assert parse_weyl("L+" * n + "L") == LAM.scale(MAX_DEPTH)
+        assert parse_weyl("-" * n + "L") == -LAM
+        assert parse_rat("L*" * n + "L") == RatLambda(PolyLambda({MAX_DEPTH: 1}))
+
+    @pytest.mark.parametrize("mode", [parse_weyl, parse_rat])
+    def test_one_level_deeper_rejected(self, mode):
+        n = MAX_DEPTH
+        for src in ("(" * n + "L" + ")" * n, "L+" * n + "L", "-" * n + "L", "(L+" * n + "L" + ")" * n):
+            with pytest.raises(ParseError) as exc:
+                mode(src)
+            assert "nested deeper" in str(exc.value)

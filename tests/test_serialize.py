@@ -99,6 +99,11 @@ class TestSurfaceDocuments:
         assert a == b
         assert a.endswith("\n")
 
+    def test_dumps_is_strict_json(self):
+        for x in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                dumps_canonical({"x": x})
+
     def test_conjugate_is_reverifiable_after_round_trip(self):
         s = conjugate_surface(enneper(2))
         s2 = surface_from_obj(json.loads(dumps_canonical(surface_to_obj(s))))
