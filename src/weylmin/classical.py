@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
@@ -78,6 +79,12 @@ _Z_PLUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, 1)})
 _Z_MINUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, -1)})
 
 
+@lru_cache(maxsize=None)
+def _monomial_limit(k: int, l: int) -> tuple[tuple[tuple[int, int], GaussRational], ...]:
+    # The terms of (u + iv)^k (u - iv)^l, the image of L^k Ls^l.
+    return (_Z_PLUS**k * _Z_MINUS**l).terms
+
+
 def classical_limit(a: WeylElement) -> UVPoly:
     """Send h -> 0 and substitute L -> u + iv, Ls -> u - iv.
 
@@ -87,7 +94,7 @@ def classical_limit(a: WeylElement) -> UVPoly:
     for (k, l), c in a.terms:
         c0 = c.coeff(0)
         if not c0.is_zero():
-            out.extend((pq, z * c0) for pq, z in (_Z_PLUS**k * _Z_MINUS**l).terms)
+            out.extend((pq, z * c0) for pq, z in _monomial_limit(k, l))
     return UVPoly(out)
 
 

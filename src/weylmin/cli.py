@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -155,6 +156,11 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
 def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     config = FockConfig(dim=args.dim, hbar=args.hbar, safe_rows=args.safe_rows)
     report = residual_report(config)
+    if not all(map(math.isfinite, (*report["residuals"].values(), report["tail_bound"]))):
+        raise ValueError(
+            f"Fock matrices overflow at --hbar {args.hbar} --dim {args.dim}: "
+            "residuals or tail bound are not finite; use a smaller --hbar or --dim"
+        )
     _emit(dumps_canonical(fock_report_to_obj(report)), args.out)
     worst = max(report["residuals"].values())
     return EXIT_OK if worst < args.tol and report["tail_bound"] < args.tol else EXIT_VERIFY
@@ -186,6 +192,29 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 # -- parser ------------------------------------------------------------------
+
+# Options whose value is an expression, which may start with "-" ("-L").
+EXPR_OPTIONS = ("--expr", "--f", "--g", "--F", "--Ft")
+
+
+def _join_expr_values(argv: Sequence[str]) -> list[str]:
+    """Write ``--expr -L`` as ``--expr=-L``, which argparse reads as a value.
+
+    A following token that starts with "--" is left alone: it is taken for
+    the next option, as argparse would.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in EXPR_OPTIONS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
 
 
 def _add_output_args(p: argparse.ArgumentParser, default_fmt: str = "json") -> None:
@@ -274,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_expr_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -49,7 +49,7 @@ from .holomorphic import (
     phi_from_fg,
     poly_to_weyl,
 )
-from .weyl import Direction, WeylElement
+from .weyl import Direction, WeylElement, symmetric_product_sum
 
 __all__ = [
     "NonPolynomialPrimitiveError",
@@ -149,13 +149,17 @@ def _offsets_tuple(n: int, offsets: Union[Sequence[Union[int, Fraction]], None])
 
 
 def bilinear(xs: Sequence[WeylElement], ys: Sequence[WeylElement]) -> WeylElement:
-    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i)."""
+    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i).
+
+    When every component of both vectors is hermitian, Y^i X^i is the
+    adjoint of X^i Y^i, so <X, Y> = Re P with P = sum X^i Y^i and only P's
+    products are formed.  Hermiticity is tested at run time, since the
+    verifier must not assume what it checks; if any component fails the
+    test, the products Y^i X^i are formed as well.
+    """
     if len(xs) != len(ys):
         raise ValueError("vectors must have equal length")
-    total = WeylElement()
-    for x, y in zip(xs, ys):
-        total = total + (x * y + y * x)
-    return total.scale(Fraction(1, 2))
+    return symmetric_product_sum(xs, ys)
 
 
 def _partials(s: Surface, direction: Direction) -> tuple[WeylElement, ...]:

@@ -12,6 +12,14 @@ Products are normal ordered with the closed reordering formula
 
 which is exactly what iterating the single swap ``Ls L = L Ls - 2h`` yields.
 
+The product works on a flat integer form.  Each operand is read once into
+rows ``(k, l, h-degree, re, im)`` whose Gaussian-integer numerators share
+one common denominator, every term pair and reordering term adds plain
+integer products into one dict keyed by ``(k, l, h-degree)``, and the
+canonical ``terms`` tuple is built once at the end, with one Fraction per
+surviving coefficient.  :func:`symmetric_product_sum` (the bilinear form
+of the surface layer) accumulates all its products in the same dict.
+
 The four derivations act on basis monomials by
 
     d    : L^k Ls^l -> k L^(k-1) Ls^l        (complex direction)
@@ -30,7 +38,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .scalars import (
@@ -65,6 +74,68 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
         (j, factorial(j) * comb(l, j) * comb(m, j) * (-2) ** j)
         for j in range(min(l, m) + 1)
     )
+
+
+# The flat form: rows (k, l, h-degree, re, im) of integer numerators over a
+# denominator shared by the rows of every element read together.
+Row = tuple[int, int, int, int, int]
+
+
+def _rows(elems: Sequence["WeylElement"]) -> tuple[list[list[Row]], int]:
+    """The rows of each element, over their least common denominator."""
+    den = lcm(*{
+        x.denominator
+        for e in elems
+        for _, c in e.terms
+        for _, g in c.coeffs
+        for x in (g.re, g.im)
+    })
+    return [
+        [
+            (k, l, d, g.re.numerator * (den // g.re.denominator),
+             g.im.numerator * (den // g.im.denominator))
+            for (k, l), c in e.terms
+            for d, g in c.coeffs
+        ]
+        for e in elems
+    ], den
+
+
+def _add_products(acc: dict, a: list[Row], b: list[Row]) -> None:
+    """Add the normal-ordered product of two row lists into ``acc``.
+
+    ``acc`` maps (k, l, h-degree) to a pair of integer numerators; the
+    denominator of what is added is the product of the operands' own.
+    """
+    for k1, l1, d1, ar, ai in a:
+        for k2, l2, d2, br, bi in b:
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            k, l, d = k1 + k2, l1 + l2, d1 + d2
+            for j, c in _reorder(l1, k2):
+                key = (k - j, l - j, d + j)
+                cur = acc.get(key)
+                acc[key] = (c * re, c * im) if cur is None else (cur[0] + c * re, cur[1] + c * im)
+
+
+def _is_hermitian(rows: list[Row]) -> bool:
+    # (L^k Ls^l)* = L^l Ls^k with the conjugate coefficient.
+    return set(rows) == {(l, k, d, re, -im) for k, l, d, re, im in rows}
+
+
+def _element(acc: dict, den: int) -> "WeylElement":
+    """The canonical element with coefficients ``acc[k, l, d] / den``."""
+    polys: dict = {}
+    for (k, l, d), (re, im) in acc.items():
+        if re or im:
+            g = GaussRational(Fraction(re, den), Fraction(im, den))
+            polys.setdefault((k, l), []).append((d, g))
+    e = object.__new__(WeylElement)
+    object.__setattr__(e, "terms", tuple(
+        (kl, HbarPoly._of(tuple(sorted(cs, key=itemgetter(0)))))
+        for kl, cs in sorted(polys.items(), key=bidegree_order)
+    ))
+    return e
 
 
 @dataclass(frozen=True, init=False)
@@ -140,14 +211,11 @@ class WeylElement(Ring):
         o = self._try(other)
         if o is None:
             return NotImplemented
-        out: list[tuple[Bidegree, HbarPoly]] = []
-        for (k1, l1), c1 in self.terms:
-            for (k2, l2), c2 in o.terms:
-                base = c1 * c2
-                for j, coef in _reorder(l1, k2):
-                    c = base.scale(coef).shift(j) if j else base
-                    out.append(((k1 + k2 - j, l1 + l2 - j), c))
-        return WeylElement._sum(out)
+        (a,), da = _rows((self,))
+        (b,), db = _rows((o,))
+        acc: dict = {}
+        _add_products(acc, a, b)
+        return _element(acc, da * db)
 
     def scale(self, c: HbarLike) -> "WeylElement":
         co = HbarPoly.coerce(c)
@@ -160,7 +228,8 @@ class WeylElement(Ring):
         return WeylElement._sum(((l, k), c.conjugate()) for (k, l), c in self.terms)
 
     def is_hermitian(self) -> bool:
-        return self == self.star()
+        (rows,), _ = _rows((self,))
+        return _is_hermitian(rows)
 
     def real_part(self) -> "WeylElement":
         """Re A = (A + A*)/2, always hermitian."""
@@ -221,6 +290,34 @@ V = WeylElement(
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b - b * a
+
+
+def symmetric_product_sum(
+    xs: Sequence[WeylElement], ys: Sequence[WeylElement]
+) -> WeylElement:
+    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator.
+
+    When every operand is hermitian, y x = (x y)*, so the sum is Re P for
+    P = sum_i x_i y_i: one product per pair, with Re P read off the flat
+    form as (P[k, l, d] + conj P[l, k, d]) / 2 over the keys of both.
+    Hermiticity is tested here, not assumed; otherwise the products
+    y_i x_i are added to the same accumulator.
+    """
+    rx, dx = _rows(xs)
+    ry, dy = _rows(ys)
+    acc: dict = {}
+    for a, b in zip(rx, ry):
+        _add_products(acc, a, b)
+    if all(map(_is_hermitian, rx + ry)):
+        p, acc = acc, {}
+        for (k, l, d), (re, im) in p.items():
+            for key, part in (((k, l, d), im), ((l, k, d), -im)):
+                cur = acc.get(key)
+                acc[key] = (re, part) if cur is None else (cur[0] + re, cur[1] + part)
+    else:
+        for a, b in zip(rx, ry):
+            _add_products(acc, b, a)
+    return _element(acc, 2 * dx * dy)
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

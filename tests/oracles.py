@@ -61,6 +61,31 @@ def lambda_word_normal_order(l: int, m: int) -> Dict[Tuple[int, int], HbarPoly]:
     return {kl: p for kl, p in out.items() if not p.is_zero()}
 
 
+def weyl_product_by_swaps(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a * b term pair by term pair, without the closed reordering formula.
+
+    Each pair c1 L^k1 Ls^l1 * c2 L^k2 Ls^l2 contributes
+    c1 c2 L^k1 (Ls^l1 L^k2) Ls^l2, with the middle factor normal ordered
+    by :func:`lambda_word_normal_order`; coefficients multiply as HbarPoly.
+    """
+    out: Dict[Tuple[int, int], HbarPoly] = {}
+    for (k1, l1), c1 in a.terms:
+        for (k2, l2), c2 in b.terms:
+            for (k, l), p in lambda_word_normal_order(l1, k2).items():
+                key = (k1 + k, l + l2)
+                term = c1 * c2 * p
+                out[key] = out[key] + term if key in out else term
+    return WeylElement(out)
+
+
+def bilinear_literal(xs, ys) -> WeylElement:
+    """(1/2) sum (x y + y x), both products formed by the swap oracle."""
+    total = WeylElement()
+    for x, y in zip(xs, ys):
+        total = total + weyl_product_by_swaps(x, y) + weyl_product_by_swaps(y, x)
+    return total.scale(Fraction(1, 2))
+
+
 def uv_word_normal_order(word: Iterable[str]) -> Dict[Tuple[int, int], HbarPoly]:
     """Rewrite a U/V word using only the single swap V U -> U V - i h.
 

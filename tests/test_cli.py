@@ -54,6 +54,12 @@ class TestSurfaceCommands:
             {"num": -3, "den": 1},
         ]
 
+    def test_from_F_expression_starting_with_minus(self, capsys):
+        code, out, _ = run(capsys, "surface", "from-F", "--F", "-L^2")
+        assert code == 0
+        _, want, _ = run(capsys, "surface", "from-F", "--F=-L^2")
+        assert out == want
+
     def test_bad_offsets_count(self, capsys):
         code, _, err = run(capsys, "surface", "enneper", "--n", "1", "--offsets", "1,2")
         assert code == 2
@@ -175,6 +181,12 @@ class TestFockCommand:
             assert code == 2
             assert out == "" and "hbar" in err
 
+    def test_overflow_names_its_cause(self, capsys):
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "8", "--hbar", "1e150")
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err and "--hbar 1e+150" in err and "--dim 8" in err
+
 
 class TestEvalCommand:
     def test_default_text(self, capsys):
@@ -203,6 +215,11 @@ class TestEvalCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["kind"] == "element" and doc["schema"] == "weylmin/1"
+
+    def test_expression_starting_with_minus(self, capsys):
+        code, out, _ = run(capsys, "eval", "--expr", "-L")
+        assert code == 0
+        assert parse_weyl(out.strip()) == -parse_weyl("L")
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "--expr", "1/(U+V)")

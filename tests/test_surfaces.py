@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_poly_lambda
+from oracles import bilinear_literal, random_poly_lambda, random_weyl
 from weylmin.holomorphic import NotIntegrableError, PolyLambda
 from weylmin.parse import parse_rat, parse_weyl
 from weylmin.render import surface_text
@@ -166,6 +166,40 @@ class TestBilinear:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bilinear((U,), (U, V))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hermitian_inputs_match_literal_form(self, seed):
+        rng = random.Random(200 + seed)
+        for n in (1, 3, 4):
+            xs = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part() for _ in range(n)]
+            ys = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part() for _ in range(n)]
+            assert bilinear(xs, ys) == bilinear_literal(xs, ys)
+
+    def test_zero_components(self):
+        xs = (ZERO, U * V + V * U, ZERO)
+        ys = (U, ZERO, V)
+        assert bilinear(xs, ys) == bilinear_literal(xs, ys) == ZERO
+        assert bilinear((), ()) == ZERO
+
+    def test_non_hermitian_component_uses_both_products(self):
+        rng = random.Random(300)
+        for _ in range(4):
+            xs = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part() for _ in range(3)]
+            ys = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part() for _ in range(3)]
+            xs[1] = random_weyl(rng, max_deg=3, terms=4, max_hbar=2)
+            assert not xs[1].is_hermitian()
+            want = bilinear_literal(xs, ys)
+            assert bilinear(xs, ys) == want
+            # the hermitian shortcut Re(sum x y) would give another answer
+            p = sum((x * y for x, y in zip(xs, ys)), ZERO)
+            assert p.real_part() != want
+
+    def test_surface_partials_match_literal_form(self):
+        s = surface_from_pair(P("L^3 + h*L"), P("L^2"))
+        xu = tuple(c.derive(Direction.U) for c in s.components)
+        xv = tuple(c.derive(Direction.V) for c in s.components)
+        assert bilinear(xu, xv) == bilinear_literal(xu, xv)
+        assert bilinear(xu, xu) == bilinear_literal(xu, xu)
 
 
 class TestConjugate:

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import lambda_word_normal_order, random_weyl, uv_word_normal_order
+from oracles import (
+    lambda_word_normal_order,
+    random_weyl,
+    uv_word_normal_order,
+    weyl_product_by_swaps,
+)
 from weylmin.scalars import GaussRational, HbarPoly
 from weylmin.weyl import (
     HBAR,
@@ -81,6 +86,30 @@ class TestStructure:
     def test_foreign_operand_is_rejected(self):
         with pytest.raises(TypeError):
             U + "x"
+
+
+class TestFlatProduct:
+    """The flat integer product against the one-swap oracle."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_products(self, seed):
+        # mixed denominators up to 6, h-degrees up to 3 (6 in the product)
+        rng = random.Random(100 + seed)
+        for _ in range(4):
+            a = random_weyl(rng, max_deg=4, terms=5, max_hbar=3)
+            b = random_weyl(rng, max_deg=4, terms=5, max_hbar=3)
+            assert a * b == weyl_product_by_swaps(a, b)
+
+    def test_zero_and_scalar_operands(self):
+        for a in rand_elems(12, 3, max_hbar=2):
+            assert a * ZERO == ZERO * a == weyl_product_by_swaps(a, ZERO) == ZERO
+            assert (a * HBAR) * Fraction(-3, 4) == weyl_product_by_swaps(a, HBAR.scale(Fraction(-3, 4)))
+
+    def test_cancelling_terms_are_dropped(self):
+        # (L + Ls)(L - Ls) = L^2 - Ls^2 - 2h: the L Ls terms cancel
+        a, b = LAM + LAM_STAR, LAM - LAM_STAR
+        want = LAM**2 - LAM_STAR**2 - HBAR.scale(2)
+        assert a * b == weyl_product_by_swaps(a, b) == want
 
 
 class TestStar:
