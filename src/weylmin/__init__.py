@@ -22,10 +22,15 @@ module.  The main layers are
   :mod:`weylmin.serialize` -- expression parsing, text/LaTeX output,
   and the canonical JSON interchange format;
 * :mod:`weylmin.cli` -- the ``weylmin`` command-line tool.
+
+Only :mod:`weylmin.fock` needs numpy, and it is loaded on first use: the
+package resolves its five exported names (``FockConfig``, ``catenoid``,
+``exp_lambda``, ``exp_tail_bound``, ``residual_report``) on demand, and
+the CLI imports it only for ``fock`` commands.  Importing the package,
+or running any exact command, never loads numpy.
 """
 
 from .classical import UVPoly, classical_limit, classical_limit_fraction
-from .fock import FockConfig, catenoid, exp_lambda, exp_tail_bound, residual_report
 from .holomorphic import (
     NotIntegrableError,
     PhiTriple,
@@ -93,6 +98,19 @@ from .weyl import (
 )
 
 __version__ = "1.0.0"
+
+_FOCK_NAMES = frozenset(
+    {"FockConfig", "catenoid", "exp_lambda", "exp_tail_bound", "residual_report"}
+)
+
+
+def __getattr__(name: str):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Direction",

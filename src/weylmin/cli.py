@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .fock import FockConfig, residual_report
 from .holomorphic import NotIntegrableError, PolyLambda
 from .parse import ParseError, parse_rat, parse_weyl
 from .render import surface_latex, surface_text, weyl_latex, weyl_text
@@ -154,6 +153,8 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
 
 
 def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
+    from .fock import FockConfig, residual_report  # numpy loads only here
+
     config = FockConfig(dim=args.dim, hbar=args.hbar, safe_rows=args.safe_rows)
     report = residual_report(config)
     if not all(map(math.isfinite, (*report["residuals"].values(), report["tail_bound"]))):

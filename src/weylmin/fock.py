@@ -22,6 +22,18 @@ which :func:`exp_tail_bound` computes and residual reports include.
 Residuals in :func:`residual_report` are evaluated with extended-precision
 matrices (long double) so that the truncation error, not double-precision
 roundoff, dominates and keeps shrinking as dim grows.
+
+L and Ls are single off-diagonals, and U and V are their sums, so
+:func:`derive_matrix` forms each commutator ``[M, B]`` from shifted,
+scaled copies of M's rows and columns: O(dim^2) work instead of two
+dense O(dim^3) products.  Each entry of ``M B`` is at most two products
+added, rounded exactly as numpy's own (non-BLAS) long-double matmul
+rounds them, so long-double results equal the dense commutator bit for
+bit.  :func:`exp_lambda` steps the series offset k and updates every
+live column at once, again in the scalar recurrence's operation order.
+
+``dim`` is capped at :data:`MAX_DIM`; a larger value is refused before
+any matrix is allocated.
 """
 
 from __future__ import annotations
@@ -48,6 +60,9 @@ __all__ = [
 
 _TERM_CUTOFF = 1e-18
 
+MAX_DIM = 1024
+"""Largest accepted truncation dimension."""
+
 
 @dataclass(frozen=True)
 class FockConfig:
@@ -60,6 +75,8 @@ class FockConfig:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dim must be at least 2")
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dim {self.dim} exceeds the cap MAX_DIM = {MAX_DIM}")
         if not (math.isfinite(self.hbar) and self.hbar > 0):
             raise ValueError("hbar must be positive and finite")
         if self.safe_rows is None:
@@ -89,12 +106,19 @@ def ladder(config: FockConfig, dtype=np.complex128) -> tuple[np.ndarray, np.ndar
     return a, a.T.copy()
 
 
-def _generators(config: FockConfig, dtype):
-    a, ad = ladder(config, dtype)
+def _band(config: FockConfig, dtype) -> np.ndarray:
+    """L's superdiagonal, which is also Ls's subdiagonal: sqrt(2 hbar n)
+    for n = 1..dim-1, rounded as ``sqrt(2 hbar) * sqrt(n)``."""
     rt = _real_type(dtype)
-    s = np.sqrt(rt(2.0) * rt(config.hbar))
-    lam = s * a
-    lam_star = s * ad
+    root = np.sqrt(np.arange(1, config.dim, dtype=rt))
+    return np.sqrt(rt(2.0) * rt(config.hbar)) * root.astype(dtype)
+
+
+def _generators(config: FockConfig, dtype):
+    band = _band(config, dtype)
+    lam = np.diag(band, k=1)
+    lam_star = np.diag(band, k=-1)
+    rt = _real_type(dtype)
     u = (lam + lam_star) / rt(2.0)
     v = -1j * (lam - lam_star) / rt(2.0)
     return lam, lam_star, u, v
@@ -126,10 +150,14 @@ def exp_lambda(
 ) -> np.ndarray:
     """exp(sign * L) or exp(sign * Ls) on the truncated space.
 
-    Entries are generated column by column from the scalar recurrences
+    Entries come from the scalar recurrences
 
         exp(c a)  [n-k, n] = c^k/k! sqrt(n!/(n-k)!)
         exp(c a^T)[n+k, n] = c^k/k! sqrt((n+k)!/n!)
+
+    stepped in k, one off-diagonal at a time, for every column n still
+    live; each column's term is ``t = t*c*sqrt(.)/k`` exactly as a
+    per-column loop would compute it.
 
     For the annihilation exponential the series terminates at k = n, so
     the matrix is exact; for the creation exponential rows stop at dim-1
@@ -140,22 +168,22 @@ def exp_lambda(
     dim = config.dim
     rt = _real_type(dtype)
     c = rt(sign) * np.sqrt(rt(2.0) * rt(config.hbar))
-    out = np.zeros((dim, dim), dtype=dtype)
-    for n in range(dim):
-        out[n, n] += rt(1.0)
-        t = rt(1.0)
+    out = np.eye(dim, dtype=dtype)
+    # Column n runs while k <= dim-1-n (creation) or k <= n (annihilation),
+    # and stops after the first term below the cutoff.
+    cols = np.arange(dim - 1) if dagger else np.arange(1, dim)
+    t = np.ones(len(cols), dtype=rt)
+    k = 1
+    while len(cols):
         if dagger:
-            for k in range(1, dim - n):
-                t = t * c * np.sqrt(rt(n + k)) / rt(k)
-                out[n + k, n] += t
-                if abs(t) < _TERM_CUTOFF:
-                    break
+            t = t * c * np.sqrt((cols + k).astype(rt)) / rt(k)
+            out[cols + k, cols] = t
         else:
-            for k in range(1, n + 1):
-                t = t * c * np.sqrt(rt(n - k + 1)) / rt(k)
-                out[n - k, n] += t
-                if abs(t) < _TERM_CUTOFF:
-                    break
+            t = t * c * np.sqrt((cols - k + 1).astype(rt)) / rt(k)
+            out[cols - k, cols] = t
+        k += 1
+        live = ~(np.abs(t) < _TERM_CUTOFF) & ((cols + k < dim) if dagger else (cols >= k))
+        cols, t = cols[live], t[live]
     return out
 
 
@@ -194,21 +222,41 @@ def catenoid(config: FockConfig, dtype=np.complex128) -> tuple[np.ndarray, np.nd
     return x1, x2, u
 
 
+def _commutator(m: np.ndarray, sup, sub) -> np.ndarray:
+    """[M, B] for B with superdiagonal ``B[j-1, j] = sup[j-1]`` and
+    subdiagonal ``B[j+1, j] = sub[j]`` (either may be None)."""
+    mb = np.zeros_like(m)
+    bm = np.zeros_like(m)
+    if sup is not None:
+        mb[:, 1:] = m[:, :-1] * sup
+        bm[:-1, :] = sup[:, None] * m[1:, :]
+    if sub is not None:
+        mb[:, :-1] += m[:, 1:] * sub
+        bm[1:, :] += sub[:, None] * m[:-1, :]
+    return mb - bm
+
+
 def derive_matrix(
     m: np.ndarray, direction: Direction, config: FockConfig
 ) -> np.ndarray:
-    """The derivations as commutators, e.g. d_u M = (1/i hbar)[M, V]."""
-    dtype = m.dtype
-    lam, lam_star, u, v = _generators(config, dtype)
+    """The derivations as commutators, e.g. d_u M = (1/i hbar)[M, V].
+
+    The band entries are those :func:`_generators` computes: U carries
+    half of L's band on both off-diagonals, and V carries -i/2 times it
+    above the diagonal and +i/2 times it below.
+    """
+    rt = _real_type(m.dtype)
+    lam = _band(config, m.dtype)
     h = config.hbar
     if direction is Direction.U:
-        return (m @ v - v @ m) / (1j * h)
+        return _commutator(m, -1j * lam / rt(2.0), -1j * (-lam) / rt(2.0)) / (1j * h)
     if direction is Direction.V:
-        return -(m @ u - u @ m) / (1j * h)
+        half = lam / rt(2.0)
+        return -_commutator(m, half, half) / (1j * h)
     if direction is Direction.D:
-        return (m @ lam_star - lam_star @ m) / (2.0 * h)
+        return _commutator(m, None, lam) / (2.0 * h)
     if direction is Direction.DBAR:
-        return -(m @ lam - lam @ m) / (2.0 * h)
+        return -_commutator(m, lam, None) / (2.0 * h)
     raise ValueError(f"unknown direction {direction!r}")
 
 

@@ -184,6 +184,12 @@ class GaussRational(Field):
         return GaussRational(-self.re, -self.im)
 
     def _mul(self, o: "GaussRational") -> "GaussRational":
+        # A factor on an axis (a rational, or i times one) costs two
+        # Fraction products instead of four and two sums.
+        if not o.im:
+            return GaussRational(self.re * o.re, self.im * o.re)
+        if not o.re:
+            return GaussRational(-self.im * o.im, self.re * o.im)
         return GaussRational(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,

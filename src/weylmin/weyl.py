@@ -64,6 +64,15 @@ class Direction(Enum):
     DBAR = "dbar"
 
 
+# The weights of d and dbar in each direction: u = d + dbar, v = i(d - dbar).
+_DERIVE_WEIGHTS = {
+    Direction.D: (1, 0),
+    Direction.DBAR: (0, 1),
+    Direction.U: (1, 1),
+    Direction.V: (GR_I, -GR_I),
+}
+
+
 Bidegree = tuple[int, int]
 
 
@@ -241,26 +250,26 @@ class WeylElement(Ring):
 
     # -- calculus --------------------------------------------------------
 
-    def _d(self) -> "WeylElement":
-        return WeylElement._sum(((k - 1, l), c.scale(k)) for (k, l), c in self.terms if k)
-
-    def _dbar(self) -> "WeylElement":
-        return WeylElement._sum(((k, l - 1), c.scale(l)) for (k, l), c in self.terms if l)
-
     def derive(self, direction: Direction) -> "WeylElement":
-        if direction is Direction.D:
-            return self._d()
-        if direction is Direction.DBAR:
-            return self._dbar()
-        if direction is Direction.U:
-            return self._d() + self._dbar()
-        if direction is Direction.V:
-            return (self._d() - self._dbar()).scale(GR_I)
-        raise ValueError(f"unknown direction {direction!r}")
+        """d takes L^k Ls^l to k L^(k-1) Ls^l and dbar to l L^k Ls^(l-1);
+        u = d + dbar and v = i(d - dbar) weight the two in one pass."""
+        try:
+            wd, wdbar = _DERIVE_WEIGHTS[direction]
+        except KeyError:
+            raise ValueError(f"unknown direction {direction!r}") from None
+        out = []
+        for (k, l), c in self.terms:
+            if k and wd:
+                out.append(((k - 1, l), c.scale(wd * k)))
+            if l and wdbar:
+                out.append(((k, l - 1), c.scale(wdbar * l)))
+        return WeylElement._sum(out)
 
     def laplace(self) -> "WeylElement":
         """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2."""
-        return self._dbar()._d().scale(4)
+        return WeylElement._sum(
+            ((k - 1, l - 1), c.scale(4 * k * l)) for (k, l), c in self.terms if k and l
+        )
 
     def shift_hbar(self, j: int) -> "WeylElement":
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""

@@ -13,8 +13,11 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Tuple
 
+import numpy as np
+
+from weylmin.fock import _TERM_CUTOFF, _real_type, ladder
 from weylmin.scalars import GaussRational, HbarPoly
-from weylmin.weyl import WeylElement
+from weylmin.weyl import Direction, WeylElement
 
 Word = Tuple[str, ...]
 Coeff = Dict[int, GaussRational]  # hbar degree -> Gaussian rational
@@ -216,6 +219,70 @@ def fock_exp_entry(lam: float, m: int, n: int, dagger: bool) -> complex:
     return lam**k / math.factorial(k) * math.sqrt(
         math.factorial(n) / math.factorial(m)
     )
+
+
+# -- the Fock layer by dense products and scalar loops ------------------------
+
+
+def schoolbook_matmul(a, b):
+    """``a @ b`` with each product rounded on its own and then summed.
+
+    This is how numpy's own matmul loop rounds (the loop long-double
+    arrays use).  For complex128 numpy calls BLAS instead, which may fuse
+    a product into the running sum, so a two-term entry can differ from
+    this in the last bit.  The summation order differs from the loop's,
+    which only matters when a column holds more than two nonzero products.
+    """
+    return (a[:, :, None] * b[None, :, :]).sum(axis=1)
+
+
+def dense_generators(config, dtype):
+    """L, Ls, U and V as dense matrices, scaled from the ladder matrices."""
+    a, ad = ladder(config, dtype)
+    rt = _real_type(dtype)
+    s = np.sqrt(rt(2.0) * rt(config.hbar))
+    lam = s * a
+    lam_star = s * ad
+    u = (lam + lam_star) / rt(2.0)
+    v = -1j * (lam - lam_star) / rt(2.0)
+    return lam, lam_star, u, v
+
+
+def dense_derive_matrix(m, direction: Direction, config, matmul=np.matmul):
+    """``weylmin.fock.derive_matrix`` as two dense products per commutator."""
+    lam, lam_star, u, v = dense_generators(config, m.dtype)
+    h = config.hbar
+    if direction is Direction.U:
+        return (matmul(m, v) - matmul(v, m)) / (1j * h)
+    if direction is Direction.V:
+        return -(matmul(m, u) - matmul(u, m)) / (1j * h)
+    if direction is Direction.D:
+        return (matmul(m, lam_star) - matmul(lam_star, m)) / (2.0 * h)
+    return -(matmul(m, lam) - matmul(lam, m)) / (2.0 * h)
+
+
+def loop_exp_lambda(config, sign: int = 1, dagger: bool = False, dtype=np.complex128):
+    """``weylmin.fock.exp_lambda`` one entry at a time, column by column."""
+    dim = config.dim
+    rt = _real_type(dtype)
+    c = rt(sign) * np.sqrt(rt(2.0) * rt(config.hbar))
+    out = np.zeros((dim, dim), dtype=dtype)
+    for n in range(dim):
+        out[n, n] += rt(1.0)
+        t = rt(1.0)
+        if dagger:
+            for k in range(1, dim - n):
+                t = t * c * np.sqrt(rt(n + k)) / rt(k)
+                out[n + k, n] += t
+                if abs(t) < _TERM_CUTOFF:
+                    break
+        else:
+            for k in range(1, n + 1):
+                t = t * c * np.sqrt(rt(n - k + 1)) / rt(k)
+                out[n - k, n] += t
+                if abs(t) < _TERM_CUTOFF:
+                    break
+    return out
 
 
 # -- seeded random generators -------------------------------------------------

@@ -181,6 +181,12 @@ class TestFockCommand:
             assert code == 2
             assert out == "" and "hbar" in err
 
+    def test_dim_cap(self, capsys):
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", str(10**9))
+        assert code == 2
+        assert out == ""
+        assert "MAX_DIM = 1024" in err
+
     def test_overflow_names_its_cause(self, capsys):
         code, out, err = run(capsys, "fock", "catenoid", "--dim", "8", "--hbar", "1e150")
         assert code == 2

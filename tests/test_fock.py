@@ -1,12 +1,22 @@
 """Truncated Fock-space representation and catenoid residuals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import fock_exp_entry, random_weyl
+from oracles import (
+    dense_derive_matrix,
+    dense_generators,
+    fock_exp_entry,
+    loop_exp_lambda,
+    random_weyl,
+    schoolbook_matmul,
+)
+from weylmin import fock
 from weylmin.fock import (
+    MAX_DIM,
     FockConfig,
     catenoid,
     derive_matrix,
@@ -34,6 +44,19 @@ class TestConfig:
             FockConfig(dim=8, hbar=1.0, safe_rows=8)
         with pytest.raises(ValueError):
             FockConfig(dim=0, hbar=1.0)
+
+    def test_dim_cap_allocates_nothing(self):
+        assert FockConfig(dim=MAX_DIM).dim == 1024
+        with pytest.raises(ValueError, match="MAX_DIM"):
+            FockConfig(dim=MAX_DIM + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"dim 1000000000 exceeds the cap MAX_DIM = 1024"):
+                FockConfig(dim=10**9, hbar=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestLadder:
@@ -170,3 +193,60 @@ class TestCatenoid:
     def test_residuals_small_at_modest_size(self):
         rep = residual_report(FockConfig(dim=48, hbar=1.0, safe_rows=10))
         assert max(rep["residuals"].values()) < 1e-8
+
+
+DIFF_CASES = [
+    (dtype, dim, hbar)
+    for dtype in (np.complex128, np.clongdouble)
+    for dim in (2, 3, 17, 64)
+    for hbar in (0.5, 1.0, 2.0)
+]
+
+
+def _config(dim, hbar):
+    return FockConfig(dim=dim, hbar=hbar, safe_rows=max(1, dim // 3))
+
+
+class TestAgainstDenseOracles:
+    """The banded commutators and the column-parallel exponential against
+    the dense products and scalar loops they replace, bit for bit."""
+
+    @pytest.mark.parametrize("dtype,dim,hbar", DIFF_CASES)
+    def test_derive_matrix(self, dtype, dim, hbar):
+        cfg = _config(dim, hbar)
+        rng = np.random.default_rng(dim)
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        # numpy multiplies long doubles in its own loop, which rounds every
+        # product on its own; complex128 products go to BLAS instead.
+        exact_matmul = np.matmul if dtype is np.clongdouble else schoolbook_matmul
+        for m in (noise.astype(dtype), loop_exp_lambda(cfg, 1, True, dtype)):
+            for d in Direction:
+                got = derive_matrix(m, d, cfg)
+                assert got.dtype == m.dtype
+                assert np.array_equal(got, dense_derive_matrix(m, d, cfg, exact_matmul))
+                dense = dense_derive_matrix(m, d, cfg)
+                assert np.allclose(got, dense, rtol=0, atol=1e-14 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("dtype,dim,hbar", DIFF_CASES)
+    def test_generators(self, dtype, dim, hbar):
+        cfg = _config(dim, hbar)
+        for got, want in zip(fock._generators(cfg, dtype), dense_generators(cfg, dtype)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype,dim,hbar", DIFF_CASES)
+    def test_exp_lambda(self, dtype, dim, hbar):
+        cfg = _config(dim, hbar)
+        for sign in (1, -1):
+            for dagger in (False, True):
+                got = exp_lambda(cfg, sign, dagger, dtype)
+                assert got.dtype == dtype
+                assert np.array_equal(got, loop_exp_lambda(cfg, sign, dagger, dtype))
+
+    @pytest.mark.parametrize("dim,hbar,safe_rows", [(64, 1.0, 20), (64, 2.0, None)])
+    def test_residual_report(self, monkeypatch, dim, hbar, safe_rows):
+        cfg = FockConfig(dim=dim, hbar=hbar, safe_rows=safe_rows)
+        got = residual_report(cfg)
+        monkeypatch.setattr(fock, "derive_matrix", dense_derive_matrix)
+        monkeypatch.setattr(fock, "exp_lambda", loop_exp_lambda)
+        assert got == residual_report(cfg)
