@@ -8,24 +8,23 @@ functions.  This module provides that field:
 * :class:`RatLambda`  -- reduced quotients of two PolyLambda,
 * differentiation, and rational integration.
 
-Integration never factors over the complex numbers.  A quotient has a
-rational primitive exactly when its Hermite reduction leaves no
-logarithmic part, which is decided with gcd arithmetic alone: take the
-squarefree (Yun) factorization of the denominator, split into partial
-fractions, lower each multiplicity with a Bezout identity, and check that
-every multiplicity-one remainder vanishes.  :meth:`RatLambda.primitive`
-returns the primitive normalized to vanish at L = 0 whenever it is
-defined there.
+All of it works fraction-free in Q(i)[h][L], the ring PolyLambda already
+is: an h-rational coefficient never appears.  :func:`pl_gcd` is the
+primitive polynomial remainder sequence (Collins 1967; Brown 1971):
+pseudo-remainders, each divided by its content, an HbarPoly gcd.  Exact
+quotients use the kernel's division, whose every step is exact there.
 
-Internally the coefficient ring is widened to the field of h-rationals:
-a "kpoly" (:class:`KPoly`) is a polynomial in L over
-:class:`~weylmin.scalars.HbarRat`, so monic gcds exist even when h divides
-leading coefficients.  PolyLambda and KPoly are both
-:class:`~weylmin.scalars.Poly`, so they share the kernel's multiply,
-derivative, power, Euclidean division and gcd; the extended gcd, the
-Diophantine solver and Yun's algorithm here are built on it.  Public
-values always come back with HbarPoly coefficients and cleared
-h-denominators.
+Integration never factors over the complex numbers.  Hermite reduction
+in the Horowitz-Ostrogradsky form (Bronstein, *Symbolic Integration I*,
+2.2-2.3) splits off the polynomial part by pseudo-division and writes the
+proper rest A/D, with D- = gcd(D, D') and D* = D/D-, as
+
+    A/D = (B/D-)' + C/D*,   deg B < deg D-,  deg C < deg D*,
+
+one linear system of size deg D solved by fraction-free Gauss-Jordan.
+D* is squarefree, so a rational primitive exists exactly when C = 0.
+:meth:`RatLambda.primitive` returns it normalized to vanish at L = 0
+whenever it is defined there.
 """
 
 from __future__ import annotations
@@ -37,15 +36,13 @@ from typing import Union
 from .scalars import (
     GaussRational,
     HP_ONE,
+    HP_ZERO,
     HbarLike,
     HbarPoly,
-    HbarRat,
-    HR_ONE,
     Field,
     Poly,
     hp_exact_div,
     hp_gcd,
-    hp_lcm,
 )
 from .weyl import WeylElement
 
@@ -72,101 +69,57 @@ PL_ZERO = PolyLambda()
 PL_ONE = PolyLambda.const(1)
 
 
-class KPoly(Poly):
-    """Polynomial in L over the h-rational field, the "kpoly" of integration.
-
-    Widening the coefficients to a field makes Euclidean division, monic
-    gcds and squarefree factorization available even when h divides
-    leading coefficients.
-    """
-
-    COEFF = HbarRat
-    LIFTS = (HbarRat, HbarPoly, GaussRational, int, Fraction)
-
-
-KP_ONE = KPoly.const(1)
+def _content(lead: PolyLambda, *rest: PolyLambda) -> HbarPoly:
+    """The gcd of all coefficients, scaled so that dividing it out leaves
+    ``lead`` with a monic h-polynomial as leading coefficient."""
+    c = HP_ZERO
+    for x in (x for p in (lead, *rest) for _, x in p.coeffs):
+        c = hp_gcd(c, x)
+        if c == HP_ONE:
+            break
+    return c.scale(lead.leading().leading())
 
 
-def _monic_quotient(nk: KPoly, dk: KPoly) -> tuple[KPoly, KPoly]:
-    """Scale both halves of nk/dk so that the denominator is monic."""
-    lc = dk.leading()
-    if lc == HR_ONE:
-        return nk, dk
-    inv = lc.inverse()
-    return nk.scale(inv), dk.scale(inv)
+def _cancel(p: PolyLambda, c: HbarPoly) -> PolyLambda:
+    """p with every coefficient divided exactly by the h-polynomial c."""
+    if c == HP_ONE:
+        return p
+    return PolyLambda._of(tuple((d, hp_exact_div(x, c)) for d, x in p.coeffs))
 
 
-def _kp_ext_gcd(a: KPoly, b: KPoly) -> tuple[KPoly, KPoly, KPoly]:
-    """Monic g = gcd(a, b) together with s, t such that s a + t b = g."""
-    r0, r1 = a, b
-    s0, s1 = KP_ONE, KPoly()
-    t0, t1 = KPoly(), KP_ONE
-    while not r1.is_zero():
-        q, r = r0.divmod_poly(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    inv = r0.leading().inverse()
-    return r0.monic(), s0.scale(inv), t0.scale(inv)
+def _primitive(p: PolyLambda) -> PolyLambda:
+    return _cancel(p, _content(p))
 
 
-def _kp_diophantine(a: KPoly, b: KPoly, c: KPoly) -> tuple[KPoly, KPoly]:
-    """Solve s a + t b = c with deg s < deg b, for gcd(a, b) dividing c."""
-    g, s0, t0 = _kp_ext_gcd(a, b)
-    q = hp_exact_div(c, g)
-    s = s0 * q
-    if s.degree() >= b.degree():
-        qs, s = s.divmod_poly(b)
-        t = t0 * q + qs * a
-    else:
-        t = t0 * q
-    # t is determined by s through t = (c - s a) / b.
-    return s, t
+def pl_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
+    """gcd over the h-rational field, as a primitive PolyLambda whose
+    leading coefficient is a monic h-polynomial (primitive PRS)."""
+    while not b.is_zero():
+        if b.degree() == 0:
+            return PL_ONE
+        # lc(b)^e a pseudo-divides by b with every quotient step exact.
+        e = max(a.degree() - b.degree() + 1, 0)
+        a, b = b, _primitive(a.scale(b.leading() ** e).divmod_poly(b)[1])
+    return _primitive(a)
 
 
-def _kp_yun(a: KPoly) -> list[tuple[KPoly, int]]:
-    """Squarefree factorization of a monic polynomial (Yun's algorithm).
-
-    Returns pairwise-coprime monic squarefree factors with multiplicities
-    such that the product of q_i^(m_i) reproduces the input.
-    """
-    if a.degree() <= 0:
-        return []
-    da = a.derivative()
-    g = hp_gcd(a, da)
-    if g.degree() == 0:
-        return [(a, 1)]
-    w = hp_exact_div(a, g)
-    y = hp_exact_div(da, g)
-    z = y - w.derivative()
-    out: list[tuple[KPoly, int]] = []
-    i = 1
-    while w.degree() > 0:
-        gi = hp_gcd(w, z)
-        if gi.degree() > 0:
-            out.append((gi, i))
-        w = hp_exact_div(w, gi)
-        y = hp_exact_div(z, gi)
-        z = y - w.derivative()
-        i += 1
-    return out
-
-
-def _clear_hbar(nk: KPoly, dk: KPoly) -> tuple[PolyLambda, PolyLambda]:
-    """Scale a kpoly quotient so both halves have HbarPoly coefficients."""
-    lead = HP_ONE
-    for _, c in nk.coeffs + dk.coeffs:
-        lead = hp_lcm(lead, c.den)
-
-    def _to_poly(a: KPoly) -> PolyLambda:
-        return PolyLambda((d, c.num * hp_exact_div(lead, c.den)) for d, c in a.coeffs)
-
-    return _to_poly(nk), _to_poly(dk)
-
-
-def _rat_from_kp(nk: KPoly, dk: KPoly) -> "RatLambda":
-    num, den = _clear_hbar(nk, dk)
-    return RatLambda(num, den)
+def _solve(cols: list[PolyLambda], rhs: PolyLambda) -> tuple[HbarPoly, list[HbarPoly]]:
+    """Fraction-free Gauss-Jordan on the coefficients of L^0 .. L^(n-1):
+    ``(det, y)`` with sum_j y_j cols_j = det * rhs and det nonzero, for n
+    = len(cols) columns spanning a nonsingular system."""
+    n = len(cols)
+    rows = [[col.coeff(i) for col in cols] + [rhs.coeff(i)] for i in range(n)]
+    prev = HP_ONE
+    for k in range(n):
+        p = next(i for i in range(k, n) if not rows[i][k].is_zero())
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [hp_exact_div(pivot[k] * x - f * y, prev) for x, y in zip(row, pivot)]
+        prev = pivot[k]
+    return prev, [row[n] for row in rows]
 
 
 @dataclass(frozen=True, init=False)
@@ -174,7 +127,7 @@ class RatLambda(Field):
     """Reduced quotient of two PolyLambda.
 
     Canonical form: numerator and denominator coprime over the h-rational
-    field, h-denominators cleared by the least common multiple, and the
+    field, jointly primitive (no common h-polynomial factor), and the
     denominator's leading coefficient a monic h-polynomial.  When no h
     appears in denominators this is simply "coprime with monic
     denominator", and polynomials are exactly the values with
@@ -194,18 +147,11 @@ class RatLambda(Field):
         if n.is_zero():
             n, d = PL_ZERO, PL_ONE
         else:
-            nk, dk = KPoly(n.coeffs), KPoly(d.coeffs)
-            g = hp_gcd(nk, dk)
+            g = pl_gcd(n, d)
             if g.degree() > 0:
-                nk = hp_exact_div(nk, g)
-                dk = hp_exact_div(dk, g)
-            n, d = _clear_hbar(*_monic_quotient(nk, dk))
-            content = HbarPoly()
-            for _, c in n.coeffs + d.coeffs:
-                content = hp_gcd(content, c)
-            if content.degree() > 0:
-                n = PolyLambda((dg, hp_exact_div(c, content)) for dg, c in n.coeffs)
-                d = PolyLambda((dg, hp_exact_div(c, content)) for dg, c in d.coeffs)
+                n, d = hp_exact_div(n, g), hp_exact_div(d, g)
+            c = _content(d, n)
+            n, d = _cancel(n, c), _cancel(d, c)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -250,61 +196,47 @@ class RatLambda(Field):
 
     # -- integration -----------------------------------------------------
 
-    def _hermite(self) -> tuple["RatLambda", list[tuple[KPoly, KPoly]]]:
-        """Hermite reduction: (rational part, irreducible log remainders).
-
-        The element equals d/dL(rational part) + sum A/q over the returned
-        remainders, with each q squarefree and deg A < deg q.  The element
-        has a rational primitive iff the remainder list is empty.
+    def _hermite(self) -> tuple["RatLambda", PolyLambda, PolyLambda]:
+        """Horowitz-Ostrogradsky reduction: ``(P, C, S)`` with the element
+        equal to P' + C/(c S) for a nonzero h-polynomial c, S squarefree
+        and deg C < deg S.  A rational primitive exists iff C = 0.
         """
-        nk, dk = _monic_quotient(KPoly(self.num.coeffs), KPoly(self.den.coeffs))
-        quo, rem = nk.divmod_poly(dk)
-
-        prim = _rat_from_kp(KPoly((d + 1, c / (d + 1)) for d, c in quo.coeffs), KP_ONE)
-        leftovers: list[tuple[KPoly, KPoly]] = []
+        num, den = self.num, self.den
+        # lead * num = quo * den + rem; the polynomial part quo / lead is
+        # integrated term by term.
+        lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
+        quo, rem = num.scale(lead).divmod_poly(den)
+        prim = RatLambda(PolyLambda((d + 1, c * Fraction(1, d + 1)) for d, c in quo.coeffs), lead)
         if rem.is_zero():
-            return prim, leftovers
-
-        pieces: list[tuple[KPoly, KPoly, int]] = []
-        cof = dk
-        for q, m in _kp_yun(dk):
-            big = q**m
-            rest = hp_exact_div(cof, big)
-            if rest.degree() <= 0:
-                # cof and big are monic, so rest is 1
-                pieces.append((rem, q, m))
-                break
-            s, t = _kp_diophantine(rest, big, rem)
-            pieces.append((s, q, m))
-            rem, cof = t, rest
-
-        for a, q, m in pieces:
-            qp = q.derivative()
-            while m > 1:
-                u, v = _kp_diophantine(qp, q, a)
-                step = Fraction(1, m - 1)
-                prim = prim + _rat_from_kp(u.scale(-step), q ** (m - 1))
-                a = v + u.derivative().scale(step)
-                m -= 1
-            if not a.is_zero():
-                leftovers.append((a, q))
-        return prim, leftovers
+            return prim, rem, PL_ONE
+        # rem = B' D* - B D-' D*/D- + C D- over the h-rationals
+        dm = pl_gcd(den, den.derivative())
+        ds = hp_exact_div(den, dm)
+        dlog = hp_exact_div(dm.derivative() * ds, dm)
+        basis = [PolyLambda({k: 1}) for k in range(den.degree())]
+        cols = [x.derivative() * ds - x * dlog for x in basis[: dm.degree()]]
+        cols += [x * dm for x in basis[: ds.degree()]]
+        det, y = _solve(cols, rem)
+        b = PolyLambda(enumerate(y[: dm.degree()]))
+        prim = prim + RatLambda(b, dm.scale(det * lead))
+        return prim, PolyLambda(enumerate(y[dm.degree() :])), ds
 
     def is_integrable(self) -> bool:
         """Whether a Lambda-rational primitive exists."""
-        return not self._hermite()[1]
+        return self._hermite()[1].is_zero()
 
     def primitive(self) -> "RatLambda":
         """The rational primitive, normalized to vanish at L = 0.
 
         Raises NotIntegrableError when a logarithmic part obstructs; the
-        message names the squarefree denominator carrying the residues.
+        message names the reduced denominator of that part, whose roots
+        are exactly the poles with a nonzero residue.
         """
-        prim, leftovers = self._hermite()
-        if leftovers:
-            dens = ", ".join(str(_rat_from_kp(q, KP_ONE).num) for _, q in leftovers)
+        prim, log_num, log_den = self._hermite()
+        if not log_num.is_zero():
+            poles = _primitive(RatLambda(log_num, log_den).den)
             raise NotIntegrableError(
-                f"no Lambda-rational primitive: nonzero residues on ({dens})"
+                f"no Lambda-rational primitive: nonzero residues on ({poles})"
             )
         d0 = prim.den.coeff(0)
         if not d0.is_zero():

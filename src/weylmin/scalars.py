@@ -12,8 +12,9 @@ Every exact type of the package is assembled from three pieces here:
   keys, drop zero sums, sort.  Integer degrees sort as they are; the
   bivariate types pass :func:`bidegree_order`.
 * :class:`Poly` -- univariate polynomials over any coefficient type, with
-  the one multiply, derivative, Euclidean division, :meth:`Poly.monic`
-  and :func:`hp_gcd` (the last three need a coefficient field).
+  the one multiply, derivative, division, :meth:`Poly.monic` and
+  :func:`hp_gcd` (the last two need a coefficient field; over a ring
+  division works whenever each step divides exactly).
 
 On top of them sit the three scalar layers, all exact:
 
@@ -22,8 +23,9 @@ On top of them sit the three scalar layers, all exact:
 * :class:`HbarPoly` -- polynomials in the central hermitian parameter ``h``
   over GaussRational.  ``h`` is formal, so identities proved here hold for
   every numerical value of the parameter.
-* :class:`HbarRat` -- quotients of two HbarPoly, used internally by the
-  Lambda-rational calculus where a coefficient *field* is required.
+* :class:`HbarRat` -- quotients of two HbarPoly, the field of
+  h-rationals.  It is public API only: the Lambda-rational calculus
+  works fraction-free over HbarPoly and never builds one.
 
 Everything is immutable and hashable; equality is equality of canonical
 forms.
@@ -226,8 +228,9 @@ class Poly(Ring):
 
     Stored as a tuple of ``(degree, coefficient)`` pairs sorted by degree
     with no zero coefficients, which makes equality and hashing structural.
-    Subclasses set ``COEFF`` and ``LIFTS``.  Division, :meth:`monic` and
-    :func:`hp_gcd` need a coefficient field.
+    Subclasses set ``COEFF`` and ``LIFTS``.  :meth:`monic` and
+    :func:`hp_gcd` need a coefficient field; see :meth:`divmod_poly` for
+    division over a ring.
     """
 
     coeffs: tuple
@@ -289,18 +292,26 @@ class Poly(Ring):
         return self._of(tuple((d - 1, c * d) for d, c in self.coeffs if d))
 
     def divmod_poly(self, other):
-        """Euclidean division: ``(q, r)`` with self = q*other + r, deg r < deg other."""
+        """Euclidean division: ``(q, r)`` with self = q*other + r, deg r < deg other.
+
+        Over a coefficient ring that is not a field (PolyLambda's HbarPoly)
+        each quotient coefficient is an exact division, which succeeds
+        whenever q lies in the ring: when ``other`` divides ``self`` and is
+        primitive, or when ``self`` is premultiplied by a power of the
+        leading coefficient (pseudo-division).  Otherwise ValueError.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         *lower, (db, lb) = other.coeffs
-        inv = lb.inverse()
+        inv = lb.inverse() if isinstance(lb, Field) else None
         rem = dict(self.coeffs)
         quo = []
         while rem:
             dr = max(rem)
             if dr < db:
                 break
-            q = rem.pop(dr) * inv
+            top = rem.pop(dr)
+            q = top * inv if inv is not None else hp_exact_div(top, lb)
             quo.append((dr - db, q))
             for d, c in lower:
                 nd = d + dr - db
@@ -323,12 +334,6 @@ def hp_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero():
         a, b = b, a.divmod_poly(b)[1]
     return a.monic()
-
-
-def hp_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return a._of(())
-    return hp_exact_div(a * b, hp_gcd(a, b)).monic()
 
 
 def hp_exact_div(a: Poly, b: Poly) -> Poly:
@@ -389,8 +394,9 @@ HP_HBAR = HbarPoly.hbar()
 class HbarRat(Field):
     """Quotient of h-polynomials, reduced, with a monic denominator.
 
-    This is the coefficient field backing gcd, squarefree factorization
-    and Hermite reduction in the Lambda-rational layer.
+    The field of h-rationals, exported for users.  No internal code needs
+    it: the Lambda-rational layer normalizes and integrates fraction-free
+    in Q(i)[h][L] (see :mod:`weylmin.holomorphic`).
     """
 
     num: HbarPoly
@@ -445,5 +451,3 @@ class HbarRat(Field):
             return str(self.num)
         return f"({self.num})/({self.den})"
 
-
-HR_ONE = HbarRat(HP_ONE)

@@ -250,3 +250,25 @@ class TestAgainstDenseOracles:
         monkeypatch.setattr(fock, "derive_matrix", dense_derive_matrix)
         monkeypatch.setattr(fock, "exp_lambda", loop_exp_lambda)
         assert got == residual_report(cfg)
+
+    @pytest.mark.parametrize("dim,hbar", [(64, 1.0), (96, 2.0)])
+    def test_isotropy_against_full_product(self, dim, hbar):
+        # the report multiplies only the window columns of the right factor
+        cfg = FockConfig(dim=dim, hbar=hbar)
+        dtype = np.clongdouble
+        ep, em = exp_lambda(cfg, 1, False, dtype), exp_lambda(cfg, -1, False, dtype)
+        phi1, phi2 = 0.5 * (ep - em), -0.5j * (ep + em)
+        full = phi1 @ phi1 + phi2 @ phi2 + np.eye(dim, dtype=dtype)
+        want = fock._window_norm(full, cfg.safe_rows)
+        assert residual_report(cfg)["residuals"]["phi_isotropy"] == want
+
+    def test_report_builds_each_exponential_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exp_lambda(*args)
+
+        monkeypatch.setattr(fock, "exp_lambda", counted)
+        residual_report(FockConfig(dim=16))
+        assert len(calls) == 4

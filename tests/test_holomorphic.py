@@ -162,6 +162,18 @@ class TestPrimitive:
         assert not r.is_integrable()
         assert R("h/(L-h)^2").is_integrable()
 
+    def test_error_names_only_poles_with_residue(self):
+        # L + 1 is a pole of order 2 without residue; only L carries one
+        with pytest.raises(NotIntegrableError, match=r"nonzero residues on \(L\)$"):
+            R("1/L^2 + 1/(L+1)^2 + 1/L").primitive()
+
+    def test_hbar_round_trip_at_multiplicity_six(self):
+        r = R("(L^5+3*h)/(L^2+h)^6")
+        dr = r.derivative()
+        assert rat_derivative_matches(r, dr)
+        assert dr.den == R("(L^2+h)^7").num
+        assert dr.primitive() == r - R("3/h^5")
+
 
 class TestWeierstrassData:
     def test_phi_from_fg_isotropy(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import random_poly_lambda, random_weyl, repeated_power
 from weylmin.classical import UVPoly, classical_limit
-from weylmin.holomorphic import KPoly, PolyLambda
+from weylmin.holomorphic import PolyLambda, RatLambda, pl_gcd
 from weylmin.scalars import (
     GaussRational,
     HbarPoly,
@@ -16,7 +16,6 @@ from weylmin.scalars import (
     bidegree_order,
     canon,
     hp_exact_div,
-    hp_gcd,
 )
 from weylmin.weyl import LAM, ONE
 
@@ -25,10 +24,22 @@ gauss = st.builds(GaussRational, rationals, rationals)
 small_hbar_polys = st.builds(HbarPoly, st.lists(st.tuples(st.integers(0, 2), gauss), max_size=2))
 hbar_rats = st.builds(HbarRat, small_hbar_polys, small_hbar_polys.filter(lambda p: not p.is_zero()))
 
-# Polynomials in L over the h-rational field; the same routines over
-# GaussRational are checked through HbarPoly in test_scalars.py.
-kpolys = st.builds(KPoly, st.lists(st.tuples(st.integers(0, 3), hbar_rats), max_size=3))
-nonzero_kpolys = kpolys.filter(lambda p: not p.is_zero())
+
+def _cleared(terms):
+    """The polynomial sum c L^d over h-rationals c, times the product of
+    their h-denominators, so that it lies in Q(i)[h][L]."""
+    common = HbarPoly.const(1)
+    for _, c in terms:
+        common = common * c.den
+    return PolyLambda((d, c.num * hp_exact_div(common, c.den)) for d, c in terms)
+
+
+# Polynomials in L over Q(i)[h], drawn as h-rational ones with their
+# h-denominators cleared; Euclid over GaussRational is checked through
+# HbarPoly in test_scalars.py.
+pl_polys = st.lists(st.tuples(st.integers(0, 3), hbar_rats), max_size=3).map(_cleared)
+nonzero_pl_polys = pl_polys.filter(lambda p: not p.is_zero())
+with_hbar = nonzero_pl_polys.filter(lambda p: any(c.degree() > 0 for _, c in p.coeffs))
 
 
 class TestCanon:
@@ -76,22 +87,39 @@ class TestPower:
                 x**-1
 
 
-class TestEuclidOverHbarRat:
+class TestPrimitivePRS:
     @settings(max_examples=60, deadline=None)
-    @given(kpolys, nonzero_kpolys)
-    def test_divmod(self, a, b):
-        q, r = a.divmod_poly(b)
-        assert a == q * b + r
+    @given(pl_polys, nonzero_pl_polys)
+    def test_pseudo_divmod(self, a, b):
+        # every step of the ring division is exact after scaling by lc(b)^e
+        sa = a.scale(b.leading() ** max(a.degree() - b.degree() + 1, 0))
+        q, r = sa.divmod_poly(b)
+        assert sa == q * b + r
         assert r.degree() < b.degree()
 
     @settings(max_examples=30, deadline=None)
-    @given(nonzero_kpolys, nonzero_kpolys)
-    def test_gcd_is_monic_common_divisor(self, a, b):
-        g = hp_gcd(a, b)
-        assert g.leading() == HbarRat(1)
+    @given(nonzero_pl_polys, nonzero_pl_polys)
+    def test_gcd_divides_both(self, a, b):
+        g = pl_gcd(a, b)
+        assert g.leading().leading() == GaussRational(1)
         for p in (a, b):
             assert hp_exact_div(p, g) * g == p
 
+    @settings(max_examples=30, deadline=None)
+    @given(nonzero_pl_polys, nonzero_pl_polys)
+    def test_cofactors_coprime(self, a, b):
+        g = pl_gcd(a, b)
+        assert pl_gcd(hp_exact_div(a, g), hp_exact_div(b, g)).degree() == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(pl_polys, nonzero_pl_polys, with_hbar)
+    def test_common_factor_cancels(self, n, d, m):
+        assert RatLambda(n * m, d * m) == RatLambda(n, d)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            KPoly({1: 1}).divmod_poly(KPoly())
+            PolyLambda({1: 1}).divmod_poly(PolyLambda())
+
+    def test_inexact_step_rejected(self):
+        with pytest.raises(ValueError, match="inexact"):
+            PolyLambda({1: 1}).divmod_poly(PolyLambda({1: HbarPoly({1: 1})}))
