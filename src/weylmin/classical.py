@@ -4,7 +4,10 @@ In the limit the generators commute, L becomes u + i v and Ls becomes
 u - i v, so every element degenerates to an ordinary polynomial in two
 real variables.  :class:`UVPoly` is that polynomial ring (coefficients
 still GaussRational; hermitian elements land in the real subring), and
-:func:`classical_limit` performs the substitution.  UVPoly is built on the
+:func:`classical_limit` performs the substitution.  The image of
+``L^k Ls^l`` is the h-free part of its U,V-ordered form, so the limit reads
+the rows of :func:`weylmin.weyl.uv_table` with h-degree 0 and scales them;
+this module knows no commutation rule.  UVPoly is built on the
 kernel in :mod:`weylmin.scalars`: the operator mixin, the canonicaliser and
 the (total degree, u-degree) term order that algebra elements use too.
 """
@@ -13,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
-from .weyl import WeylElement
+from .weyl import WeylElement, uv_table
 
 
 @dataclass(frozen=True, init=False)
@@ -35,9 +37,10 @@ class UVPoly(Ring):
             Iterable[tuple[tuple[int, int], GaussLike]],
         ] = (),
     ) -> None:
-        object.__setattr__(
-            self, "terms", canon(terms, bidegree_order, GaussRational.coerce)
-        )
+        canonical = canon(terms, bidegree_order, GaussRational.coerce)
+        if any(p < 0 or q < 0 for (p, q), _ in canonical):
+            raise ValueError("negative monomial degree")
+        object.__setattr__(self, "terms", canonical)
 
     @classmethod
     def _lift(cls, x: GaussLike) -> "UVPoly":
@@ -75,18 +78,6 @@ class UVPoly(Ring):
         return all(not c.im for _, c in self.terms)
 
 
-_Z_PLUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, 1)})
-_Z_MINUS = UVPoly({(1, 0): GaussRational(1), (0, 1): GaussRational(0, -1)})
-
-
-@lru_cache(maxsize=1024)
-def _monomial_limit(k: int, l: int) -> tuple[tuple[tuple[int, int], GaussRational], ...]:
-    # The terms of (u + iv)^k (u - iv)^l, the image of L^k Ls^l.  The three
-    # components of a surface share most bidegrees, so about half the lookups
-    # of one surface hit even on an empty cache.
-    return (_Z_PLUS**k * _Z_MINUS**l).terms
-
-
 def classical_limit(a: WeylElement) -> UVPoly:
     """Send h -> 0 and substitute L -> u + iv, Ls -> u - iv.
 
@@ -96,7 +87,11 @@ def classical_limit(a: WeylElement) -> UVPoly:
     for (k, l), c in a.terms:
         c0 = c.coeff(0)
         if not c0.is_zero():
-            out.extend((pq, z * c0) for pq, z in _monomial_limit(k, l))
+            out.extend(
+                ((p, q), c0 * GaussRational(re, im))
+                for p, q, d, re, im in uv_table(k, l)
+                if not d
+            )
     return UVPoly(out)
 
 

@@ -6,12 +6,10 @@ appear in the canonical order (total degree, then L-degree), coefficients
 as exact rationals.
 
 LaTeX output presents elements in U,V-ordered form (every monomial
-``U^p V^q`` with all U factors to the left).  Each ``L^k Ls^l`` is expanded
-one linear factor ``U +- iV`` at a time, moving the new U left with
-
-    (U^p V^q) U = U^(p+1) V^q - i h q U^p V^(q-1),
-
-which tends to match how hermitian surface components are written down.
+``U^p V^q`` with all U factors to the left), which tends to match how
+hermitian surface components are written down.  Each ``L^k Ls^l`` is read
+off :func:`weylmin.weyl.uv_table`, scaled by its coefficient, and the
+terms are sorted by ``(p + q, -p)``; this module knows no commutation rule.
 """
 
 from __future__ import annotations
@@ -20,7 +18,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GR_I, GaussRational, HbarPoly, canon
+from .scalars import GaussRational, HbarPoly, canon
+from .weyl import uv_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .holomorphic import PolyLambda, RatLambda
@@ -31,30 +30,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # -- coefficient formatting --------------------------------------------------
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x)
-
-
-def _gauss_text(c: GaussRational) -> tuple[str, bool]:
-    """Render a GaussRational; the flag says whether the string is atomic
-    enough to prefix a monomial with '*' without parentheses."""
+def _gauss_text(c: GaussRational) -> str:
     if not c.im:
-        s = _frac_text(c.re)
-        return s, True
+        return str(c.re)
     if not c.re:
         if c.im == 1:
-            return "i", True
+            return "i"
         if c.im == -1:
-            return "-i", True
-        return f"{_frac_text(c.im)}*i", True
+            return "-i"
+        return f"{c.im}*i"
     sign = "+" if c.im > 0 else "-"
     im = abs(c.im)
-    im_s = "i" if im == 1 else f"{_frac_text(im)}*i"
-    return f"({_frac_text(c.re)} {sign} {im_s})", True
+    im_s = "i" if im == 1 else f"{im}*i"
+    return f"({c.re} {sign} {im_s})"
 
 
 def _hbar_monomial_text(deg: int, c: GaussRational) -> str:
-    cs, _ = _gauss_text(c)
+    cs = _gauss_text(c)
     if deg == 0:
         return cs
     h = "h" if deg == 1 else f"h^{deg}"
@@ -92,8 +84,6 @@ def _join_terms(parts: list[str]) -> str:
     for part in parts[1:]:
         if part.startswith("-") and not part.startswith("-("):
             out += " - " + part[1:]
-        elif part.startswith("-("):
-            out += " + " + part
         else:
             out += " + " + part
     return out
@@ -136,48 +126,27 @@ def _uv_order(pair: tuple) -> tuple[int, int]:
 
 def uv_ordered_terms(a: "WeylElement") -> tuple[tuple[tuple[int, int], HbarPoly], ...]:
     """Rewrite in the U,V-ordered basis U^p V^q (U powers to the left)."""
-    out = []
-    for (k, l), coeff in a.terms:
-        # expand L^k Ls^l with L = U + iV, Ls = U - iV, one linear factor
-        # at a time, keeping the table U,V ordered throughout.
-        words = (((0, 0), coeff),)
-        for cv in (GR_I,) * k + (-GR_I,) * l:
-            words = _uv_mul_linear(words, cv)
-        out.extend(words)
-    return canon(out, _uv_order)
-
-
-def _uv_mul_linear(words: tuple, cv: GaussRational) -> tuple:
-    """Multiply a U,V-ordered table on the right by U + cv*V."""
-    out = []
-    for (p, q), c in words:
-        out.append(((p, q + 1), c.scale(cv)))
-        out.append(((p + 1, q), c))
-        if q:
-            out.append(((p, q - 1), c.scale(GaussRational(0, -q)).shift(1)))
-    return canon(out)
+    return canon(
+        (
+            ((p, q), c.shift(d).scale(GaussRational(re, im)))
+            for (k, l), c in a.terms
+            for p, q, d, re, im in uv_table(k, l)
+        ),
+        _uv_order,
+    )
 
 
 def weyl_latex(a: "WeylElement") -> str:
     """LaTeX in U,V-ordered form."""
-    items = uv_ordered_terms(a)
-    if not items:
-        return "0"
     parts = []
-    for (p, q), c in items:
+    for (p, q), c in uv_ordered_terms(a):
         mono = ""
         if p:
             mono += "U" if p == 1 else f"U^{{{p}}}"
         if q:
             mono += "V" if q == 1 else f"V^{{{q}}}"
         parts.append(_latex_term(c, mono))
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+    return _join_terms(parts)
 
 
 def _latex_frac(x: Fraction) -> str:
@@ -203,8 +172,6 @@ def _latex_gauss(c: GaussRational, *, bare: bool) -> str:
 
 
 def _latex_term(c: HbarPoly, mono: str) -> str:
-    if c.is_zero():
-        return "0"
     parts = []
     for d, g in c.coeffs:
         h = "" if d == 0 else ("\\hbar" if d == 1 else f"\\hbar^{{{d}}}")
@@ -214,13 +181,7 @@ def _latex_term(c: HbarPoly, mono: str) -> str:
         elif h and gs == "-1":
             gs = "-"
         parts.append(gs + h)
-    if len(parts) == 1:
-        coeff = parts[0]
-    else:
-        joined = parts[0]
-        for p in parts[1:]:
-            joined += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        coeff = f"\\left({joined}\\right)"
+    coeff = parts[0] if len(parts) == 1 else f"\\left({_join_terms(parts)}\\right)"
     if not mono:
         return coeff
     if coeff == "1":

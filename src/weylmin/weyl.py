@@ -12,6 +12,24 @@ Products are normal ordered with the closed reordering formula
 
 which is exactly what iterating the single swap ``Ls L = L Ls - 2h`` yields.
 
+This module is the only one that knows the commutation relation.  The
+other basis the package writes elements in, U,V order (every monomial
+``U^p V^q`` with all U factors to the left), comes from one table,
+:func:`uv_table`, which the LaTeX renderer and the classical limit only
+scale, filter and format.  It is the expansion of
+
+    e^(a L) e^(b Ls) = e^((a+b) U) e^(i(a-b) V) e^(h((a^2-b^2)/2 + ab)),
+
+whose coefficient of a^k b^l / (k! l!) is L^k Ls^l in U,V order; the table
+is built with the one swap ``(U^p V^q) U = U^(p+1) V^q - i h q U^p V^(q-1)``,
+so its coefficients are Gaussian integers.  In the other direction
+:func:`sym` uses the Weyl-ordering formula
+
+    sym(k, l) = C(k+l, k) sum_j j! C(k,j) C(l,j) (-ih/2)^j U^(k-j) V^(l-j)
+
+for the sum of all orderings of k letters U and l letters V.  (Ordered
+expansions of this kind: Cahill & Glauber, Phys. Rev. 177, 1857 (1969).)
+
 The product works on a flat integer form.  Each operand is read once into
 rows ``(k, l, h-degree, re, im)`` whose Gaussian-integer numerators share
 one common denominator, every term pair and reordering term adds plain
@@ -33,7 +51,6 @@ Laplacian is ``lap A = 4 d dbar A = d_u^2 A + d_v^2 A``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,6 +105,28 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
 # The flat form: rows (k, l, h-degree, re, im) of integer numerators over a
 # denominator shared by the rows of every element read together.
 Row = tuple[int, int, int, int, int]
+
+
+@lru_cache(maxsize=1024)
+def uv_table(k: int, l: int) -> tuple[Row, ...]:
+    """L^k Ls^l in U,V order, as rows ``(p, q, h-degree, re, im)``.
+
+    A row stands for the term ``(re + i im) h^d U^p V^q``.  The table is 1
+    multiplied on the right by U + iV k times and by U - iV l times, in a
+    loop, each new U moved left with ``V^q U = U V^q - i h q V^(q-1)``.
+    """
+    acc = {(0, 0, 0): (1, 0)}
+    for s in [1] * k + [-1] * l:
+        nxt: dict = {}
+        for (p, q, d), (re, im) in acc.items():
+            terms = [((p + 1, q, d), re, im), ((p, q + 1, d), -s * im, s * re)]
+            if q:
+                terms.append(((p, q - 1, d + 1), q * im, -q * re))
+            for key, r, i in terms:
+                cur = nxt.get(key)
+                nxt[key] = (r, i) if cur is None else (cur[0] + r, cur[1] + i)
+        acc = nxt
+    return tuple((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im)
 
 
 def _rows(elems: Sequence["WeylElement"]) -> tuple[list[list[Row]], int]:
@@ -370,15 +409,15 @@ def sym(k: int, l: int) -> WeylElement:
     """Unnormalized symmetrization of U^k V^l.
 
     The sum over all C(k+l, k) distinct orderings of k copies of U and l
-    copies of V, each word multiplied out in the algebra.  Hermitian for
-    all k, l since U and V are.
+    copies of V, formed by the Weyl-ordering formula of the module
+    docstring with the flat product.  Hermitian for all k, l since U and V
+    are.
     """
     if k < 0 or l < 0:
         raise ValueError("sym requires nonnegative powers")
+    minus_half_i = GaussRational(0, Fraction(-1, 2))
     total = ZERO
-    for positions in itertools.combinations(range(k + l), k):
-        word = ["V"] * (k + l)
-        for p in positions:
-            word[p] = "U"
-        total = total + from_uv(word)
+    for j in range(min(k, l) + 1):
+        c = comb(k + l, k) * factorial(j) * comb(k, j) * comb(l, j) * minus_half_i**j
+        total = total + (U ** (k - j) * V ** (l - j)).scale(HbarPoly.hbar(j, c))
     return total

@@ -49,16 +49,18 @@ def criterion(idx, label):
     print(f"[{idx:2d}/11] {label}: PASS")
 
 
-def cli_json(tmp_path, *argv):
-    out = tmp_path / "out.json"
-    assert main([*argv, "--out", str(out)]) == 0
-    return out.read_text()
+def assert_golden_bytes(tmp_path, stem, *argv):
+    """The JSON, LaTeX and text output of a CLI surface command, byte for
+    byte against ``goldens/<stem>.json``, ``.tex`` and ``.txt``."""
+    for fmt, ext in (("json", "json"), ("latex", "tex"), ("text", "txt")):
+        out = tmp_path / f"out.{ext}"
+        assert main([*argv, "--fmt", fmt, "--out", str(out)]) == 0
+        assert out.read_text() == (GOLDENS / f"{stem}.{ext}").read_text(), fmt
 
 
 def test_01_enneper_golden(tmp_path):
     with criterion(1, "Enneper surface, exact canonical form"):
-        produced = cli_json(tmp_path, "surface", "from-Ftilde", "--Ft", "L^3")
-        assert produced == (GOLDENS / "enneper.json").read_text()
+        assert_golden_bytes(tmp_path, "enneper", "surface", "from-Ftilde", "--Ft", "L^3")
         s = surface_from_Ftilde(parse_rat("L^3").as_poly())
         assert s.components == (
             W("U + U*V^2 - 1/3*U^3 - i*h*V"),
@@ -69,8 +71,7 @@ def test_01_enneper_golden(tmp_path):
 
 def test_02_quartic_golden(tmp_path):
     with criterion(2, "quartic surface with constant shifts, exact"):
-        produced = cli_json(tmp_path, "surface", "from-Ftilde", "--Ft", "L^4")
-        assert produced == (GOLDENS / "quartic.json").read_text()
+        assert_golden_bytes(tmp_path, "quartic", "surface", "from-Ftilde", "--Ft", "L^4")
         s = surface_from_Ftilde(parse_rat("L^4").as_poly())
         assert s.components == (
             W("-3/2*h^2 + U^2 - 6*i*h*U*V - V^2 - 1/2*U^4 + 3*U^2*V^2 - 1/2*V^4"),
@@ -81,8 +82,7 @@ def test_02_quartic_golden(tmp_path):
 
 def test_03_higher_enneper_golden(tmp_path):
     with criterion(3, "order-2 Enneper surface, exact"):
-        produced = cli_json(tmp_path, "surface", "enneper", "--n", "2")
-        assert produced == (GOLDENS / "enneper2.json").read_text()
+        assert_golden_bytes(tmp_path, "enneper2", "surface", "enneper", "--n", "2")
         s = enneper(2)
         assert s.components == (
             W("U - 3*h^2*U - 6*i*h*U^2*V + 2*i*h*V^3 - 1/5*U^5 + 2*U^3*V^2 - U*V^4"),
@@ -93,8 +93,7 @@ def test_03_higher_enneper_golden(tmp_path):
 
 def test_04_four_component_golden(tmp_path):
     with criterion(4, "four-component surface (U, V, U^2-V^2, 2UV-ih)"):
-        produced = cli_json(tmp_path, "surface", "pair", "--f", "L", "--g", "L^2")
-        assert produced == (GOLDENS / "pair_r4.json").read_text()
+        assert_golden_bytes(tmp_path, "pair_r4", "surface", "pair", "--f", "L", "--g", "L^2")
         s = surface_from_pair(parse_rat("L").as_poly(), parse_rat("L^2").as_poly())
         assert s.components == (
             W("U"),

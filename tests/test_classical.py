@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import classical_point, random_weyl, uv_dict_point
 from weylmin.classical import UVPoly, classical_limit, classical_limit_fraction
 from weylmin.weyl import HBAR, LAM, LAM_STAR, U, V
@@ -53,6 +55,13 @@ class TestUVPoly:
         p = classical_limit(U * U * V)
         assert p.diff("u") == classical_limit(U * V).scale(2)
         assert p.diff("v") == classical_limit(U * U)
+
+    def test_negative_degree_rejected(self):
+        # as WeylElement and HbarPoly do
+        with pytest.raises(ValueError, match="negative"):
+            UVPoly({(-1, 0): 1})
+        with pytest.raises(ValueError, match="negative"):
+            UVPoly({(2, -1): 1})
 
     def test_real_predicate(self):
         assert classical_limit((U * V + V * U).scale(Fraction(1, 2))).is_real()

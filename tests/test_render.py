@@ -1,5 +1,6 @@
 """Text and LaTeX rendering; round-trips with the parser."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -58,6 +59,19 @@ class TestUvOrdering:
         got = dict(uv_ordered_terms(elem))
         want = uv_word_normal_order("VVU")
         assert got == want
+        # L^k Ls^l: expand (U + iV)^k (U - iV)^l into words, rewrite each
+        for n in range(7):
+            for k in range(n + 1):
+                want = {}
+                for letters in itertools.product("UV", repeat=n):
+                    c = GaussRational(1)
+                    for pos, ch in enumerate(letters):
+                        if ch == "V":
+                            c = c * GaussRational(0, 1 if pos < k else -1)
+                    for pq, p in uv_word_normal_order(letters).items():
+                        want[pq] = want.get(pq, HbarPoly()) + p.scale(c)
+                want = {pq: p for pq, p in want.items() if not p.is_zero()}
+                assert dict(uv_ordered_terms(WeylElement.basis(k, n - k))) == want
 
 
 class TestLatex:

@@ -193,7 +193,7 @@ class TestSym:
         # sym(k, l) is the sum of all distinct letter orderings
         import itertools
 
-        for k, l in [(2, 1), (1, 2), (2, 2), (3, 1)]:
+        for k, l in [(k, n - k) for n in range(7) for k in range(n + 1)]:
             total = ZERO
             words = set(itertools.permutations("U" * k + "V" * l))
             for word in words:
