@@ -5,11 +5,13 @@ u - i v, so every element degenerates to an ordinary polynomial in two
 real variables.  :class:`UVPoly` is that polynomial ring (coefficients
 still GaussRational; hermitian elements land in the real subring), and
 :func:`classical_limit` performs the substitution.  The image of
-``L^k Ls^l`` is the h-free part of its U,V-ordered form, so the limit reads
-the rows of :func:`weylmin.weyl.uv_table` with h-degree 0 and scales them;
-this module knows no commutation rule.  UVPoly is built on the
-kernel in :mod:`weylmin.scalars`: the operator mixin, the canonicaliser and
-the (total degree, u-degree) term order that algebra elements use too.
+``L^k Ls^l`` is the h-free part of its U,V-ordered form, so the limit is
+the h-degree-0 part of :func:`weylmin.weyl.uv_rows`, the one integer
+accumulation of an element's rows times the rows of
+:func:`weylmin.weyl.uv_table`; this module knows no commutation rule.
+UVPoly is built on the kernel in :mod:`weylmin.scalars`: the operator
+mixin, the canonicaliser and the (total degree, u-degree) term order that
+algebra elements use too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
-from .weyl import WeylElement, uv_table
+from .weyl import WeylElement, uv_rows
 
 
 @dataclass(frozen=True, init=False)
@@ -81,18 +83,14 @@ class UVPoly(Ring):
 def classical_limit(a: WeylElement) -> UVPoly:
     """Send h -> 0 and substitute L -> u + iv, Ls -> u - iv.
 
-    Only the h-degree-zero part of each coefficient survives.
+    Only the h-degree-zero part of each coefficient survives, so only the
+    h-free rows of ``a`` are rewritten.
     """
-    out = []
-    for (k, l), c in a.terms:
-        c0 = c.coeff(0)
-        if not c0.is_zero():
-            out.extend(
-                ((p, q), c0 * GaussRational(re, im))
-                for p, q, d, re, im in uv_table(k, l)
-                if not d
-            )
-    return UVPoly(out)
+    return UVPoly(
+        ((p, q), GaussRational(Fraction(re, a.den), Fraction(im, a.den)))
+        for p, q, d, re, im in uv_rows(row for row in a.rows if not row[2])
+        if not d
+    )
 
 
 def classical_limit_fraction(a: WeylElement) -> dict[tuple[int, int], Fraction]:

@@ -7,9 +7,10 @@ as exact rationals.
 
 LaTeX output presents elements in U,V-ordered form (every monomial
 ``U^p V^q`` with all U factors to the left), which tends to match how
-hermitian surface components are written down.  Each ``L^k Ls^l`` is read
-off :func:`weylmin.weyl.uv_table`, scaled by its coefficient, and the
-terms are sorted by ``(p + q, -p)``; this module knows no commutation rule.
+hermitian surface components are written down.  The U,V-ordered rows
+come from :func:`weylmin.weyl.uv_rows`, one integer accumulation of the
+element's coefficients times :func:`weylmin.weyl.uv_table`, and are sorted
+by ``(p + q, -p)``; this module knows no commutation rule.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussRational, HbarPoly, canon
-from .weyl import uv_table
+from .scalars import GaussRational, HbarPoly
+from .weyl import group_rows, uv_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .holomorphic import PolyLambda, RatLambda
@@ -119,21 +120,10 @@ def weyl_text(a: "WeylElement") -> str:
     return _join_terms(parts)
 
 
-def _uv_order(pair: tuple) -> tuple[int, int]:
-    (p, q), _ = pair
-    return p + q, -p
-
-
 def uv_ordered_terms(a: "WeylElement") -> tuple[tuple[tuple[int, int], HbarPoly], ...]:
     """Rewrite in the U,V-ordered basis U^p V^q (U powers to the left)."""
-    return canon(
-        (
-            ((p, q), c.shift(d).scale(GaussRational(re, im)))
-            for (k, l), c in a.terms
-            for p, q, d, re, im in uv_table(k, l)
-        ),
-        _uv_order,
-    )
+    rows = sorted(uv_rows(a.rows), key=lambda r: (r[0] + r[1], -r[0], r[2]))
+    return group_rows(rows, a.den)
 
 
 def weyl_latex(a: "WeylElement") -> str:

@@ -48,19 +48,37 @@ def _coeff_to_obj(p: HbarPoly) -> list[dict]:
     return out
 
 
+def _field(rec: object, name: str) -> object:
+    try:
+        return rec[name]
+    except (KeyError, TypeError) as exc:
+        raise DeserializeError(f"record has no field {name!r}") from exc
+
+
+def _int(rec: object, name: str) -> int:
+    """The JSON integer in field ``name``; a float or a bool is an error."""
+    x = _field(rec, name)
+    if type(x) is not int:
+        got = json.dumps(x, default=repr)
+        raise DeserializeError(f"field {name!r} must be an integer, got {got}")
+    return x
+
+
+def _rational(rec: object, num: str, den: str) -> Fraction:
+    d = _int(rec, den)
+    if not d:
+        raise DeserializeError(f"field {den!r} must be nonzero")
+    return Fraction(_int(rec, num), d)
+
+
 def _coeff_from_obj(obj: object) -> HbarPoly:
     if not isinstance(obj, list):
         raise DeserializeError("coefficient must be a list of records")
-    items = []
-    for rec in obj:
-        try:
-            d = int(rec["hbar_deg"])
-            re = Fraction(int(rec["re_num"]), int(rec["re_den"]))
-            im = Fraction(int(rec["im_num"]), int(rec["im_den"]))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise DeserializeError(f"bad coefficient record: {exc}") from exc
-        items.append((d, GaussRational(re, im)))
-    return HbarPoly(items)
+    return HbarPoly(
+        (_int(rec, "hbar_deg"),
+         GaussRational(_rational(rec, "re_num", "re_den"), _rational(rec, "im_num", "im_den")))
+        for rec in obj
+    )
 
 
 def _fraction_to_obj(x: Fraction) -> dict:
@@ -68,10 +86,7 @@ def _fraction_to_obj(x: Fraction) -> dict:
 
 
 def _fraction_from_obj(obj: object) -> Fraction:
-    try:
-        return Fraction(int(obj["num"]), int(obj["den"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DeserializeError(f"bad rational record: {exc}") from exc
+    return _rational(obj, "num", "den")
 
 
 # -- algebra elements --------------------------------------------------------
@@ -86,14 +101,9 @@ def weyl_to_obj(a: WeylElement) -> list[dict]:
 def weyl_from_obj(obj: object) -> WeylElement:
     if not isinstance(obj, list):
         raise DeserializeError("element must be a list of term records")
-    items = []
-    for rec in obj:
-        try:
-            k, l = int(rec["k"]), int(rec["l"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeserializeError(f"bad term record: {exc}") from exc
-        items.append(((k, l), _coeff_from_obj(rec["coeff"])))
-    return WeylElement(items)
+    return WeylElement(
+        ((_int(rec, "k"), _int(rec, "l")), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj
+    )
 
 
 def poly_to_obj(p: PolyLambda) -> list[dict]:
@@ -103,14 +113,7 @@ def poly_to_obj(p: PolyLambda) -> list[dict]:
 def poly_from_obj(obj: object) -> PolyLambda:
     if not isinstance(obj, list):
         raise DeserializeError("polynomial must be a list of records")
-    items = []
-    for rec in obj:
-        try:
-            d = int(rec["deg"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DeserializeError(f"bad polynomial record: {exc}") from exc
-        items.append((d, _coeff_from_obj(rec["coeff"])))
-    return PolyLambda(items)
+    return PolyLambda((_int(rec, "deg"), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj)
 
 
 def rat_to_obj(r: RatLambda) -> dict:
@@ -118,11 +121,10 @@ def rat_to_obj(r: RatLambda) -> dict:
 
 
 def rat_from_obj(obj: object) -> RatLambda:
-    try:
-        num, den = obj["num"], obj["den"]
-    except (KeyError, TypeError) as exc:
-        raise DeserializeError(f"bad rational-function record: {exc}") from exc
-    return RatLambda(poly_from_obj(num), poly_from_obj(den))
+    num, den = poly_from_obj(_field(obj, "num")), poly_from_obj(_field(obj, "den"))
+    if den.is_zero():
+        raise DeserializeError("rational function has a zero denominator")
+    return RatLambda(num, den)
 
 
 # -- surfaces ----------------------------------------------------------------
@@ -183,7 +185,7 @@ def surface_from_obj(obj: object) -> Surface:
         )
     except (KeyError, TypeError) as exc:
         raise DeserializeError(f"bad surface document: {exc}") from exc
-    if len(comps) != int(obj.get("n", len(comps))):
+    if "n" in obj and _int(obj, "n") != len(comps):
         raise DeserializeError("component count does not match n")
     return Surface(comps, offsets, prov)
 

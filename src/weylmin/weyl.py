@@ -15,8 +15,10 @@ which is exactly what iterating the single swap ``Ls L = L Ls - 2h`` yields.
 This module is the only one that knows the commutation relation.  The
 other basis the package writes elements in, U,V order (every monomial
 ``U^p V^q`` with all U factors to the left), comes from one table,
-:func:`uv_table`, which the LaTeX renderer and the classical limit only
-scale, filter and format.  It is the expansion of
+:func:`uv_table`; :func:`uv_rows` adds an element's coefficients times
+its tables into one integer accumulation, which the LaTeX renderer
+formats and whose h-free part is the classical limit.  It is the
+expansion of
 
     e^(a L) e^(b Ls) = e^((a+b) U) e^(i(a-b) V) e^(h((a^2-b^2)/2 + ab)),
 
@@ -30,13 +32,13 @@ so its coefficients are Gaussian integers.  In the other direction
 for the sum of all orderings of k letters U and l letters V.  (Ordered
 expansions of this kind: Cahill & Glauber, Phys. Rev. 177, 1857 (1969).)
 
-The product works on a flat integer form.  Each operand is read once into
-rows ``(k, l, h-degree, re, im)`` whose Gaussian-integer numerators share
-one common denominator, every term pair and reordering term adds plain
-integer products into one dict keyed by ``(k, l, h-degree)``, and the
-canonical ``terms`` tuple is built once at the end, with one Fraction per
-surviving coefficient.  :func:`symmetric_product_sum` (the bilinear form
-of the surface layer) accumulates all its products in the same dict.
+An element is stored in one flat form: rows ``(k, l, h-degree, re, im)``
+of Gaussian-integer numerators over one denominator.  Every operation adds
+integer products into one accumulator keyed by ``(k, l, h-degree)``
+(:func:`_accumulate`), from which the canonical rows are rebuilt;
+:func:`symmetric_product_sum` (the surface layer's bilinear form) puts all
+its products into one.  HbarPoly coefficients come in only through the
+constructor and go out only through the ``terms`` view.
 
 The four derivations act on basis monomials by
 
@@ -51,24 +53,24 @@ Laplacian is ``lap A = 4 d dbar A = d_u^2 A + d_v^2 A``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .scalars import (
     GR_I,
     GaussLike,
     GaussRational,
     HP_HBAR,
+    HP_ZERO,
     HbarLike,
     HbarPoly,
     Ring,
-    bidegree_order,
-    canon,
 )
 
 
@@ -81,12 +83,12 @@ class Direction(Enum):
     DBAR = "dbar"
 
 
-# The weights of d and dbar in each direction: u = d + dbar, v = i(d - dbar).
+# The weights (re, im) of d and dbar in each direction: u = d + dbar, v = i(d - dbar).
 _DERIVE_WEIGHTS = {
-    Direction.D: (1, 0),
-    Direction.DBAR: (0, 1),
-    Direction.U: (1, 1),
-    Direction.V: (GR_I, -GR_I),
+    Direction.D: ((1, 0), (0, 0)),
+    Direction.DBAR: ((0, 0), (1, 0)),
+    Direction.U: ((1, 0), (1, 0)),
+    Direction.V: ((0, 1), (0, -1)),
 }
 
 
@@ -102,9 +104,16 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-# The flat form: rows (k, l, h-degree, re, im) of integer numerators over a
-# denominator shared by the rows of every element read together.
+# The flat form: rows (k, l, h-degree, re, im) of integer numerators over one denominator.
 Row = tuple[int, int, int, int, int]
+
+
+def _accumulate(acc: dict, items: Iterable[tuple[tuple, int, int]]) -> dict:
+    """Add each ``(key, re, im)`` into ``acc``, a dict of numerator pairs."""
+    for key, re, im in items:
+        cur = acc.get(key)
+        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return acc
 
 
 @lru_cache(maxsize=1024)
@@ -117,85 +126,70 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
     """
     acc = {(0, 0, 0): (1, 0)}
     for s in [1] * k + [-1] * l:
-        nxt: dict = {}
-        for (p, q, d), (re, im) in acc.items():
-            terms = [((p + 1, q, d), re, im), ((p, q + 1, d), -s * im, s * re)]
-            if q:
-                terms.append(((p, q - 1, d + 1), q * im, -q * re))
-            for key, r, i in terms:
-                cur = nxt.get(key)
-                nxt[key] = (r, i) if cur is None else (cur[0] + r, cur[1] + i)
-        acc = nxt
+        acc = _accumulate({}, (
+            t
+            for (p, q, d), (re, im) in acc.items()
+            for t in (
+                ((p + 1, q, d), re, im),
+                ((p, q + 1, d), -s * im, s * re),
+                ((p, q - 1, d + 1), q * im, -q * re),  # zero when q == 0
+            )
+            if t[1] or t[2]
+        ))
     return tuple((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im)
 
 
-def _rows(elems: Sequence["WeylElement"]) -> tuple[list[list[Row]], int]:
-    """The rows of each element, over their least common denominator."""
-    den = lcm(*{
-        x.denominator
-        for e in elems
-        for _, c in e.terms
-        for _, g in c.coeffs
-        for x in (g.re, g.im)
-    })
-    return [
-        [
-            (k, l, d, g.re.numerator * (den // g.re.denominator),
-             g.im.numerator * (den // g.im.denominator))
-            for (k, l), c in e.terms
-            for d, g in c.coeffs
-        ]
-        for e in elems
-    ], den
+def _rows(elems: Sequence["WeylElement"]) -> tuple[list[tuple[Row, ...]], int]:
+    """The rows of each element, rescaled to their least common denominator."""
+    den = lcm(*(e.den for e in elems))
+    return [e.rows if e.den == den else tuple(
+        (k, l, d, re * (den // e.den), im * (den // e.den)) for k, l, d, re, im in e.rows
+    ) for e in elems], den
 
 
-def _add_products(acc: dict, a: list[Row], b: list[Row]) -> None:
-    """Add the normal-ordered product of two row lists into ``acc``.
-
-    ``acc`` maps (k, l, h-degree) to a pair of integer numerators; the
-    denominator of what is added is the product of the operands' own.
-    """
-    for k1, l1, d1, ar, ai in a:
-        for k2, l2, d2, br, bi in b:
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            k, l, d = k1 + k2, l1 + l2, d1 + d2
-            for j, c in _reorder(l1, k2):
-                key = (k - j, l - j, d + j)
-                cur = acc.get(key)
-                acc[key] = (c * re, c * im) if cur is None else (cur[0] + c * re, cur[1] + c * im)
+def _products(a: Iterable[Row], b: Sequence[Row]) -> Iterator[tuple[tuple, int, int]]:
+    """The normal-ordered product of two row lists as ``(key, re, im)`` items,
+    over the product of their denominators."""
+    return (
+        ((k1 + k2 - j, l1 + l2 - j, d1 + d2 + j), c * re, c * im)
+        for k1, l1, d1, ar, ai in a
+        for k2, l2, d2, br, bi in b
+        for re, im in ((ar * br - ai * bi, ar * bi + ai * br),)
+        for j, c in _reorder(l1, k2)
+    )
 
 
-def _is_hermitian(rows: list[Row]) -> bool:
+def _is_hermitian(rows: Iterable[Row]) -> bool:
     # (L^k Ls^l)* = L^l Ls^k with the conjugate coefficient.
     return set(rows) == {(l, k, d, re, -im) for k, l, d, re, im in rows}
 
 
-def _element(acc: dict, den: int) -> "WeylElement":
-    """The canonical element with coefficients ``acc[k, l, d] / den``."""
-    polys: dict = {}
-    for (k, l, d), (re, im) in acc.items():
-        if re or im:
-            g = GaussRational(Fraction(re, den), Fraction(im, den))
-            polys.setdefault((k, l), []).append((d, g))
-    e = object.__new__(WeylElement)
-    object.__setattr__(e, "terms", tuple(
-        (kl, HbarPoly._of(tuple(sorted(cs, key=itemgetter(0)))))
-        for kl, cs in sorted(polys.items(), key=bidegree_order)
-    ))
-    return e
+def _element(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
+    """The canonical element of the summed ``((k, l, d), re, im)`` items over ``den``."""
+    return object.__new__(WeylElement)._store(items, den)
+
+
+def group_rows(rows: Iterable[Row], den: int) -> tuple[tuple[Bidegree, HbarPoly], ...]:
+    """Rows over ``den``, sorted, as ``((k, l), HbarPoly)`` pairs in row order."""
+    out: dict = {}
+    for k, l, d, re, im in rows:
+        out.setdefault((k, l), []).append((d, GaussRational(Fraction(re, den), Fraction(im, den))))
+    return tuple((kl, HbarPoly._of(tuple(cs))) for kl, cs in out.items())
 
 
 @dataclass(frozen=True, init=False)
 class WeylElement(Ring):
     """An algebra element in normal-ordered canonical form.
 
-    ``terms`` maps bidegrees ``(k, l)`` (power of L, power of Ls) to
-    HbarPoly coefficients, stored sorted by ``(k + l, k)`` with zero
-    coefficients dropped, so ``==`` and ``hash`` are structural.
+    ``rows`` are ``(k, l, h-degree, re, im)`` (L power, Ls power, h power,
+    coefficient numerator), sorted by ``(k + l, k, h-degree)`` without zero
+    rows, over the positive ``den``, reduced against all numerators; so
+    ``==`` and ``hash`` are structural.  ``terms`` is the same element as
+    ``((k, l), HbarPoly)`` pairs, built on access.
     """
 
-    terms: tuple[tuple[Bidegree, HbarPoly], ...]
+    rows: tuple[Row, ...]
+    den: int
 
     LIFTS = (HbarPoly, GaussRational, int, Fraction)
 
@@ -205,17 +199,35 @@ class WeylElement(Ring):
             Mapping[Bidegree, HbarLike], Iterable[tuple[Bidegree, HbarLike]]
         ] = (),
     ) -> None:
-        canonical = canon(terms, bidegree_order, HbarPoly.coerce)
-        if any(k < 0 or l < 0 for (k, l), _ in canonical):
+        if isinstance(terms, Mapping):
+            terms = terms.items()
+        polys = [(kl, HbarPoly.coerce(c)) for kl, c in terms]
+        if any(k < 0 or l < 0 for (k, l), c in polys if c.coeffs):
             raise ValueError("negative monomial degree")
-        object.__setattr__(self, "terms", canonical)
+        den = lcm(*(x.denominator for _, c in polys for _, g in c.coeffs for x in (g.re, g.im)))
+        self._store((
+            ((k, l, d), *(x.numerator * den // x.denominator for x in (g.re, g.im)))
+            for (k, l), c in polys for d, g in c.coeffs
+        ), den)
 
-    @classmethod
-    def _sum(cls, items: Iterable[tuple[Bidegree, HbarPoly]]) -> "WeylElement":
-        """The sum of (bidegree, HbarPoly) pairs, without coercion."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "terms", canon(items, bidegree_order))
-        return e
+    def _store(self, items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
+        """Set the canonical rows of the summed ``((k, l, d), re, im)`` items
+        over ``den > 0``."""
+        acc = _accumulate({}, items)
+        # (k + l, row) sorts by (k + l, k, h-degree): no two rows share (k, l, d).
+        rows = sorted(((k, l, d, re, im) for (k, l, d), (re, im) in acc.items() if re or im),
+                      key=lambda r: (r[0] + r[1], r))
+        g = gcd(den, *(x for *_, re, im in rows for x in (re, im)))
+        if g > 1:
+            rows = [(k, l, d, re // g, im // g) for k, l, d, re, im in rows]
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "den", den // g)
+        return self
+
+    @property
+    def terms(self) -> tuple[tuple[Bidegree, HbarPoly], ...]:
+        """``((k, l), HbarPoly)`` pairs sorted by ``(k + l, k)``."""
+        return group_rows(self.rows, self.den)
 
     @classmethod
     def _lift(cls, x: HbarLike) -> "WeylElement":
@@ -228,56 +240,50 @@ class WeylElement(Ring):
     # -- basic structure -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
 
     def degree(self) -> int:
         """Maximal total degree k + l; -1 for the zero element."""
-        return self.terms[-1][0][0] + self.terms[-1][0][1] if self.terms else -1
+        return self.rows[-1][0] + self.rows[-1][1] if self.rows else -1
 
     def term(self, k: int, l: int) -> HbarPoly:
-        for kl, c in self.terms:
-            if kl == (k, l):
-                return c
-        return HbarPoly()
+        return dict(self.terms).get((k, l), HP_ZERO)
 
     def bidegrees(self) -> tuple[Bidegree, ...]:
-        return tuple(kl for kl, _ in self.terms)
+        return tuple(dict.fromkeys((k, l) for k, l, *_ in self.rows))
 
     def is_holomorphic(self) -> bool:
         """True when no Ls power occurs (all bidegrees are (k, 0))."""
-        return all(l == 0 for (_, l), _ in self.terms)
+        return all(not l for _, l, *_ in self.rows)
 
     # -- ring operations -------------------------------------------------
 
     def _add(self, o: "WeylElement") -> "WeylElement":
-        return WeylElement._sum(self.terms + o.terms)
+        (a, b), den = _rows((self, o))
+        return _element((((k, l, d), re, im) for k, l, d, re, im in a + b), den)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement._sum((kl, -c) for kl, c in self.terms)
+        return _element((((k, l, d), -re, -im) for k, l, d, re, im in self.rows), self.den)
 
     def __mul__(self, other: "WeylLike") -> "WeylElement":
         o = self._try(other)
-        if o is None:
-            return NotImplemented
-        (a,), da = _rows((self,))
-        (b,), db = _rows((o,))
-        acc: dict = {}
-        _add_products(acc, a, b)
-        return _element(acc, da * db)
+        return NotImplemented if o is None else self._mul(o)
+
+    def _mul(self, o: "WeylElement") -> "WeylElement":
+        return _element(_products(self.rows, o.rows), self.den * o.den)
 
     def scale(self, c: HbarLike) -> "WeylElement":
-        co = HbarPoly.coerce(c)
-        return WeylElement._sum((kl, cc * co) for kl, cc in self.terms)
+        """The product with the central scalar ``c``."""
+        return self._mul(self._lift(c))
 
     # -- involution ------------------------------------------------------
 
     def star(self) -> "WeylElement":
         """The antihomomorphic involution: (L^k Ls^l)* = L^l Ls^k."""
-        return WeylElement._sum(((l, k), c.conjugate()) for (k, l), c in self.terms)
+        return _element((((l, k, d), re, -im) for k, l, d, re, im in self.rows), self.den)
 
     def is_hermitian(self) -> bool:
-        (rows,), _ = _rows((self,))
-        return _is_hermitian(rows)
+        return _is_hermitian(self.rows)
 
     def real_part(self) -> "WeylElement":
         """Re A = (A + A*)/2, always hermitian."""
@@ -285,7 +291,7 @@ class WeylElement(Ring):
 
     def imag_part(self) -> "WeylElement":
         """Im A = (A - A*)/(2i), always hermitian."""
-        return (self - self.star()).scale(GaussRational(0, Fraction(-1, 2)))
+        return (self - self.star()).scale(_MINUS_HALF_I)
 
     # -- calculus --------------------------------------------------------
 
@@ -296,23 +302,26 @@ class WeylElement(Ring):
             wd, wdbar = _DERIVE_WEIGHTS[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
-        out = []
-        for (k, l), c in self.terms:
-            if k and wd:
-                out.append(((k - 1, l), c.scale(wd * k)))
-            if l and wdbar:
-                out.append(((k, l - 1), c.scale(wdbar * l)))
-        return WeylElement._sum(out)
+        return _element((
+            (key, n * (wr * re - wi * im), n * (wr * im + wi * re))
+            for k, l, d, re, im in self.rows
+            for key, n, (wr, wi) in (((k - 1, l, d), k, wd), ((k, l - 1, d), l, wdbar))
+            if n
+        ), self.den)
 
     def laplace(self) -> "WeylElement":
         """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2."""
-        return WeylElement._sum(
-            ((k - 1, l - 1), c.scale(4 * k * l)) for (k, l), c in self.terms if k and l
-        )
+        return _element((
+            ((k - 1, l - 1, d), 4 * k * l * re, 4 * k * l * im)
+            for k, l, d, re, im in self.rows
+            if k and l
+        ), self.den)
 
     def shift_hbar(self, j: int) -> "WeylElement":
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""
-        return WeylElement._sum((kl, c.shift(j)) for kl, c in self.terms)
+        if any(d + j < 0 for _, _, d, _, _ in self.rows):
+            raise ValueError("not divisible by the requested power of h")
+        return _element((((k, l, d + j), re, im) for k, l, d, re, im in self.rows), self.den)
 
     def __str__(self) -> str:
         from .render import weyl_text
@@ -321,6 +330,8 @@ class WeylElement(Ring):
 
 
 WeylLike = Union[WeylElement, HbarPoly, GaussRational, int, Fraction]
+
+_MINUS_HALF_I = GaussRational(0, Fraction(-1, 2))
 
 ZERO = WeylElement()
 ONE = WeylElement.basis(0, 0)
@@ -334,6 +345,19 @@ V = WeylElement(
         (0, 1): GaussRational(0, Fraction(1, 2)),
     }
 )
+
+
+def uv_rows(rows: Iterable[Row]) -> list[Row]:
+    """Rows of an element rewritten in U,V order, ``(p, q, h-degree, re, im)``
+    over the same denominator: one integer accumulation of each row's
+    coefficient times the rows of :func:`uv_table`, zero rows dropped, in no
+    particular order."""
+    acc = _accumulate({}, (
+        ((p, q, d + e), re * tr - im * ti, re * ti + im * tr)
+        for k, l, d, re, im in rows
+        for p, q, e, tr, ti in uv_table(k, l)
+    ))
+    return [(p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im]
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -353,19 +377,13 @@ def symmetric_product_sum(
     """
     rx, dx = _rows(xs)
     ry, dy = _rows(ys)
-    acc: dict = {}
-    for a, b in zip(rx, ry):
-        _add_products(acc, a, b)
     if all(map(_is_hermitian, rx + ry)):
-        p, acc = acc, {}
-        for (k, l, d), (re, im) in p.items():
-            for key, part in (((k, l, d), im), ((l, k, d), -im)):
-                cur = acc.get(key)
-                acc[key] = (re, part) if cur is None else (cur[0] + re, cur[1] + part)
+        p = _accumulate({}, chain.from_iterable(map(_products, rx, ry)))
+        items = (t for (k, l, d), (re, im) in p.items()
+                 for t in (((k, l, d), re, im), ((l, k, d), re, -im)))
     else:
-        for a, b in zip(rx, ry):
-            _add_products(acc, b, a)
-    return _element(acc, 2 * dx * dy)
+        items = chain.from_iterable(map(_products, rx + ry, ry + rx))
+    return _element(items, 2 * dx * dy)
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

@@ -15,9 +15,10 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
+from weylmin.classical import UVPoly
 from weylmin.fock import _TERM_CUTOFF, _real_type, ladder
-from weylmin.scalars import GaussRational, HbarPoly
-from weylmin.weyl import Direction, WeylElement
+from weylmin.scalars import GR_I, GaussRational, HbarPoly, bidegree_order, canon
+from weylmin.weyl import Direction, WeylElement, uv_table
 
 Word = Tuple[str, ...]
 Coeff = Dict[int, GaussRational]  # hbar degree -> Gaussian rational
@@ -87,6 +88,83 @@ def bilinear_literal(xs, ys) -> WeylElement:
     for x, y in zip(xs, ys):
         total = total + weyl_product_by_swaps(x, y) + weyl_product_by_swaps(y, x)
     return total.scale(Fraction(1, 2))
+
+
+# -- WeylElement operations term by term, on HbarPoly coefficients ------------
+#
+# Each returns the canonical ``((k, l), HbarPoly)`` tuple that ``.terms`` of
+# the flat result must equal; the arithmetic is HbarPoly/GaussRational
+# throughout and the terms are summed by ``canon``.
+
+
+def terms_sum(a: WeylElement, b: WeylElement) -> tuple:
+    return canon(a.terms + b.terms, bidegree_order)
+
+
+def terms_scale(a: WeylElement, c) -> tuple:
+    co = HbarPoly.coerce(c)
+    return canon(((kl, p * co) for kl, p in a.terms), bidegree_order)
+
+
+def terms_star(a: WeylElement) -> tuple:
+    return canon((((l, k), p.conjugate()) for (k, l), p in a.terms), bidegree_order)
+
+
+# d and dbar weights: u = d + dbar, v = i(d - dbar)
+_TERM_WEIGHTS = {
+    Direction.D: (1, 0),
+    Direction.DBAR: (0, 1),
+    Direction.U: (1, 1),
+    Direction.V: (GR_I, -GR_I),
+}
+
+
+def terms_derive(a: WeylElement, direction: Direction) -> tuple:
+    wd, wdbar = _TERM_WEIGHTS[direction]
+    out = []
+    for (k, l), p in a.terms:
+        if k and wd:
+            out.append(((k - 1, l), p.scale(wd * k)))
+        if l and wdbar:
+            out.append(((k, l - 1), p.scale(wdbar * l)))
+    return canon(out, bidegree_order)
+
+
+def terms_laplace(a: WeylElement) -> tuple:
+    return canon(
+        (((k - 1, l - 1), p.scale(4 * k * l)) for (k, l), p in a.terms if k and l),
+        bidegree_order,
+    )
+
+
+def terms_shift_hbar(a: WeylElement, j: int) -> tuple:
+    return canon(((kl, p.shift(j)) for kl, p in a.terms), bidegree_order)
+
+
+def terms_uv_ordered(a: WeylElement) -> tuple:
+    """``render.uv_ordered_terms``: each coefficient times its uv_table rows."""
+    return canon(
+        (
+            ((p, q), c.shift(d).scale(GaussRational(re, im)))
+            for (k, l), c in a.terms
+            for p, q, d, re, im in uv_table(k, l)
+        ),
+        lambda pair: (pair[0][0] + pair[0][1], -pair[0][0]),
+    )
+
+
+def terms_classical_limit(a: WeylElement) -> UVPoly:
+    """``classical.classical_limit``: the h-free coefficients times the
+    h-free uv_table rows."""
+    out = []
+    for (k, l), c in a.terms:
+        c0 = c.coeff(0)
+        out.extend(
+            ((p, q), c0 * GaussRational(re, im))
+            for p, q, d, re, im in uv_table(k, l)
+            if not d
+        )
+    return UVPoly(out)
 
 
 def uv_word_normal_order(word: Iterable[str]) -> Dict[Tuple[int, int], HbarPoly]:

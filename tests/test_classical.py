@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import classical_point, random_weyl, uv_dict_point
+from oracles import classical_point, random_weyl, terms_classical_limit, uv_dict_point
 from weylmin.classical import UVPoly, classical_limit, classical_limit_fraction
 from weylmin.weyl import HBAR, LAM, LAM_STAR, U, V
 
@@ -36,6 +36,12 @@ class TestLimit:
                 want = classical_point(a.real_part(), u, v)
                 assert want.im == 0
                 assert uv_dict_point(lim, u, v) == want.re
+
+    def test_against_per_term_reference(self):
+        rng = random.Random(32)
+        for _ in range(30):
+            a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
+            assert classical_limit(a) == terms_classical_limit(a)
 
     def test_limit_is_multiplicative(self):
         # h -> 0 kills the commutator, so the limit is a ring map

@@ -7,7 +7,7 @@ import pytest
 
 from weylmin.cli import main
 from weylmin.parse import parse_weyl
-from weylmin.serialize import surface_from_obj
+from weylmin.serialize import surface_from_obj, surface_to_obj
 from weylmin.surfaces import enneper
 from weylmin.weyl import Direction
 
@@ -125,6 +125,62 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--in", str(deep))
         assert code == 2
         assert err.startswith("input error:")
+
+
+class TestVerifyInputErrors:
+    """Malformed surface documents end in exit 2 and a message, never a traceback."""
+
+    def verify_edited(self, tmp_path, capsys, edit):
+        doc = surface_to_obj(enneper(1))  # f and g are "rat" parameters
+        edit(doc)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "verify", "--in", str(path))
+
+    # Where each integer field of the format sits in that document.
+    INT_FIELDS = [
+        (("components", 0, 0), "k"),
+        (("components", 0, 0), "l"),
+        (("components", 0, 0, "coeff", 0), "hbar_deg"),
+        (("components", 0, 0, "coeff", 0), "re_num"),
+        (("components", 0, 0, "coeff", 0), "re_den"),
+        (("components", 0, 0, "coeff", 0), "im_num"),
+        (("components", 0, 0, "coeff", 0), "im_den"),
+        (("provenance", "primitives", 0, 0), "deg"),
+        (("provenance", "params", 1, "value", "num", 0), "deg"),
+        (("offsets", 0), "num"),
+        (("offsets", 0), "den"),
+        ((), "n"),
+    ]
+
+    @pytest.mark.parametrize("path,field", INT_FIELDS)
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, None, [3], "1"])
+    def test_integer_fields_accept_only_json_integers(self, tmp_path, capsys, path, field, value):
+        def edit(doc):
+            rec = doc
+            for key in path:
+                rec = rec[key]
+            rec[field] = value
+
+        code, out, err = self.verify_edited(tmp_path, capsys, edit)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and repr(field) in err
+        assert "Traceback" not in err
+
+    def test_zero_denominator_field(self, tmp_path, capsys):
+        def edit(doc):
+            doc["components"][0][0]["coeff"][0]["re_den"] = 0
+
+        code, _, err = self.verify_edited(tmp_path, capsys, edit)
+        assert code == 2 and "'re_den' must be nonzero" in err
+
+    def test_rat_parameter_with_zero_denominator(self, tmp_path, capsys):
+        def edit(doc):
+            doc["provenance"]["params"][0]["value"]["den"] = []
+
+        code, out, err = self.verify_edited(tmp_path, capsys, edit)
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and "zero denominator" in err
 
 
 class TestConjugateCommand:

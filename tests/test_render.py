@@ -4,7 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 
-from oracles import random_poly_lambda, random_rat, random_weyl, uv_word_normal_order
+from oracles import (
+    random_poly_lambda,
+    random_rat,
+    random_weyl,
+    terms_uv_ordered,
+    uv_word_normal_order,
+)
 from weylmin.parse import parse_rat, parse_weyl
 from weylmin.render import (
     poly_lambda_text,
@@ -52,6 +58,15 @@ class TestUvOrdering:
             for (p, q), coeff in uv_ordered_terms(a):
                 total = total + (U**p * V**q).scale(coeff)
             assert total == a
+
+    def test_against_per_term_reference(self):
+        # non-integral coefficients, h-degree up to 2, cancelling rows
+        rng = random.Random(62)
+        for _ in range(30):
+            a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
+            assert uv_ordered_terms(a) == terms_uv_ordered(a)
+        assert uv_ordered_terms(ZERO) == terms_uv_ordered(ZERO) == ()
+        assert uv_ordered_terms(U * V - V * U) == terms_uv_ordered(U * V - V * U)
 
     def test_against_word_rewriter(self):
         # rendering V^2 U in UV order must match the single-swap oracle

@@ -64,6 +64,12 @@ class TestRatObjects:
         p = parse_rat("1+2*L^3").as_poly()
         assert poly_from_obj(poly_to_obj(p)) == p
 
+    def test_zero_denominator_rejected(self):
+        obj = rat_to_obj(parse_rat("1/L"))
+        obj["den"] = []
+        with pytest.raises(DeserializeError, match="zero denominator"):
+            rat_from_obj(obj)
+
 
 class TestSurfaceDocuments:
     def test_schema_and_kind(self):

@@ -2,12 +2,20 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from oracles import (
     lambda_word_normal_order,
+    random_gauss,
     random_weyl,
+    terms_derive,
+    terms_laplace,
+    terms_scale,
+    terms_shift_hbar,
+    terms_star,
+    terms_sum,
     uv_word_normal_order,
     weyl_product_by_swaps,
 )
@@ -110,6 +118,87 @@ class TestFlatProduct:
         a, b = LAM + LAM_STAR, LAM - LAM_STAR
         want = LAM**2 - LAM_STAR**2 - HBAR.scale(2)
         assert a * b == weyl_product_by_swaps(a, b) == want
+
+
+class TestFlatStorage:
+    """Rows and den against the per-term HbarPoly references, and the
+    canonical form: equal elements have equal rows, den and hash."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operations_against_per_term_references(self, seed):
+        # non-integral coefficients, h-degree up to 2
+        rng = random.Random(200 + seed)
+        for _ in range(5):
+            a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
+            b = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
+            c = HbarPoly({0: random_gauss(rng), 2: random_gauss(rng)})
+            assert (a + b).terms == terms_sum(a, b)
+            assert (a - a).terms == terms_sum(a, -a) == ()
+            assert (-b).terms == terms_scale(b, -1)
+            assert a.scale(c).terms == terms_scale(a, c)
+            assert a.scale(Fraction(-2, 3)).terms == terms_scale(a, Fraction(-2, 3))
+            assert a.star().terms == terms_star(a)
+            for d in Direction:
+                assert a.derive(d).terms == terms_derive(a, d)
+            assert a.laplace().terms == terms_laplace(a)
+            assert a.shift_hbar(2).terms == terms_shift_hbar(a, 2)
+            assert (a * HBAR).shift_hbar(-1).terms == terms_shift_hbar(a * HBAR, -1) == a.terms
+            for x in (a, b, a + b, a * b, a.derive(Direction.V)):
+                self.assert_canonical(x)
+
+    @staticmethod
+    def assert_canonical(x):
+        assert x.den > 0
+        assert gcd(x.den, *(n for *_, re, im in x.rows for n in (re, im))) == 1
+        assert all(re or im for *_, re, im in x.rows)
+        assert list(x.rows) == sorted(x.rows, key=lambda r: (r[0] + r[1], r[0], r[2]))
+        assert len({r[:3] for r in x.rows}) == len(x.rows)
+        assert WeylElement(x.terms) == x
+        assert x.is_zero() == (x.terms == ())
+
+    def assert_same(self, x, y):
+        assert x == y
+        assert (x.rows, x.den, hash(x)) == (y.rows, y.den, hash(y))
+
+    def test_equal_elements_by_different_routes(self):
+        for x in rand_elems(210, 6, max_deg=5, terms=5, max_hbar=2):
+            self.assert_same(x.scale(Fraction(1, 3)).scale(3), x)
+            self.assert_same(x + x - x, x)
+            self.assert_same(x.star().star(), x)
+            self.assert_same(WeylElement(x.terms), x)
+            self.assert_same(WeylElement(dict(x.terms)), x)
+            self.assert_same(x - x, ZERO)
+        half = LAM.scale(Fraction(1, 2))
+        self.assert_same(half + half, LAM)
+        assert (half + half).den == 1 and half.den == 2
+        self.assert_same(U + I * V, LAM)
+        assert ZERO.rows == () and ZERO.den == 1
+        assert (U - U).den == 1
+
+    def test_terms_view(self):
+        x = HBAR.scale(Fraction(-3, 2)) * U + LAM_STAR.scale(GaussRational(Fraction(1, 3), 2))
+        assert x.rows == ((0, 1, 0, 4, 24), (0, 1, 1, -9, 0), (1, 0, 1, -9, 0))
+        assert x.den == 12
+        minus_3_4 = GaussRational(Fraction(-3, 4))
+        assert x.terms == (
+            ((0, 1), HbarPoly({0: GaussRational(Fraction(1, 3), 2), 1: minus_3_4})),
+            ((1, 0), HbarPoly({1: minus_3_4})),
+        )
+        assert x.term(0, 1) == x.terms[0][1] and x.term(3, 3) == HbarPoly()
+        assert x.bidegrees() == ((0, 1), (1, 0))
+
+    def test_constructor_checks(self):
+        with pytest.raises(ValueError, match="negative monomial degree"):
+            WeylElement({(-1, 2): 1})
+        with pytest.raises(ValueError):
+            WeylElement({(0, 0): HbarPoly({-1: 1})})
+        with pytest.raises(TypeError):
+            WeylElement({(0, 0): 1.5})
+        with pytest.raises(TypeError):
+            U.scale(V)
+        # equal bidegrees are summed, zero sums dropped
+        assert WeylElement([((1, 0), 1), ((1, 0), -1)]) == ZERO
+        assert WeylElement([((1, 0), 1), ((1, 0), 1)]) == LAM.scale(2)
 
 
 class TestStar:
