@@ -2,8 +2,7 @@
 
 The package works over the Gaussian rationals with a formal central
 parameter ``h`` (Planck's constant), so every identity it reports is
-exact: no floating point enters outside the truncated Fock-space
-module.  The main layers are
+exact.  The main layers are
 
 * :mod:`weylmin.scalars` -- the sparse-polynomial kernel every exact
   type shares (operators, canonical form, Euclid), Gaussian-rational
@@ -16,18 +15,20 @@ module.  The main layers are
   the exact minimality verifier, conjugate surfaces, and curvature
   checks;
 * :mod:`weylmin.classical` -- the commutative ``h -> 0`` limit;
-* :mod:`weylmin.fock` -- floating-point validation of the catenoid on
-  a truncated Fock space;
+* :mod:`weylmin.fock` -- validation of the catenoid on a truncated Fock
+  space, with residuals computed exactly and rounded once;
 * :mod:`weylmin.parse` / :mod:`weylmin.render` /
   :mod:`weylmin.serialize` -- expression parsing, text/LaTeX output,
   and the canonical JSON interchange format;
 * :mod:`weylmin.cli` -- the ``weylmin`` command-line tool.
 
-Only :mod:`weylmin.fock` needs numpy, and it is loaded on first use: the
-package resolves its five exported names (``FockConfig``, ``catenoid``,
-``exp_lambda``, ``exp_tail_bound``, ``residual_report``) on demand, and
-the CLI imports it only for ``fock`` commands.  Importing the package,
-or running any exact command, never loads numpy.
+Only the Fock matrices need numpy: :func:`weylmin.fock.catenoid` and
+:func:`weylmin.fock.exp_lambda` import it when called.  The package
+resolves the Fock layer's five exported names (``FockConfig``,
+``catenoid``, ``exp_lambda``, ``exp_tail_bound``, ``residual_report``)
+on demand, and the CLI imports the layer only for ``fock`` commands.
+Importing the package, or running any command, ``fock catenoid``
+included, never loads numpy.
 """
 
 from .classical import UVPoly, classical_limit, classical_limit_fraction

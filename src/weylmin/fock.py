@@ -1,7 +1,7 @@
-"""Truncated Fock-space representation and the catenoid residual check.
+"""Truncated Fock-space representation and the exact catenoid residual check.
 
 The algebra acts on the harmonic-oscillator basis |0>, ..., |dim-1> via
-the annihilation matrix ``a|n> = sqrt(n)|n-1>`` and its transpose, with
+the annihilation operator ``a|n> = sqrt(n)|n-1>`` and its adjoint, with
 
     L = sqrt(2 hbar) a,      U = sqrt(hbar/2)(a + a^T),
     Ls = sqrt(2 hbar) a^T,   V = i sqrt(hbar/2)(a^T - a).
@@ -19,42 +19,38 @@ column n admits the explicit bound
 
 which :func:`exp_tail_bound` computes and residual reports include.
 
-Residuals in :func:`residual_report` are evaluated with extended-precision
-matrices (long double) so that the truncation error, not double-precision
-roundoff, dominates and keeps shrinking as dim grows.
+:func:`residual_report` is exact.  In the basis f_n = Ls^n|0> =
+sqrt(n! s^n)|n>, with s = 2 hbar taken as the exact rational value of the
+float ``hbar``, L has s*n above the diagonal and Ls has 1 below it, so
+every entry of the four exponentials is rational:
 
-L and Ls are single off-diagonals, and U and V are their sums, so
-:func:`derive_matrix` forms each commutator ``[M, B]`` from shifted,
-scaled copies of M's rows and columns: O(dim^2) work instead of two
-dense O(dim^3) products.  Each entry of ``M B`` is at most two products
-added, rounded exactly as numpy's own (non-BLAS) long-double matmul
-rounds them, so long-double results equal the dense commutator bit for
-bit.  :func:`exp_lambda` steps the series offset k and updates every
-live column at once, again in the scalar recurrence's operation order.
+    e^{+-L}[n-k, n] = (+-s)^k C(n, k),    e^{+-Ls}[n+k, n] = (+-1)^k / k!,
+
+and an entry M'[m, n] in this basis has |M[m, n]|^2 = |M'[m, n]|^2 m! s^m
+/ (n! s^n) in the orthonormal one.  The derivations are commutators,
+which a change of basis keeps, so the residuals are exact rationals and
+become floats once, at the end.  They measure truncation alone: no
+roundoff enters.
+
+:func:`catenoid` and :func:`exp_lambda` return numpy matrices and import
+numpy when called; nothing else here needs it.
 
 ``dim`` is capped at :data:`MAX_DIM`; a larger value is refused before
-any matrix is allocated.
+any work is done.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
-
-import numpy as np
-
-from .weyl import Direction, WeylElement
 
 __all__ = [
     "FockConfig",
-    "ladder",
-    "weyl_matrix",
     "exp_lambda",
     "exp_tail_bound",
     "catenoid",
-    "derive_matrix",
-    "laplace_matrix",
     "residual_report",
 ]
 
@@ -90,65 +86,9 @@ class FockConfig:
         return math.sqrt(2.0 * self.hbar)
 
 
-def _real_type(dtype):
-    return np.zeros(0, dtype=dtype).real.dtype.type
-
-
-def ladder(config: FockConfig, dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
-    """The annihilation matrix and its transpose.
-
-    Square roots are taken in the real precision matching dtype, so
-    long-double runs are long-double throughout.
-    """
-    rt = _real_type(dtype)
-    root = np.sqrt(np.arange(1, config.dim, dtype=rt))
-    a = np.diag(root.astype(dtype), k=1)
-    return a, a.T.copy()
-
-
-def _band(config: FockConfig, dtype) -> np.ndarray:
-    """L's superdiagonal, which is also Ls's subdiagonal: sqrt(2 hbar n)
-    for n = 1..dim-1, rounded as ``sqrt(2 hbar) * sqrt(n)``."""
-    rt = _real_type(dtype)
-    root = np.sqrt(np.arange(1, config.dim, dtype=rt))
-    return np.sqrt(rt(2.0) * rt(config.hbar)) * root.astype(dtype)
-
-
-def _generators(config: FockConfig, dtype):
-    band = _band(config, dtype)
-    lam = np.diag(band, k=1)
-    lam_star = np.diag(band, k=-1)
-    rt = _real_type(dtype)
-    u = (lam + lam_star) / rt(2.0)
-    v = -1j * (lam - lam_star) / rt(2.0)
-    return lam, lam_star, u, v
-
-
-def weyl_matrix(a: WeylElement, config: FockConfig, dtype=np.complex128) -> np.ndarray:
-    """Represent a normal-ordered element as a dim x dim matrix."""
-    lam, lam_star, _, _ = _generators(config, dtype)
-    dim = config.dim
-    max_k = max((k for (k, _), _ in a.terms), default=0)
-    max_l = max((l for (_, l), _ in a.terms), default=0)
-    pow_l = [np.eye(dim, dtype=dtype)]
-    for _ in range(max_k):
-        pow_l.append(pow_l[-1] @ lam)
-    pow_s = [np.eye(dim, dtype=dtype)]
-    for _ in range(max_l):
-        pow_s.append(pow_s[-1] @ lam_star)
-    out = np.zeros((dim, dim), dtype=dtype)
-    for (k, l), c in a.terms:
-        out += c.evaluate(config.hbar) * (pow_l[k] @ pow_s[l])
-    return out
-
-
-def exp_lambda(
-    config: FockConfig,
-    sign: int = 1,
-    dagger: bool = False,
-    dtype=np.complex128,
-) -> np.ndarray:
-    """exp(sign * L) or exp(sign * Ls) on the truncated space.
+def exp_lambda(config: FockConfig, sign: int = 1, dagger: bool = False, dtype=None):
+    """exp(sign * L) or exp(sign * Ls) on the truncated space, as a numpy
+    matrix of ``dtype`` (default complex128).
 
     Entries come from the scalar recurrences
 
@@ -163,10 +103,13 @@ def exp_lambda(
     the matrix is exact; for the creation exponential rows stop at dim-1
     and the discarded tail is bounded by :func:`exp_tail_bound`.
     """
+    import numpy as np
+
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     dim = config.dim
-    rt = _real_type(dtype)
+    dtype = np.complex128 if dtype is None else dtype
+    rt = np.finfo(dtype).dtype.type
     c = rt(sign) * np.sqrt(rt(2.0) * rt(config.hbar))
     out = np.eye(dim, dtype=dtype)
     # Column n runs while k <= dim-1-n (creation) or k <= n (annihilation),
@@ -205,105 +148,166 @@ def exp_tail_bound(config: FockConfig) -> float:
     return worst
 
 
-def catenoid(config: FockConfig, dtype=np.complex128) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The catenoid components on the truncated Fock space.
+def catenoid(config: FockConfig, dtype=None):
+    """The catenoid components on the truncated Fock space, as numpy
+    matrices of ``dtype`` (default complex128).
 
     X1 = (e^L + e^-L + e^Ls + e^-Ls)/4
     X2 = -(i/4)(e^L - e^-L - e^Ls + e^-Ls)
     X3 = U
     """
-    return _catenoid(config, dtype)[0]
+    import numpy as np
 
-
-def _catenoid(config: FockConfig, dtype):
-    """The catenoid components, and e^L and e^-L for the isotropy check."""
-    ep = exp_lambda(config, 1, False, dtype)
-    em = exp_lambda(config, -1, False, dtype)
-    epd = exp_lambda(config, 1, True, dtype)
-    emd = exp_lambda(config, -1, True, dtype)
+    ep, em, epd, emd = (
+        exp_lambda(config, sign, dagger, dtype) for dagger in (False, True) for sign in (1, -1)
+    )
     x1 = 0.25 * (ep + em + epd + emd)
     x2 = -0.25j * (ep - em - epd + emd)
-    _, _, u, _ = _generators(config, dtype)
-    return (x1, x2, u), (ep, em)
+    rt = np.finfo(x1.dtype).dtype.type
+    band = np.sqrt(rt(2.0) * rt(config.hbar)) * np.sqrt(np.arange(1, config.dim, dtype=rt))
+    u = (np.diag(band, k=1) + np.diag(band, k=-1)).astype(x1.dtype) / rt(2.0)
+    return x1, x2, u
 
 
-def _commutator(m: np.ndarray, sup, sub) -> np.ndarray:
-    """[M, B] for B with superdiagonal ``B[j-1, j] = sup[j-1]`` and
-    subdiagonal ``B[j+1, j] = sub[j]`` (either may be None)."""
-    mb = np.zeros_like(m)
-    bm = np.zeros_like(m)
-    if sup is not None:
-        mb[:, 1:] = m[:, :-1] * sup
-        bm[:-1, :] = sup[:, None] * m[1:, :]
-    if sub is not None:
-        mb[:, :-1] += m[:, 1:] * sub
-        bm[1:, :] += sub[:, None] * m[:-1, :]
-    return mb - bm
+# -- exact residuals in the basis f_n = Ls^n |0> -----------------------------
 
 
-def derive_matrix(
-    m: np.ndarray, direction: Direction, config: FockConfig
-) -> np.ndarray:
-    """The derivations as commutators, e.g. d_u M = (1/i hbar)[M, V].
+def _weight(m: int, n: int, s: Fraction) -> Fraction:
+    """|M[m, n]|^2 / |M'[m, n]|^2 = m! s^m / (n! s^n)."""
+    return s ** (m - n) * Fraction(math.factorial(m), math.factorial(n))
 
-    The band entries are those :func:`_generators` computes: U carries
-    half of L's band on both off-diagonals, and V carries -i/2 times it
-    above the diagonal and +i/2 times it below.
+
+def _lap_entry(entry, m: int, n: int, dim: int, s: Fraction) -> Fraction:
+    """(lap M')[m, n] from the entries ``entry(i, j)`` of M': lap M =
+    -([[M, L], Ls] + [[M, Ls], L]) / (2 hbar^2) = -(D M + M D - 2 L M Ls -
+    2 Ls M L) / (2 hbar^2), with D = L Ls + Ls L diagonal, s (2i + 1) except
+    D[dim-1, dim-1] = s (dim-1) in the truncated corner."""
+
+    def diag(i: int) -> Fraction:
+        return s * (2 * i + 1 if i < dim - 1 else dim - 1)
+
+    c = (diag(m) + diag(n)) * entry(m, n)
+    if m + 1 < dim and n + 1 < dim:
+        c -= 2 * s * (m + 1) * entry(m + 1, n + 1)
+    if m and n:
+        c -= 2 * s * n * entry(m - 1, n - 1)
+    return -2 * c / (s * s)
+
+
+def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> Fraction:
+    """Largest squared window-column norm of lap X1 (``parity`` 0) or of
+    lap X2 (``parity`` 1).
+
+    e^{+-L} commute with L, and [L, Ls] = s except in the truncated corner,
+    so on columns n < dim-1 the Laplacian of e^{+-L} vanishes and that of
+    e^{+-Ls} is -(dim/hbar) e^{+-Ls}[dim-1, n], in row dim-1 alone.  Column
+    n of lap X1 or lap X2 thus holds (dim/s)/k!, k = dim-1-n, up to sign
+    when k has the component's parity, and zero otherwise: its squared
+    norm is t_k = ((dim/s)/k!)^2 (dim-1)!/n! s^k.
+
+    Column dim-1, when the window reaches it, holds lap e^{+-L} instead: its
+    squared norm is the sum of t_k over every k >= 1 of the parity (summed
+    by Horner's rule in s), which exceeds each term.  Elsewhere t_{k-2}/t_k
+    = k^2 (k-1)^2 / (s^2 (n+1)(n+2)) falls as n grows, so along one parity
+    the norms rise to one peak and fall: the walk finds it comparing small
+    numbers, and forms one large rational.
     """
-    rt = _real_type(m.dtype)
-    lam = _band(config, m.dtype)
-    h = config.hbar
-    if direction is Direction.U:
-        return _commutator(m, -1j * lam / rt(2.0), -1j * (-lam) / rt(2.0)) / (1j * h)
-    if direction is Direction.V:
-        half = lam / rt(2.0)
-        return -_commutator(m, half, half) / (1j * h)
-    if direction is Direction.D:
-        return _commutator(m, None, lam) / (2.0 * h)
-    if direction is Direction.DBAR:
-        return -_commutator(m, lam, None) / (2.0 * h)
-    raise ValueError(f"unknown direction {direction!r}")
+    top = dim - 1
+    if window == top:
+        acc = Fraction(0)  # sum of C(top, k)/k! s^(k-1) over k >= 1 of the parity
+        for k in range(top, 0, -1):
+            acc = acc * s + (Fraction(math.comb(top, k), math.factorial(k)) if k % 2 == parity else 0)
+        return (dim / s) ** 2 * acc * s
+    n = (top - parity) % 2  # the first column whose k has the parity
+    while n + 2 <= window:
+        k = top - n
+        if k * k * (k - 1) * (k - 1) <= s * s * (n + 1) * (n + 2):
+            break
+        n += 2
+    return (dim / s / math.factorial(top - n)) ** 2 * _weight(top, n, s)
 
 
-def laplace_matrix(m: np.ndarray, config: FockConfig) -> np.ndarray:
-    """lap M = d_u^2 M + d_v^2 M on the truncated space."""
-    du = derive_matrix(derive_matrix(m, Direction.U, config), Direction.U, config)
-    dv = derive_matrix(derive_matrix(m, Direction.V, config), Direction.V, config)
-    return du + dv
+def _u_part(dim: int, s: Fraction, window: int) -> Fraction:
+    """Largest squared window-column norm of lap X3 = lap U.
+
+    U' = (L' + Ls')/2 lives on the two diagonals next to the main one, and
+    the Laplacian keeps every diagonal, so each column has two entries.
+    """
+
+    def u(i: int, j: int) -> Fraction:
+        return s * j / 2 if i == j - 1 else Fraction(1, 2) if i == j + 1 else Fraction(0)
+
+    worst = Fraction(0)
+    for n in range(window + 1):
+        sq = Fraction(0)
+        for m in (n - 1, n + 1):
+            if 0 <= m < dim:
+                sq += _lap_entry(u, m, n, dim, s) ** 2 * _weight(m, n, s)
+        worst = max(worst, sq)
+    return worst
 
 
-def _window_norm(m: np.ndarray, safe_rows: int) -> float:
-    """Largest column norm over the safe window n <= safe_rows."""
-    cols = m[:, : safe_rows + 1]
-    return float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
+def _isotropy_part(s: Fraction, window: int) -> Fraction:
+    """Largest squared window-column norm of Phi1^2 + Phi2^2 + Phi3^2.
+
+    With Phi1 = (e^L - e^-L)/2, Phi2 = -(i/2)(e^L + e^-L), Phi3 = 1 and
+    e^{+-L} commuting, the sum is 1 - e^L e^-L, and
+
+        (e^L e^-L)[m, n] = sum_j s^(j-m) C(j, m) (-s)^(n-j) C(n, j)
+                         = s^d C(n, m) sum_i (-1)^i C(d, i),   d = n - m,
+
+    so each column takes one row of Pascal's triangle and the alternating
+    sums of the earlier rows: O(window^2) integer work.
+    """
+    worst = Fraction(0)
+    row, alt = [1], []  # row n of Pascal's triangle; alt[d] = sum_i (-1)^i C(d, i)
+    for n in range(window + 1):
+        alt.append(sum(row[0::2]) - sum(row[1::2]))
+        sq = Fraction(0)
+        for d in range(n + 1):
+            g = (d == 0) - row[n - d] * alt[d]  # (1 - e^L e^-L)[n-d, n] / s^d
+            if g:
+                sq += (s**d * g) ** 2 * _weight(n - d, n, s)
+        worst = max(worst, sq)
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+    return worst
+
+
+def _root(sq: Fraction) -> float:
+    """sqrt(sq), rounded once from the exact square (taken to 220 bits), so
+    0.0 means underflow and OverflowError a root too large for a float."""
+    n, d = sq.numerator, sq.denominator
+    shift = max(0, 220 - n.bit_length() + d.bit_length()) // 2
+    return math.ldexp(float(math.isqrt((n << 2 * shift) // d)), -shift)
+
+
+def _squared_residuals(config: FockConfig) -> dict[str, Fraction]:
+    """The exact squared residuals that :func:`residual_report` rounds."""
+    s = 2 * Fraction(config.hbar)
+    dim, window = config.dim, config.safe_rows
+    return {
+        "X1": _exp_part(dim, s, window, 0),
+        "X2": _exp_part(dim, s, window, 1),
+        "X3": _u_part(dim, s, window),
+        "phi_isotropy": _isotropy_part(s, window),
+    }
 
 
 def residual_report(config: FockConfig) -> dict:
     """Catenoid residuals on the safe window, with the truncation bound.
 
-    Residuals are the column norms of lap(X^i) for the three components
-    and of Phi1^2 + Phi2^2 + Phi3^2 for the isotropy identity, where
-    Phi1 = (e^L - e^-L)/2, Phi2 = -(i/2)(e^L + e^-L), Phi3 = 1.
-    Matrices are built and multiplied in long-double precision so the
-    numbers reflect truncation rather than roundoff.  The isotropy sum is
-    formed on the window columns only: each column of a product depends
-    on that column of the right factor alone.
+    Residuals are the largest column norms, over the window, of lap(X^i)
+    for the three components and of Phi1^2 + Phi2^2 + Phi3^2 for the
+    isotropy identity, where Phi1 = (e^L - e^-L)/2, Phi2 = -(i/2)(e^L +
+    e^-L), Phi3 = 1.  They are computed exactly (see the module docstring)
+    and rounded to floats once, at the end, so a residual reads 0.0 only
+    when it is exactly zero or below the smallest float; one too large for
+    a float raises OverflowError.
     """
-    dtype = np.clongdouble
-    (x1, x2, x3), (ep, em) = _catenoid(config, dtype)
-    res = {
-        name: _window_norm(laplace_matrix(x, config), config.safe_rows)
-        for name, x in (("X1", x1), ("X2", x2), ("X3", x3))
-    }
-    phi1 = 0.5 * (ep - em)
-    phi2 = -0.5j * (ep + em)
-    cols = config.safe_rows + 1
-    iso = phi1 @ phi1[:, :cols] + phi2 @ phi2[:, :cols] + np.eye(config.dim, cols, dtype=dtype)
-    res["phi_isotropy"] = _window_norm(iso, config.safe_rows)
     return {
         "dim": config.dim,
         "hbar": config.hbar,
         "safe_rows": config.safe_rows,
-        "residuals": res,
+        "residuals": {name: _root(sq) for name, sq in _squared_residuals(config).items()},
         "tail_bound": exp_tail_bound(config),
     }

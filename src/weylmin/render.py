@@ -31,23 +31,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # -- coefficient formatting --------------------------------------------------
 
 
-def _gauss_text(c: GaussRational) -> str:
-    if not c.im:
-        return str(c.re)
-    if not c.re:
-        if c.im == 1:
+def _gauss_text(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{c.im}*i"
-    sign = "+" if c.im > 0 else "-"
-    im = abs(c.im)
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    im = abs(im)
     im_s = "i" if im == 1 else f"{im}*i"
-    return f"({c.re} {sign} {im_s})"
+    return f"({re} {sign} {im_s})"
 
 
-def _hbar_monomial_text(deg: int, c: GaussRational) -> str:
-    cs = _gauss_text(c)
+def _hbar_monomial_text(deg: int, re: Fraction, im: Fraction) -> str:
+    cs = _gauss_text(re, im)
     if deg == 0:
         return cs
     h = "h" if deg == 1 else f"h^{deg}"
@@ -58,24 +58,6 @@ def _hbar_monomial_text(deg: int, c: GaussRational) -> str:
     if cs.startswith("(") or "*" not in cs:
         return f"{cs}*{h}"
     return f"({cs})*{h}"
-
-
-def hbar_poly_text(p: HbarPoly) -> tuple[str, bool]:
-    """Render an HbarPoly; the flag marks a single-monomial rendering."""
-    if p.is_zero():
-        return "0", True
-    parts = [_hbar_monomial_text(d, c) for d, c in p.coeffs]
-    if len(parts) == 1:
-        return parts[0], True
-    return " + ".join(parts), False
-
-
-def _coeff_prefix(p: HbarPoly) -> str:
-    """Coefficient rendering suitable for '<coeff>*<monomial>'."""
-    text, single = hbar_poly_text(p)
-    if not single:
-        return f"({text})"
-    return text
 
 
 def _join_terms(parts: list[str]) -> str:
@@ -90,16 +72,18 @@ def _join_terms(parts: list[str]) -> str:
     return out
 
 
-def _term_text(coeff: HbarPoly, monomial: str) -> str:
+def _term_text(coeffs: list[tuple[int, Fraction, Fraction]], monomial: str) -> str:
+    """``coeff*monomial`` for a coefficient given as ``(h-degree, re, im)``
+    triples; a sum of several h-powers is parenthesised."""
+    parts = [_hbar_monomial_text(*c) for c in coeffs] or ["0"]
+    text = parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"
     if not monomial:
-        text, single = hbar_poly_text(coeff)
-        return text if single else f"({text})"
-    prefix = _coeff_prefix(coeff)
-    if prefix == "1":
+        return text
+    if text == "1":
         return monomial
-    if prefix == "-1":
+    if text == "-1":
         return f"-{monomial}"
-    return f"{prefix}*{monomial}"
+    return f"{text}*{monomial}"
 
 
 # -- algebra elements --------------------------------------------------------
@@ -115,9 +99,12 @@ def _lam_monomial(k: int, l: int) -> str:
 
 
 def weyl_text(a: "WeylElement") -> str:
-    """Canonical normal-ordered text; parses back to the same element."""
-    parts = [_term_text(c, _lam_monomial(k, l)) for (k, l), c in a.terms]
-    return _join_terms(parts)
+    """Canonical normal-ordered text, written from the rows and ``den``;
+    parses back to the same element."""
+    terms: dict = {}
+    for k, l, d, re, im in a.rows:
+        terms.setdefault((k, l), []).append((d, Fraction(re, a.den), Fraction(im, a.den)))
+    return _join_terms([_term_text(cs, _lam_monomial(k, l)) for (k, l), cs in terms.items()])
 
 
 def uv_ordered_terms(a: "WeylElement") -> tuple[tuple[tuple[int, int], HbarPoly], ...]:
@@ -191,7 +178,7 @@ def poly_lambda_text(p: "PolyLambda") -> str:
     parts = []
     for d, c in p.coeffs:
         mono = "" if d == 0 else ("L" if d == 1 else f"L^{d}")
-        parts.append(_term_text(c, mono))
+        parts.append(_term_text([(j, g.re, g.im) for j, g in c.coeffs], mono))
     return _join_terms(parts)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .scalars import GaussRational, HbarPoly
 from .holomorphic import PolyLambda, RatLambda
@@ -34,18 +35,8 @@ def dumps_canonical(obj: dict) -> str:
 
 
 def _coeff_to_obj(p: HbarPoly) -> list[dict]:
-    out = []
-    for d, c in p.coeffs:
-        out.append(
-            {
-                "hbar_deg": d,
-                "re_num": c.re.numerator,
-                "re_den": c.re.denominator,
-                "im_num": c.im.numerator,
-                "im_den": c.im.denominator,
-            }
-        )
-    return out
+    return [{"hbar_deg": d, "re_num": c.re.numerator, "re_den": c.re.denominator,
+             "im_num": c.im.numerator, "im_den": c.im.denominator} for d, c in p.coeffs]
 
 
 def _field(rec: object, name: str) -> object:
@@ -93,9 +84,16 @@ def _fraction_from_obj(obj: object) -> Fraction:
 
 
 def weyl_to_obj(a: WeylElement) -> list[dict]:
-    return [
-        {"k": k, "l": l, "coeff": _coeff_to_obj(c)} for (k, l), c in a.terms
-    ]
+    """Term records written from the rows: consecutive rows share a
+    bidegree, and each numerator is reduced against ``den`` on its own."""
+    out: list[dict] = []
+    for k, l, d, re, im in a.rows:
+        if not out or (out[-1]["k"], out[-1]["l"]) != (k, l):
+            out.append({"k": k, "l": l, "coeff": []})
+        g, h = gcd(re, a.den), gcd(im, a.den)
+        out[-1]["coeff"].append({"hbar_deg": d, "re_num": re // g, "re_den": a.den // g,
+                                 "im_num": im // h, "im_den": a.den // h})
+    return out
 
 
 def weyl_from_obj(obj: object) -> WeylElement:

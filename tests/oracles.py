@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from collections import defaultdict
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from weylmin.classical import UVPoly
-from weylmin.fock import _TERM_CUTOFF, _real_type, ladder
+from weylmin.fock import _TERM_CUTOFF, exp_lambda
 from weylmin.scalars import GR_I, GaussRational, HbarPoly, bidegree_order, canon
 from weylmin.weyl import Direction, WeylElement, uv_table
 
@@ -299,7 +300,7 @@ def fock_exp_entry(lam: float, m: int, n: int, dagger: bool) -> complex:
     )
 
 
-# -- the Fock layer by dense products and scalar loops ------------------------
+# -- the long-double Fock layer by dense products and scalar loops -------------
 
 
 def schoolbook_matmul(a, b):
@@ -317,7 +318,7 @@ def schoolbook_matmul(a, b):
 def dense_generators(config, dtype):
     """L, Ls, U and V as dense matrices, scaled from the ladder matrices."""
     a, ad = ladder(config, dtype)
-    rt = _real_type(dtype)
+    rt = real_type(dtype)
     s = np.sqrt(rt(2.0) * rt(config.hbar))
     lam = s * a
     lam_star = s * ad
@@ -327,7 +328,7 @@ def dense_generators(config, dtype):
 
 
 def dense_derive_matrix(m, direction: Direction, config, matmul=np.matmul):
-    """``weylmin.fock.derive_matrix`` as two dense products per commutator."""
+    """``derive_matrix`` as two dense products per commutator."""
     lam, lam_star, u, v = dense_generators(config, m.dtype)
     h = config.hbar
     if direction is Direction.U:
@@ -342,7 +343,7 @@ def dense_derive_matrix(m, direction: Direction, config, matmul=np.matmul):
 def loop_exp_lambda(config, sign: int = 1, dagger: bool = False, dtype=np.complex128):
     """``weylmin.fock.exp_lambda`` one entry at a time, column by column."""
     dim = config.dim
-    rt = _real_type(dtype)
+    rt = real_type(dtype)
     c = rt(sign) * np.sqrt(rt(2.0) * rt(config.hbar))
     out = np.zeros((dim, dim), dtype=dtype)
     for n in range(dim):
@@ -361,6 +362,237 @@ def loop_exp_lambda(config, sign: int = 1, dagger: bool = False, dtype=np.comple
                 if abs(t) < _TERM_CUTOFF:
                     break
     return out
+
+
+# -- the long-double Fock layer -----------------------------------------------
+#
+# The route the residual report took before it became exact: numpy
+# matrices, banded commutators and window column norms, in long double.
+# It is a second, independent oracle for the report.
+
+
+def real_type(dtype):
+    return np.zeros(0, dtype=dtype).real.dtype.type
+
+
+def ladder(config, dtype=np.complex128):
+    """The annihilation matrix and its transpose.
+
+    Square roots are taken in the real precision matching dtype, so
+    long-double runs are long-double throughout.
+    """
+    rt = real_type(dtype)
+    root = np.sqrt(np.arange(1, config.dim, dtype=rt))
+    a = np.diag(root.astype(dtype), k=1)
+    return a, a.T.copy()
+
+
+def _band(config, dtype):
+    """L's superdiagonal, which is also Ls's subdiagonal: sqrt(2 hbar n)
+    for n = 1..dim-1, rounded as ``sqrt(2 hbar) * sqrt(n)``."""
+    rt = real_type(dtype)
+    root = np.sqrt(np.arange(1, config.dim, dtype=rt))
+    return np.sqrt(rt(2.0) * rt(config.hbar)) * root.astype(dtype)
+
+
+def generators(config, dtype):
+    """L, Ls, U and V as matrices built from the band."""
+    band = _band(config, dtype)
+    lam = np.diag(band, k=1)
+    lam_star = np.diag(band, k=-1)
+    rt = real_type(dtype)
+    u = (lam + lam_star) / rt(2.0)
+    v = -1j * (lam - lam_star) / rt(2.0)
+    return lam, lam_star, u, v
+
+
+def weyl_matrix(a: WeylElement, config, dtype=np.complex128):
+    """Represent a normal-ordered element as a dim x dim matrix."""
+    lam, lam_star, _, _ = generators(config, dtype)
+    dim = config.dim
+    max_k = max((k for (k, _), _ in a.terms), default=0)
+    max_l = max((l for (_, l), _ in a.terms), default=0)
+    pow_l = [np.eye(dim, dtype=dtype)]
+    for _ in range(max_k):
+        pow_l.append(pow_l[-1] @ lam)
+    pow_s = [np.eye(dim, dtype=dtype)]
+    for _ in range(max_l):
+        pow_s.append(pow_s[-1] @ lam_star)
+    out = np.zeros((dim, dim), dtype=dtype)
+    for (k, l), c in a.terms:
+        out += c.evaluate(config.hbar) * (pow_l[k] @ pow_s[l])
+    return out
+
+
+def band_commutator(m, sup, sub):
+    """[M, B] for B with superdiagonal ``B[j-1, j] = sup[j-1]`` and
+    subdiagonal ``B[j+1, j] = sub[j]`` (either may be None), from shifted,
+    scaled copies of M: each entry is at most two products added, rounded
+    as numpy's own (non-BLAS) long-double matmul rounds them."""
+    mb = np.zeros_like(m)
+    bm = np.zeros_like(m)
+    if sup is not None:
+        mb[:, 1:] = m[:, :-1] * sup
+        bm[:-1, :] = sup[:, None] * m[1:, :]
+    if sub is not None:
+        mb[:, :-1] += m[:, 1:] * sub
+        bm[1:, :] += sub[:, None] * m[:-1, :]
+    return mb - bm
+
+
+def derive_matrix(m, direction: Direction, config):
+    """The derivations as commutators, e.g. d_u M = (1/i hbar)[M, V].
+
+    U carries half of L's band on both off-diagonals, and V carries -i/2
+    times it above the diagonal and +i/2 times it below.
+    """
+    rt = real_type(m.dtype)
+    lam = _band(config, m.dtype)
+    h = config.hbar
+    if direction is Direction.U:
+        return band_commutator(m, -1j * lam / rt(2.0), -1j * (-lam) / rt(2.0)) / (1j * h)
+    if direction is Direction.V:
+        half = lam / rt(2.0)
+        return -band_commutator(m, half, half) / (1j * h)
+    if direction is Direction.D:
+        return band_commutator(m, None, lam) / (2.0 * h)
+    if direction is Direction.DBAR:
+        return -band_commutator(m, lam, None) / (2.0 * h)
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def laplace_matrix(m, config, derive=derive_matrix):
+    """lap M = d_u^2 M + d_v^2 M on the truncated space."""
+    du = derive(derive(m, Direction.U, config), Direction.U, config)
+    dv = derive(derive(m, Direction.V, config), Direction.V, config)
+    return du + dv
+
+
+def window_norm(m, safe_rows: int) -> float:
+    """Largest column norm over the safe window n <= safe_rows."""
+    cols = m[:, : safe_rows + 1]
+    return float(np.max(np.sqrt(np.sum(np.abs(cols) ** 2, axis=0))))
+
+
+def isotropy_matrix(ep, em, cols=None):
+    """Phi1^2 + Phi2^2 + 1 from e^L and e^-L; with ``cols`` only the
+    first columns, since each column of a product needs that column of
+    the right factor alone."""
+    cols = ep.shape[1] if cols is None else cols
+    phi1 = 0.5 * (ep - em)
+    phi2 = -0.5j * (ep + em)
+    return phi1 @ phi1[:, :cols] + phi2 @ phi2[:, :cols] + np.eye(ep.shape[0], cols, dtype=ep.dtype)
+
+
+def long_double_residuals(config, derive=derive_matrix, exp=exp_lambda) -> dict:
+    """The residuals of ``weylmin.fock.residual_report`` from long-double
+    matrices, the isotropy product formed on the window columns only."""
+    dtype = np.clongdouble
+    ep, em, epd, emd = (exp(config, sign, dagger, dtype) for dagger in (False, True) for sign in (1, -1))
+    x1 = 0.25 * (ep + em + epd + emd)
+    x2 = -0.25j * (ep - em - epd + emd)
+    x3 = generators(config, dtype)[2]
+    w = config.safe_rows
+    res = {
+        name: window_norm(laplace_matrix(x, config, derive), w)
+        for name, x in (("X1", x1), ("X2", x2), ("X3", x3))
+    }
+    res["phi_isotropy"] = window_norm(isotropy_matrix(ep, em, w + 1), w)
+    return res
+
+
+# -- the exact catenoid residuals, every window column -----------------------
+#
+# Sparse Fraction matrices {(row, column): value} in the basis f_n = Ls^n|0>,
+# where L' has s*n at [n-1, n] and Ls' has 1 at [n+1, n], s = 2 hbar.  The
+# exponentials are summed as power series, the Laplacian is d_u^2 + d_v^2
+# by explicit commutators, and every window column is formed in full.
+
+Sparse = Dict[Tuple[int, int], Fraction]
+
+
+def _sparse_mul(a: Sparse, b: Sparse) -> Sparse:
+    rows = defaultdict(list)
+    for (k, j), y in b.items():
+        rows[k].append((j, y))
+    out: Dict[Tuple[int, int], Fraction] = defaultdict(Fraction)
+    for (i, k), x in a.items():
+        for j, y in rows[k]:
+            out[i, j] += x * y
+    return {ij: x for ij, x in out.items() if x}
+
+
+def _sparse_sum(*scaled: Tuple[Fraction, Sparse]) -> Sparse:
+    out: Dict[Tuple[int, int], Fraction] = defaultdict(Fraction)
+    for c, m in scaled:
+        for ij, x in m.items():
+            out[ij] += c * x
+    return {ij: x for ij, x in out.items() if x}
+
+
+def _sparse_comm(a: Sparse, b: Sparse) -> Sparse:
+    return _sparse_sum((1, _sparse_mul(a, b)), (-1, _sparse_mul(b, a)))
+
+
+def _scaled_generators(dim: int, s: Fraction) -> Tuple[Sparse, Sparse]:
+    lam = {(n - 1, n): s * n for n in range(1, dim)}
+    lam_star = {(n + 1, n): Fraction(1) for n in range(dim - 1)}
+    return lam, lam_star
+
+
+def scaled_exp(a: Sparse, c: Fraction, dim: int) -> Sparse:
+    """e^{cA} for nilpotent A, column by column: sum_k (cA)^k e_n / k!."""
+    out: Sparse = defaultdict(Fraction)
+    for n in range(dim):
+        term, k = {(n, n): Fraction(1)}, 0
+        while term:
+            for ij, x in term.items():
+                out[ij] += x
+            k += 1
+            term = _sparse_sum((c / k, _sparse_mul(a, term)))
+    return out
+
+
+def exact_catenoid_residuals(config) -> Tuple[Dict[str, Sparse], Dict[str, Fraction]]:
+    """The window columns of lap X1, lap X2, lap X3 and Phi1^2 + Phi2^2 + 1
+    in the scaled basis, and the largest squared column norm of each in
+    the orthonormal one.
+
+    X2 = -i Y with Y real, so lap Y stands for lap X2: the norms agree.
+    """
+    dim, w = config.dim, config.safe_rows
+    s = 2 * Fraction(config.hbar)
+    hbar = s / 2
+    lam, lam_star = _scaled_generators(dim, s)
+    ep, em = scaled_exp(lam, Fraction(1), dim), scaled_exp(lam, Fraction(-1), dim)
+    epd, emd = scaled_exp(lam_star, Fraction(1), dim), scaled_exp(lam_star, Fraction(-1), dim)
+    q = Fraction(1, 4)
+    x1 = _sparse_sum((q, ep), (q, em), (q, epd), (q, emd))
+    y2 = _sparse_sum((q, ep), (-q, em), (-q, epd), (q, emd))
+    u = _sparse_sum((Fraction(1, 2), lam), (Fraction(1, 2), lam_star))
+    diff = _sparse_sum((1, lam), (-1, lam_star))  # i(L - Ls)/2 = -V, so d_u M = -[M, L - Ls]/(2 hbar)
+
+    def lap(m: Sparse) -> Sparse:
+        # d_u^2 M = [[M, L - Ls], L - Ls]/(4 hbar^2); d_v M = (i/hbar)[M, U] so d_v^2 M = -[[M, U], U]/hbar^2
+        return _sparse_sum(
+            (1 / (4 * hbar**2), _sparse_comm(_sparse_comm(m, diff), diff)),
+            (-1 / hbar**2, _sparse_comm(_sparse_comm(m, u), u)),
+        )
+
+    one = {(n, n): Fraction(1) for n in range(dim)}
+    plus, minus = _sparse_sum((1, ep), (1, em)), _sparse_sum((1, ep), (-1, em))
+    iso = _sparse_sum(
+        (q, _sparse_mul(minus, minus)), (-q, _sparse_mul(plus, plus)), (1, one)
+    )  # Phi1^2 = (e^L - e^-L)^2/4 and Phi2^2 = -(e^L + e^-L)^2/4
+    mats = {"X1": lap(x1), "X2": lap(y2), "X3": lap(u), "phi_isotropy": iso}
+    mats = {name: {(i, j): x for (i, j), x in m.items() if j <= w} for name, m in mats.items()}
+    squares = {}
+    for name, m in mats.items():
+        cols: Dict[int, Fraction] = defaultdict(Fraction)
+        for (i, j), x in m.items():
+            cols[j] += x * x * s**i * math.factorial(i) / (s**j * math.factorial(j))
+        squares[name] = max(cols.values(), default=Fraction(0))
+    return mats, squares
 
 
 # -- seeded random generators -------------------------------------------------

@@ -249,6 +249,31 @@ class TestFockCommand:
         assert out == ""
         assert "overflow" in err and "--hbar 1e+150" in err and "--dim 8" in err
 
+    @pytest.mark.parametrize("dim", ["512", "1024"])
+    def test_large_dim_passes(self, capsys, dim):
+        # the long-double residuals were roundoff here: 3.2e-5 and 112
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", dim)
+        assert code == 0 and err == ""
+        assert max(json.loads(out)["residuals"].values()) < 1e-8
+
+    def test_tiny_hbar_passes(self, capsys):
+        # the long-double route reported X2 = X3 = 8.8e132, roundoff over hbar^2
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "64", "--hbar", "1e-300")
+        assert code == 0 and err == ""
+        res = json.loads(out)["residuals"]
+        assert res["X2"] <= 1e-20 and res["X3"] <= 1e-20
+
+    def test_large_hbar_still_fails(self, capsys):
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "64", "--hbar", "2.0")
+        assert code == 1 and err == ""
+        assert max(json.loads(out)["residuals"].values()) > 1e-8
+
+    @pytest.mark.parametrize("dim", ["64", "1024"])
+    def test_huge_hbar_overflow(self, capsys, dim):
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", dim, "--hbar", "1e300")
+        assert code == 2 and out == ""
+        assert err.startswith("error: Fock matrices overflow") and "Traceback" not in err
+
 
 class TestEvalCommand:
     def test_default_text(self, capsys):

@@ -9,23 +9,28 @@ import pytest
 from oracles import (
     dense_derive_matrix,
     dense_generators,
+    derive_matrix,
+    exact_catenoid_residuals,
     fock_exp_entry,
+    generators,
+    isotropy_matrix,
+    ladder,
+    laplace_matrix,
+    long_double_residuals,
     loop_exp_lambda,
     random_weyl,
     schoolbook_matmul,
+    weyl_matrix,
+    window_norm,
 )
 from weylmin import fock
 from weylmin.fock import (
     MAX_DIM,
     FockConfig,
     catenoid,
-    derive_matrix,
     exp_lambda,
     exp_tail_bound,
-    ladder,
-    laplace_matrix,
     residual_report,
-    weyl_matrix,
 )
 from weylmin.weyl import Direction, HBAR, LAM, LAM_STAR, ONE, U, V
 
@@ -208,8 +213,9 @@ def _config(dim, hbar):
 
 
 class TestAgainstDenseOracles:
-    """The banded commutators and the column-parallel exponential against
-    the dense products and scalar loops they replace, bit for bit."""
+    """The column-parallel exponential, and the long-double oracle's banded
+    commutators, against dense products and scalar loops, bit for bit; and
+    the exact residual report against the long-double oracle."""
 
     @pytest.mark.parametrize("dtype,dim,hbar", DIFF_CASES)
     def test_derive_matrix(self, dtype, dim, hbar):
@@ -230,7 +236,7 @@ class TestAgainstDenseOracles:
     @pytest.mark.parametrize("dtype,dim,hbar", DIFF_CASES)
     def test_generators(self, dtype, dim, hbar):
         cfg = _config(dim, hbar)
-        for got, want in zip(fock._generators(cfg, dtype), dense_generators(cfg, dtype)):
+        for got, want in zip(generators(cfg, dtype), dense_generators(cfg, dtype)):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -244,23 +250,27 @@ class TestAgainstDenseOracles:
                 assert np.array_equal(got, loop_exp_lambda(cfg, sign, dagger, dtype))
 
     @pytest.mark.parametrize("dim,hbar,safe_rows", [(64, 1.0, 20), (64, 2.0, None)])
-    def test_residual_report(self, monkeypatch, dim, hbar, safe_rows):
+    def test_residual_report(self, dim, hbar, safe_rows):
         cfg = FockConfig(dim=dim, hbar=hbar, safe_rows=safe_rows)
-        got = residual_report(cfg)
-        monkeypatch.setattr(fock, "derive_matrix", dense_derive_matrix)
-        monkeypatch.setattr(fock, "exp_lambda", loop_exp_lambda)
-        assert got == residual_report(cfg)
+        want = long_double_residuals(cfg)
+        assert want == long_double_residuals(cfg, dense_derive_matrix, loop_exp_lambda)
+        got = residual_report(cfg)["residuals"]
+        assert got.keys() == want.keys()
+        for key, value in got.items():
+            if value > 1e-13:
+                assert abs(value - want[key]) <= 1e-6 * value, key
 
     @pytest.mark.parametrize("dim,hbar", [(64, 1.0), (96, 2.0)])
     def test_isotropy_against_full_product(self, dim, hbar):
-        # the report multiplies only the window columns of the right factor
+        # the oracle multiplies only the window columns of the right factor
         cfg = FockConfig(dim=dim, hbar=hbar)
-        dtype = np.clongdouble
-        ep, em = exp_lambda(cfg, 1, False, dtype), exp_lambda(cfg, -1, False, dtype)
-        phi1, phi2 = 0.5 * (ep - em), -0.5j * (ep + em)
-        full = phi1 @ phi1 + phi2 @ phi2 + np.eye(dim, dtype=dtype)
-        want = fock._window_norm(full, cfg.safe_rows)
-        assert residual_report(cfg)["residuals"]["phi_isotropy"] == want
+        ep, em = (exp_lambda(cfg, sign, False, np.clongdouble) for sign in (1, -1))
+        want = window_norm(isotropy_matrix(ep, em), cfg.safe_rows)
+        assert long_double_residuals(cfg)["phi_isotropy"] == want
+        # e^L e^-L = 1 holds exactly in the truncated space: the long-double
+        # value is roundoff, and the exact report reads 0
+        assert want < 1e-10
+        assert residual_report(cfg)["residuals"]["phi_isotropy"] == 0.0
 
     def test_report_builds_each_exponential_once(self, monkeypatch):
         calls = []
@@ -269,6 +279,60 @@ class TestAgainstDenseOracles:
             calls.append(args)
             return exp_lambda(*args)
 
+        long_double_residuals(FockConfig(dim=16), exp=counted)
+        assert len(calls) == 4
         monkeypatch.setattr(fock, "exp_lambda", counted)
         residual_report(FockConfig(dim=16))
-        assert len(calls) == 4
+        assert len(calls) == 4  # the exact report builds no matrix
+
+
+EXACT_CASES = [
+    (dim, hbar, safe_rows)
+    for dim in (2, 3, 8, 13, 24, 40)
+    for hbar in (1.0, 0.5, 2.0)
+    for safe_rows in sorted({max(1, dim // 3)} | ({dim - 2, dim - 1} if 3 < dim < 40 else set()))
+]
+
+
+class TestExactResiduals:
+    """The report's closed forms against the full scaled-basis rational
+    oracle, which forms every window column."""
+
+    @pytest.mark.parametrize("dim,hbar,safe_rows", EXACT_CASES)
+    def test_equals_rational_oracle(self, dim, hbar, safe_rows):
+        cfg = FockConfig(dim=dim, hbar=hbar, safe_rows=safe_rows)
+        mats, want = exact_catenoid_residuals(cfg)
+        assert fock._squared_residuals(cfg) == want
+        assert residual_report(cfg)["residuals"] == pytest.approx(
+            {name: math.sqrt(sq) for name, sq in want.items()}, rel=1e-15, abs=0
+        )
+        # inside the window, lap X1 and lap X2 are nonzero in row dim-1 alone,
+        # except in column dim-1 itself
+        for name in ("X1", "X2"):
+            rows = {i for i, j in mats[name] if j < dim - 1}
+            assert rows == {dim - 1} if dim >= 8 else rows <= {dim - 1}, name
+        assert not mats["phi_isotropy"]
+        assert bool(mats["X3"]) == (safe_rows >= dim - 2)
+
+    @pytest.mark.parametrize("dim", [17, 32, 64, 96, 128])
+    @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])
+    def test_agrees_with_long_double_oracle(self, dim, hbar):
+        cfg = FockConfig(dim=dim, hbar=hbar)
+        got = residual_report(cfg)["residuals"]
+        want = long_double_residuals(cfg)
+        for key, value in got.items():
+            if value > 1e-13:
+                # 1e-14 absolute covers the oracle's own long-double roundoff,
+                # 1.9e-15 on X1 = 3.9e-12 at (96, 2.0)
+                assert abs(value - want[key]) <= 1e-6 * value + 1e-14, (key, value, want[key])
+
+    def test_extreme_hbar(self):
+        tiny = residual_report(FockConfig(dim=64, hbar=1e-300))["residuals"]
+        assert tiny == {"X1": 0.0, "X2": 0.0, "X3": 0.0, "phi_isotropy": 0.0}
+        with pytest.raises(OverflowError):
+            residual_report(FockConfig(dim=64, hbar=1e300))
+
+    def test_verdict_passes_at_every_dim(self):
+        for dim in (64, 128, 256, 512, 1024):
+            rep = residual_report(FockConfig(dim=dim, hbar=1.0))
+            assert max(rep["residuals"].values()) < 1e-8, dim

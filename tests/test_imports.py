@@ -1,5 +1,5 @@
-"""Only the Fock layer loads numpy: the package and every exact command
-run without it."""
+"""numpy loads only for the Fock matrices (``catenoid``, ``exp_lambda``):
+the package, every exact command and ``fock catenoid`` run without it."""
 
 import os
 import pathlib
@@ -41,6 +41,47 @@ def test_exact_command_runs_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDENS / "enneper.json").read_text()
+
+
+def test_fock_report_runs_without_numpy():
+    proc = _python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import weylmin.fock\n"
+        "from weylmin import cli\n"
+        "raise SystemExit(cli.main(['fock', 'catenoid', '--dim', '64', '--hbar', '1.0',"
+        " '--safe-rows', '20']))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"kind": "fock-residuals"' in proc.stdout
+
+
+def test_fock_command_leaves_numpy_unloaded():
+    proc = _python(
+        "import contextlib, io, sys\n"
+        "from weylmin.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['fock', 'catenoid', '--dim', '64', '--hbar', '2.0'])\n"
+        "print(code, 'numpy' in sys.modules, 'weylmin.fock' in sys.modules)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "False", "True"]
+
+
+def test_fock_matrices_load_numpy():
+    proc = _python(
+        "import sys\n"
+        "from weylmin.fock import FockConfig, catenoid, exp_lambda\n"
+        "assert 'numpy' not in sys.modules\n"
+        "m = exp_lambda(FockConfig(dim=6))\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "import numpy as np\n"
+        "x1, x2, x3 = catenoid(FockConfig(dim=6), np.clongdouble)\n"
+        "print(loaded, type(m) is np.ndarray, m.dtype == np.complex128, m.shape == (6, 6),"
+        " x3.dtype == np.clongdouble)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 5
 
 
 def test_fock_names_resolve_on_use():
