@@ -22,163 +22,101 @@ exact.  The main layers are
   and the canonical JSON interchange format;
 * :mod:`weylmin.cli` -- the ``weylmin`` command-line tool.
 
-Only the Fock matrices need numpy: :func:`weylmin.fock.catenoid` and
-:func:`weylmin.fock.exp_lambda` import it when called.  The package
-resolves the Fock layer's five exported names (``FockConfig``,
-``catenoid``, ``exp_lambda``, ``exp_tail_bound``, ``residual_report``)
-on demand, and the CLI imports the layer only for ``fock`` commands.
-Importing the package, or running any command, ``fock catenoid``
-included, never loads numpy.
+Every public name resolves on first use: ``import weylmin`` loads no
+submodule, and ``weylmin.X`` imports only the submodule that defines
+``X``, then keeps ``X`` in the package namespace.  ``__all__`` and
+``from weylmin import *`` cover every name.  Only the Fock matrices need
+numpy: :func:`weylmin.fock.catenoid` and :func:`weylmin.fock.exp_lambda`
+import it when called, and the CLI imports the Fock layer only for
+``fock`` commands.  Importing the package, or running any command,
+``fock catenoid`` included, never loads numpy.
 """
-
-from .classical import UVPoly, classical_limit, classical_limit_fraction
-from .holomorphic import (
-    NotIntegrableError,
-    PhiTriple,
-    PolyLambda,
-    RatLambda,
-    fg_from_phi,
-    isotropy_check,
-    phi_from_fg,
-    poly_to_weyl,
-    weyl_to_poly,
-)
-from .parse import ParseError, parse_rat, parse_weyl
-from .render import (
-    poly_lambda_text,
-    rat_text,
-    surface_latex,
-    surface_text,
-    weyl_latex,
-    weyl_text,
-)
-from .scalars import GaussRational, HbarPoly, HbarRat
-from .serialize import (
-    SCHEMA,
-    DeserializeError,
-    dumps_canonical,
-    surface_from_obj,
-    surface_to_obj,
-    weyl_from_obj,
-    weyl_to_obj,
-)
-from .surfaces import (
-    FirstFundamental,
-    NonPolynomialPrimitiveError,
-    Provenance,
-    Surface,
-    VerificationReport,
-    bilinear,
-    check_normal,
-    conjugate_surface,
-    enneper,
-    first_fundamental,
-    mean_curvature_h0,
-    normal_element,
-    phi_components,
-    surface_from_F,
-    surface_from_Ftilde,
-    surface_from_fg,
-    surface_from_pair,
-    verify_minimal,
-)
-from .weyl import (
-    HBAR,
-    LAM,
-    LAM_STAR,
-    ONE,
-    U,
-    V,
-    ZERO,
-    Direction,
-    WeylElement,
-    commutator,
-    derive_by_commutator,
-    from_uv,
-    sym,
-)
 
 __version__ = "1.0.0"
 
-_FOCK_NAMES = frozenset(
-    {"FockConfig", "catenoid", "exp_lambda", "exp_tail_bound", "residual_report"}
-)
+# Every public name -> the submodule that defines it, in __all__ order.
+_SUBMODULE = {
+    "Direction": "weyl",
+    "DeserializeError": "serialize",
+    "FirstFundamental": "surfaces",
+    "FockConfig": "fock",
+    "GaussRational": "scalars",
+    "HBAR": "weyl",
+    "HbarPoly": "scalars",
+    "HbarRat": "scalars",
+    "LAM": "weyl",
+    "LAM_STAR": "weyl",
+    "NonPolynomialPrimitiveError": "surfaces",
+    "NotIntegrableError": "holomorphic",
+    "ONE": "weyl",
+    "ParseError": "parse",
+    "PhiTriple": "holomorphic",
+    "PolyLambda": "holomorphic",
+    "Provenance": "surfaces",
+    "RatLambda": "holomorphic",
+    "SCHEMA": "serialize",
+    "Surface": "surfaces",
+    "U": "weyl",
+    "UVPoly": "classical",
+    "V": "weyl",
+    "VerificationReport": "surfaces",
+    "WeylElement": "weyl",
+    "ZERO": "weyl",
+    "bilinear": "surfaces",
+    "catenoid": "fock",
+    "check_normal": "surfaces",
+    "classical_limit": "classical",
+    "classical_limit_fraction": "classical",
+    "commutator": "weyl",
+    "conjugate_surface": "surfaces",
+    "derive_by_commutator": "weyl",
+    "dumps_canonical": "serialize",
+    "enneper": "surfaces",
+    "exp_lambda": "fock",
+    "exp_tail_bound": "fock",
+    "fg_from_phi": "holomorphic",
+    "first_fundamental": "surfaces",
+    "from_uv": "weyl",
+    "isotropy_check": "holomorphic",
+    "mean_curvature_h0": "surfaces",
+    "normal_element": "surfaces",
+    "parse_rat": "parse",
+    "parse_weyl": "parse",
+    "phi_components": "surfaces",
+    "phi_from_fg": "holomorphic",
+    "poly_lambda_text": "render",
+    "poly_to_weyl": "holomorphic",
+    "rat_text": "render",
+    "residual_report": "fock",
+    "surface_from_F": "surfaces",
+    "surface_from_Ftilde": "surfaces",
+    "surface_from_fg": "surfaces",
+    "surface_from_obj": "serialize",
+    "surface_from_pair": "surfaces",
+    "surface_latex": "render",
+    "surface_text": "render",
+    "surface_to_obj": "serialize",
+    "sym": "weyl",
+    "verify_minimal": "surfaces",
+    "weyl_from_obj": "serialize",
+    "weyl_latex": "render",
+    "weyl_text": "render",
+    "weyl_to_obj": "serialize",
+    "weyl_to_poly": "holomorphic",
+}
+
+__all__ = list(_SUBMODULE)
 
 
 def __getattr__(name: str):
-    if name in _FOCK_NAMES:
-        from . import fock
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(fock, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "Direction",
-    "DeserializeError",
-    "FirstFundamental",
-    "FockConfig",
-    "GaussRational",
-    "HBAR",
-    "HbarPoly",
-    "HbarRat",
-    "LAM",
-    "LAM_STAR",
-    "NonPolynomialPrimitiveError",
-    "NotIntegrableError",
-    "ONE",
-    "ParseError",
-    "PhiTriple",
-    "PolyLambda",
-    "Provenance",
-    "RatLambda",
-    "SCHEMA",
-    "Surface",
-    "U",
-    "UVPoly",
-    "V",
-    "VerificationReport",
-    "WeylElement",
-    "ZERO",
-    "bilinear",
-    "catenoid",
-    "check_normal",
-    "classical_limit",
-    "classical_limit_fraction",
-    "commutator",
-    "conjugate_surface",
-    "derive_by_commutator",
-    "dumps_canonical",
-    "enneper",
-    "exp_lambda",
-    "exp_tail_bound",
-    "fg_from_phi",
-    "first_fundamental",
-    "from_uv",
-    "isotropy_check",
-    "mean_curvature_h0",
-    "normal_element",
-    "parse_rat",
-    "parse_weyl",
-    "phi_components",
-    "phi_from_fg",
-    "poly_lambda_text",
-    "poly_to_weyl",
-    "rat_text",
-    "residual_report",
-    "surface_from_F",
-    "surface_from_Ftilde",
-    "surface_from_fg",
-    "surface_from_obj",
-    "surface_from_pair",
-    "surface_latex",
-    "surface_text",
-    "surface_to_obj",
-    "sym",
-    "verify_minimal",
-    "weyl_from_obj",
-    "weyl_latex",
-    "weyl_text",
-    "weyl_to_obj",
-    "weyl_to_poly",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

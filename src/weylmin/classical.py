@@ -16,7 +16,6 @@ algebra elements use too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -24,12 +23,11 @@ from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
 from .weyl import WeylElement, uv_rows
 
 
-@dataclass(frozen=True, init=False)
 class UVPoly(Ring):
     """Commutative polynomial in the real coordinates (u, v)."""
 
+    __slots__ = _fields = ("terms",)
     terms: tuple[tuple[tuple[int, int], GaussRational], ...]
-
     LIFTS = (GaussRational, int, Fraction)
 
     def __init__(

@@ -42,9 +42,10 @@ any work is done.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from .scalars import Frozen
 
 __all__ = [
     "FockConfig",
@@ -60,25 +61,23 @@ MAX_DIM = 1024
 """Largest accepted truncation dimension."""
 
 
-@dataclass(frozen=True)
-class FockConfig:
+class FockConfig(Frozen):
     """Truncation parameters: matrix size, hbar value, safe window."""
 
-    dim: int
-    hbar: float = 1.0
-    safe_rows: Optional[int] = None
+    __slots__ = _fields = ("dim", "hbar", "safe_rows")
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
+    def __init__(self, dim: int, hbar: float = 1.0, safe_rows: Optional[int] = None) -> None:
+        if dim < 2:
             raise ValueError("dim must be at least 2")
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dim {self.dim} exceeds the cap MAX_DIM = {MAX_DIM}")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
+        if dim > MAX_DIM:
+            raise ValueError(f"dim {dim} exceeds the cap MAX_DIM = {MAX_DIM}")
+        if not (math.isfinite(hbar) and hbar > 0):
             raise ValueError("hbar must be positive and finite")
-        if self.safe_rows is None:
-            object.__setattr__(self, "safe_rows", self.dim // 3)
-        if not (0 < self.safe_rows < self.dim):
+        if safe_rows is None:
+            safe_rows = dim // 3
+        if not (0 < safe_rows < dim):
             raise ValueError("safe_rows must satisfy 0 < safe_rows < dim")
+        self._init_fields(dim, hbar, safe_rows)
 
     @property
     def lam_scale(self) -> float:
@@ -206,18 +205,30 @@ def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> Fraction:
     norm is t_k = ((dim/s)/k!)^2 (dim-1)!/n! s^k.
 
     Column dim-1, when the window reaches it, holds lap e^{+-L} instead: its
-    squared norm is the sum of t_k over every k >= 1 of the parity (summed
-    by Horner's rule in s), which exceeds each term.  Elsewhere t_{k-2}/t_k
-    = k^2 (k-1)^2 / (s^2 (n+1)(n+2)) falls as n grows, so along one parity
-    the norms rise to one peak and fall: the walk finds it comparing small
-    numbers, and forms one large rational.
+    squared norm is the sum of t_k over every k >= 1 of the parity, which
+    exceeds each term.  Elsewhere t_{k-2}/t_k = k^2 (k-1)^2 / (s^2 (n+1)(n+2))
+    falls as n grows, so along one parity the norms rise to one peak and
+    fall: the walk finds it comparing small numbers, and forms one large
+    rational.
     """
     top = dim - 1
     if window == top:
-        acc = Fraction(0)  # sum of C(top, k)/k! s^(k-1) over k >= 1 of the parity
+        # With s = p/q, the sum of C(top, k)/k! s^(k-1) over k >= 1 of the
+        # parity is an integer over top! q^(top-1): Horner's rule builds the
+        # integer, and one Fraction divides at the end.  With p = m 2^u and
+        # q = r 2^v, m and r odd (r = 1, since s is twice a float), each
+        # step is a product by the small m, and shifts.
+        p, q = s.numerator, s.denominator
+        u, v = (p & -p).bit_length() - 1, (q & -q).bit_length() - 1
+        m, r = p >> u, q >> v
+        f, num, rk = math.factorial(top), 0, 1  # rk = r^(top-k)
         for k in range(top, 0, -1):
-            acc = acc * s + (Fraction(math.comb(top, k), math.factorial(k)) if k % 2 == parity else 0)
-        return (dim / s) ** 2 * acc * s
+            num = (num * m) << u
+            if k % 2 == parity:
+                num += (math.comb(top, k) * (f // math.factorial(k)) * rk) << v * (top - k)
+            rk *= r
+        # times (dim/s)^2 s = dim^2 q / p
+        return Fraction(dim * dim * num * q, (f * p * (rk // r)) << v * (top - 1))
     n = (top - parity) % 2  # the first column whose k has the parity
     while n + 2 <= window:
         k = top - n

@@ -29,7 +29,6 @@ whenever it is defined there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -40,6 +39,7 @@ from .scalars import (
     HbarLike,
     HbarPoly,
     Field,
+    Frozen,
     Poly,
     hp_exact_div,
     hp_gcd,
@@ -54,6 +54,7 @@ class NotIntegrableError(ValueError):
 class PolyLambda(Poly):
     """Polynomial in L with HbarPoly coefficients, stored canonically."""
 
+    __slots__ = ()
     COEFF = HbarPoly
     LIFTS = (HbarPoly, GaussRational, int, Fraction)
 
@@ -122,7 +123,6 @@ def _solve(cols: list[PolyLambda], rhs: PolyLambda) -> tuple[HbarPoly, list[Hbar
     return prev, [row[n] for row in rows]
 
 
-@dataclass(frozen=True, init=False)
 class RatLambda(Field):
     """Reduced quotient of two PolyLambda.
 
@@ -134,9 +134,9 @@ class RatLambda(Field):
     denominator 1.
     """
 
+    __slots__ = _fields = ("num", "den")
     num: PolyLambda
     den: PolyLambda
-
     LIFTS = (PolyLambda, HbarPoly, GaussRational, int, Fraction)
 
     def __init__(self, num: "PolyLike" = PL_ZERO, den: "PolyLike" = PL_ONE) -> None:
@@ -152,8 +152,7 @@ class RatLambda(Field):
                 n, d = hp_exact_div(n, g), hp_exact_div(d, g)
             c = _content(d, n)
             n, d = _cancel(n, c), _cancel(d, c)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        self._init_fields(n, d)
 
     @staticmethod
     def from_poly(p: "PolyLike") -> "RatLambda":
@@ -262,11 +261,13 @@ RL_ONE = RatLambda(PL_ONE)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiTriple:
+class PhiTriple(Frozen):
     """A tuple of Lambda-rational derivative components (usually three)."""
 
-    components: tuple[RatLambda, ...]
+    __slots__ = _fields = ("components",)
+
+    def __init__(self, components: tuple[RatLambda, ...]) -> None:
+        self._init_fields(components)
 
     @staticmethod
     def of(*components: RatLike) -> "PhiTriple":

@@ -31,10 +31,9 @@ the source string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
-from .scalars import GR_I, GaussRational, HP_HBAR
+from .scalars import GR_I, Frozen, GaussRational, HP_HBAR
 from .holomorphic import PolyLambda, RatLambda
 from . import weyl
 from .weyl import WeylElement
@@ -48,11 +47,12 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NUM, NAME, OP, LPAREN, RPAREN, END
-    text: str
-    pos: int
+class Token(Frozen):
+    __slots__ = _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int) -> None:
+        # kind: NUM, NAME, OP, LPAREN, RPAREN, END
+        self._init_fields(kind, text, pos)
 
 
 _OPS = set("+-*/^")
@@ -102,37 +102,39 @@ def tokenize(src: str) -> list[Token]:
 # -- syntax tree -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int
+class Num(Frozen):
+    __slots__ = _fields = ("value", "pos")
+
+    def __init__(self, value: int, pos: int) -> None:
+        self._init_fields(value, pos)
 
 
-@dataclass(frozen=True)
-class Name:
-    name: str
-    pos: int
+class Name(Frozen):
+    __slots__ = _fields = ("name", "pos")
+
+    def __init__(self, name: str, pos: int) -> None:
+        self._init_fields(name, pos)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-    pos: int
+class Neg(Frozen):
+    __slots__ = _fields = ("operand", "pos")
+
+    def __init__(self, operand: "Node", pos: int) -> None:
+        self._init_fields(operand, pos)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-    pos: int
+class BinOp(Frozen):
+    __slots__ = _fields = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: "Node", right: "Node", pos: int) -> None:
+        self._init_fields(op, left, right, pos)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-    pos: int
+class Pow(Frozen):
+    __slots__ = _fields = ("base", "exponent", "pos")
+
+    def __init__(self, base: "Node", exponent: int, pos: int) -> None:
+        self._init_fields(base, exponent, pos)
 
 
 Node = Union[Num, Name, Neg, BinOp, Pow]

@@ -28,20 +28,67 @@ On top of them sit the three scalar layers, all exact:
   works fraction-free over HbarPoly and never builds one.
 
 Everything is immutable and hashable; equality is equality of canonical
-forms.
+forms.  :class:`Frozen`, the base of every value type of the package,
+gives that behaviour from ``__slots__`` without the cost of importing
+:mod:`dataclasses`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
 
 
-class Ring:
+class Frozen:
+    """An immutable record: the base of every value type of the package.
+
+    A subclass lists its attributes in ``_fields``, usually as its
+    ``__slots__`` too, and sets them in ``__init__`` with ``_init_fields``
+    or ``object.__setattr__``; afterwards they are read-only.  Two records are
+    equal when they have the same class and equal field tuples, the hash is
+    the hash of the field tuple, and the repr lists the fields.  The hot
+    types override ``__eq__`` and ``__hash__`` with the same values read
+    directly.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init_fields(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state) -> None:
+        """Restore the ``(None, {slot: value})`` state that pickle and copy take."""
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Ring(Frozen):
     """Operators shared by every exact type.
 
     Binary operators lift a scalar operand (an instance of one of
@@ -49,6 +96,7 @@ class Ring:
     so ``2 * x`` and ``x * 2`` both work.
     """
 
+    __slots__ = ()
     LIFTS: tuple = ()
 
     @classmethod
@@ -93,23 +141,31 @@ class Ring:
         return NotImplemented if o is None else o * self
 
     def __pow__(self, n: int):
-        """``self**n`` by repeated squaring; a negative n needs a Field."""
+        """``self**n`` by repeated squaring; a negative n needs a Field.
+
+        The product starts from the first factor, not from one, so ``x**2``
+        is a single multiplication.
+        """
         if n < 0:
             if not isinstance(self, Field):
                 raise ValueError(f"negative power of a {type(self).__name__}")
             return self.inverse() ** -n
-        out, base = self._lift(1), self
-        while n:
+        if not n:
+            return self._lift(1)
+        out, base = None, self
+        while True:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
-            if n:
-                base = base * base
-        return out
+            if not n:
+                return out
+            base = base * base
 
 
 class Field(Ring):
     """A Ring whose nonzero elements have an ``inverse``."""
+
+    __slots__ = ()
 
     def __truediv__(self, other):
         o = self._try(other)
@@ -156,7 +212,6 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, init=False)
 class GaussRational(Field):
     """Exact complex number ``re + im*i`` with rational components.
 
@@ -164,14 +219,22 @@ class GaussRational(Field):
     so instances are always canonical.
     """
 
+    __slots__ = _fields = ("re", "im")
     re: Fraction
     im: Fraction
-
     LIFTS = (int, Fraction)
 
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -222,7 +285,6 @@ GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
 
 
-@dataclass(frozen=True, init=False)
 class Poly(Ring):
     """Univariate polynomial over the coefficient type ``COEFF``.
 
@@ -233,6 +295,7 @@ class Poly(Ring):
     division over a ring.
     """
 
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple
 
     def __init__(self, coeffs: Union[Mapping, Iterable[tuple]] = ()) -> None:
@@ -240,6 +303,14 @@ class Poly(Ring):
         if canonical and canonical[0][0] < 0:
             raise ValueError("negative degree")
         object.__setattr__(self, "coeffs", canonical)
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def _of(cls, coeffs: tuple):
@@ -346,6 +417,7 @@ def hp_exact_div(a: Poly, b: Poly) -> Poly:
 class HbarPoly(Poly):
     """Polynomial in the central parameter ``h`` over GaussRational."""
 
+    __slots__ = ()
     COEFF = GaussRational
     LIFTS = (GaussRational, int, Fraction)
 
@@ -390,7 +462,6 @@ HP_ONE = HbarPoly.const(1)
 HP_HBAR = HbarPoly.hbar()
 
 
-@dataclass(frozen=True, init=False)
 class HbarRat(Field):
     """Quotient of h-polynomials, reduced, with a monic denominator.
 
@@ -399,9 +470,9 @@ class HbarRat(Field):
     in Q(i)[h][L] (see :mod:`weylmin.holomorphic`).
     """
 
+    __slots__ = _fields = ("num", "den")
     num: HbarPoly
     den: HbarPoly
-
     LIFTS = (HbarPoly, GaussRational, int, Fraction)
 
     def __init__(self, num: HbarLike, den: HbarLike = HP_ONE) -> None:
@@ -418,8 +489,7 @@ class HbarRat(Field):
                 d = hp_exact_div(d, g)
             lc = d.leading().inverse()
             n, d = n.scale(lc), d.scale(lc)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        self._init_fields(n, d)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

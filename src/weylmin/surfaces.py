@@ -36,11 +36,10 @@ real and imaginary parts of two polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .scalars import GR_I, GaussRational, HbarPoly
+from .scalars import GR_I, Frozen, GaussRational, HbarPoly
 from .holomorphic import (
     NotIntegrableError,
     PhiTriple,
@@ -80,8 +79,7 @@ class NonPolynomialPrimitiveError(ValueError):
 ParamValue = Union[RatLambda, PolyLambda]
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(Frozen):
     """Generating data of a surface.
 
     ``kind`` is one of fg, F, Ftilde, pair, conjugate or raw.  ``params``
@@ -90,45 +88,59 @@ class Provenance:
     what conjugation consumes.  Raw surfaces carry no primitives.
     """
 
-    kind: str
-    params: tuple[tuple[str, ParamValue], ...] = ()
-    primitives: tuple[PolyLambda, ...] = ()
+    __slots__ = _fields = ("kind", "params", "primitives")
+
+    def __init__(
+        self,
+        kind: str,
+        params: tuple[tuple[str, ParamValue], ...] = (),
+        primitives: tuple[PolyLambda, ...] = (),
+    ) -> None:
+        self._init_fields(kind, params, primitives)
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Frozen):
     """An immutable tuple of hermitian components with rational offsets."""
 
-    components: tuple[WeylElement, ...]
-    offsets: tuple[Fraction, ...]
-    provenance: Provenance
+    __slots__ = _fields = ("components", "offsets", "provenance")
 
-    def __post_init__(self) -> None:
-        if len(self.components) != len(self.offsets):
+    def __init__(
+        self,
+        components: tuple[WeylElement, ...],
+        offsets: tuple[Fraction, ...],
+        provenance: Provenance,
+    ) -> None:
+        if len(components) != len(offsets):
             raise ValueError("offsets and components must have equal length")
+        self._init_fields(components, offsets, provenance)
 
     @property
     def n(self) -> int:
         return len(self.components)
 
 
-@dataclass(frozen=True)
-class FirstFundamental:
+class FirstFundamental(Frozen):
     """Coefficients E, F, G of the first fundamental form."""
 
-    E: WeylElement
-    F: WeylElement
-    G: WeylElement
+    __slots__ = _fields = ("E", "F", "G")
+
+    def __init__(self, E: WeylElement, F: WeylElement, G: WeylElement) -> None:
+        self._init_fields(E, F, G)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Outcome of the exact minimality checks, with residual witnesses."""
 
-    hermitian: tuple[bool, ...]
-    harmonic: tuple[bool, ...]
-    conformal: bool
-    witnesses: tuple[tuple[str, WeylElement], ...]
+    __slots__ = _fields = ("hermitian", "harmonic", "conformal", "witnesses")
+
+    def __init__(
+        self,
+        hermitian: tuple[bool, ...],
+        harmonic: tuple[bool, ...],
+        conformal: bool,
+        witnesses: tuple[tuple[str, WeylElement], ...],
+    ) -> None:
+        self._init_fields(hermitian, harmonic, conformal, witnesses)
 
     @property
     def passes(self) -> bool:

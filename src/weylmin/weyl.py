@@ -54,7 +54,6 @@ Laplacian is ``lap A = 4 d dbar A = d_u^2 A + d_v^2 A``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -177,7 +176,6 @@ def group_rows(rows: Iterable[Row], den: int) -> tuple[tuple[Bidegree, HbarPoly]
     return tuple((kl, HbarPoly._of(tuple(cs))) for kl, cs in out.items())
 
 
-@dataclass(frozen=True, init=False)
 class WeylElement(Ring):
     """An algebra element in normal-ordered canonical form.
 
@@ -188,9 +186,9 @@ class WeylElement(Ring):
     ``((k, l), HbarPoly)`` pairs, built on access.
     """
 
+    __slots__ = _fields = ("rows", "den")
     rows: tuple[Row, ...]
     den: int
-
     LIFTS = (HbarPoly, GaussRational, int, Fraction)
 
     def __init__(
@@ -223,6 +221,14 @@ class WeylElement(Ring):
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "den", den // g)
         return self
+
+    def __eq__(self, o):
+        if o.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == o.rows and self.den == o.den
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.den))
 
     @property
     def terms(self) -> tuple[tuple[Bidegree, HbarPoly], ...]:

@@ -595,6 +595,17 @@ def exact_catenoid_residuals(config) -> Tuple[Dict[str, Sparse], Dict[str, Fract
     return mats, squares
 
 
+def corner_column_norm(dim: int, s: Fraction, parity: int) -> Fraction:
+    """Squared norm of column dim-1 of lap X1 (``parity`` 0) or lap X2
+    (``parity`` 1): (dim/s)^2 s times the sum of C(dim-1, k)/k! s^(k-1)
+    over k >= 1 of the parity, by Horner's rule on Fractions."""
+    top = dim - 1
+    acc = Fraction(0)
+    for k in range(top, 0, -1):
+        acc = acc * s + (Fraction(math.comb(top, k), math.factorial(k)) if k % 2 == parity else 0)
+    return (dim / s) ** 2 * acc * s
+
+
 # -- seeded random generators -------------------------------------------------
 
 

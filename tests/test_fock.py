@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (
+    corner_column_norm,
     dense_derive_matrix,
     dense_generators,
     derive_matrix,
@@ -325,6 +327,18 @@ class TestExactResiduals:
                 # 1e-14 absolute covers the oracle's own long-double roundoff,
                 # 1.9e-15 on X1 = 3.9e-12 at (96, 2.0)
                 assert abs(value - want[key]) <= 1e-6 * value + 1e-14, (key, value, want[key])
+
+    @pytest.mark.parametrize("hbar", [1e-300, 0.5, 1.0, 2.0, 1e300])
+    def test_corner_column_matches_fraction_horner(self, hbar):
+        s = 2 * Fraction(hbar)
+        for dim in range(2, 65):
+            for parity in (0, 1):
+                want = corner_column_norm(dim, s, parity)
+                assert fock._exp_part(dim, s, dim - 1, parity) == want, (dim, parity)
+        # s need not be dyadic: the odd part of its denominator is carried too
+        for s in (Fraction(2, 3), Fraction(10, 7), Fraction(9, 20)):
+            for dim in (2, 5, 17):
+                assert fock._exp_part(dim, s, dim - 1, 1) == corner_column_norm(dim, s, 1)
 
     def test_extreme_hbar(self):
         tiny = residual_report(FockConfig(dim=64, hbar=1e-300))["residuals"]

@@ -1,10 +1,21 @@
-"""numpy loads only for the Fock matrices (``catenoid``, ``exp_lambda``):
-the package, every exact command and ``fock catenoid`` run without it."""
+"""What importing the package costs, and the public names it keeps.
 
+numpy loads only for the Fock matrices (``catenoid``, ``exp_lambda``):
+the package, every exact command and ``fock catenoid`` run without it.
+No command loads ``dataclasses``, ``inspect`` or the classical layer;
+every public name resolves on first use to its submodule's object; and
+the value types stay immutable records with the equality, hashes and
+reprs they had as frozen dataclasses.
+"""
+
+import copy
+import importlib
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -98,3 +109,182 @@ def test_fock_names_resolve_on_use():
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         weylmin.no_such_name
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expr", "(L+Ls)^3 - h", "--fmt", "json"],
+    ["surface", "from-Ftilde", "--Ft", "L^3"],
+    ["verify", "--in", str(GOLDENS / "quartic.json")],
+    ["conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "latex"],
+    ["fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"],
+])
+def test_commands_leave_heavy_modules_unloaded(argv):
+    proc = _python(
+        "import runpy, sys\n"
+        f"sys.argv = ['weylmin', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('weylmin', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    sys.stderr.write(repr([m for m in ('dataclasses', 'inspect', 'weylmin.classical')"
+        " if m in sys.modules]))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("[]"), proc.stderr
+
+
+def test_import_loads_no_submodule():
+    proc = _python(
+        "import sys, weylmin\n"
+        "print(sorted(m for m in sys.modules if m.startswith('weylmin')))\n"
+        "weylmin.LAM\n"
+        "print(sorted(m for m in sys.modules if m.startswith('weylmin')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['weylmin']", "['weylmin', 'weylmin.scalars', 'weylmin.weyl']"
+    ]
+
+
+# Each public name by the submodule that defines it.
+HOMES = {
+    "classical": "UVPoly classical_limit classical_limit_fraction",
+    "fock": "FockConfig catenoid exp_lambda exp_tail_bound residual_report",
+    "holomorphic": "NotIntegrableError PhiTriple PolyLambda RatLambda fg_from_phi"
+    " isotropy_check phi_from_fg poly_to_weyl weyl_to_poly",
+    "parse": "ParseError parse_rat parse_weyl",
+    "render": "poly_lambda_text rat_text surface_latex surface_text weyl_latex weyl_text",
+    "scalars": "GaussRational HbarPoly HbarRat",
+    "serialize": "SCHEMA DeserializeError dumps_canonical surface_from_obj surface_to_obj"
+    " weyl_from_obj weyl_to_obj",
+    "surfaces": "FirstFundamental NonPolynomialPrimitiveError Provenance Surface"
+    " VerificationReport bilinear check_normal conjugate_surface enneper first_fundamental"
+    " mean_curvature_h0 normal_element phi_components surface_from_F surface_from_Ftilde"
+    " surface_from_fg surface_from_pair verify_minimal",
+    "weyl": "HBAR LAM LAM_STAR ONE U V ZERO Direction WeylElement commutator"
+    " derive_by_commutator from_uv sym",
+}
+
+
+def test_public_names_are_their_submodules_objects():
+    homes = {name: module for module, names in HOMES.items() for name in names.split()}
+    assert sorted(weylmin.__all__) == sorted(homes)
+    namespace: dict = {}
+    exec("from weylmin import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(weylmin.__all__)
+    for name, module in homes.items():
+        obj = getattr(importlib.import_module(f"weylmin.{module}"), name)
+        assert getattr(weylmin, name) is obj, name
+        assert namespace[name] is obj, name
+
+
+def test_dir_lists_every_public_name():
+    proc = _python("import weylmin\nprint(set(weylmin.__all__) - set(dir(weylmin)))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
+
+
+def _records():
+    """One instance of each value type, by name, with its repr as a frozen
+    dataclass."""
+    from weylmin.classical import UVPoly
+    from weylmin.fock import FockConfig
+    from weylmin.holomorphic import PhiTriple, PolyLambda, RatLambda
+    from weylmin.parse import BinOp, Name, Neg, Num, Pow, Token
+    from weylmin.scalars import GaussRational, HbarPoly, HbarRat
+    from weylmin.surfaces import FirstFundamental, Provenance, Surface, VerificationReport
+    from weylmin.weyl import WeylElement
+
+    g = GaussRational(Fraction(1, 2), -3)
+    pl = PolyLambda({1: HbarPoly({1: 1})})
+    w = WeylElement({(1, 0): 1, (0, 1): Fraction(1, 3)})
+    return {
+        "GaussRational": g,
+        "HbarPoly": HbarPoly({0: 1, 2: g}),
+        "HbarRat": HbarRat(HbarPoly({1: 1}), HbarPoly({0: 1, 1: 1})),
+        "WeylElement": w,
+        "PolyLambda": pl,
+        "RatLambda": RatLambda(pl, PolyLambda({0: 1, 2: 1})),
+        "PhiTriple": PhiTriple.of(1, pl),
+        "Token": Token("NUM", "12", 3),
+        "Num": Num(12, 3),
+        "Name": Name("Ls", 0),
+        "Neg": Neg(Name("L", 1), 0),
+        "BinOp": BinOp("+", Num(1, 0), Name("h", 2), 1),
+        "Pow": Pow(Name("L", 0), 3, 1),
+        "Provenance": Provenance("F", (("F", pl),), (pl,)),
+        "Surface": Surface((w,), (Fraction(1, 2),), Provenance("raw")),
+        "FirstFundamental": FirstFundamental(w, w, w),
+        "VerificationReport": VerificationReport((True,), (False,), True, (("harmonic:X1", w),)),
+        "UVPoly": UVPoly({(1, 0): g, (0, 2): 1}),
+        "FockConfig": FockConfig(dim=8),
+    }
+
+
+_ONE = "GaussRational(re=Fraction(1, 1), im=Fraction(0, 1))"
+_W = "WeylElement(rows=((0, 1, 0, 1, 0), (1, 0, 0, 3, 0)), den=3)"
+_PL = f"PolyLambda(coeffs=((1, HbarPoly(coeffs=((1, {_ONE}),))),))"
+_PL_ONE = f"PolyLambda(coeffs=((0, HbarPoly(coeffs=((0, {_ONE}),))),))"
+REPRS = {
+    "GaussRational": "GaussRational(re=Fraction(1, 2), im=Fraction(-3, 1))",
+    "HbarPoly": f"HbarPoly(coeffs=((0, {_ONE}), (2, GaussRational(re=Fraction(1, 2),"
+    " im=Fraction(-3, 1)))))",
+    "HbarRat": f"HbarRat(num=HbarPoly(coeffs=((1, {_ONE}),)),"
+    f" den=HbarPoly(coeffs=((0, {_ONE}), (1, {_ONE}))))",
+    "WeylElement": _W,
+    "PolyLambda": _PL,
+    "RatLambda": f"RatLambda(num={_PL}, den=PolyLambda(coeffs=((0, HbarPoly(coeffs=((0, {_ONE}),))),"
+    f" (2, HbarPoly(coeffs=((0, {_ONE}),))))))",
+    "PhiTriple": f"PhiTriple(components=(RatLambda(num={_PL_ONE}, den={_PL_ONE}),"
+    f" RatLambda(num={_PL}, den={_PL_ONE})))",
+    "Token": "Token(kind='NUM', text='12', pos=3)",
+    "Num": "Num(value=12, pos=3)",
+    "Name": "Name(name='Ls', pos=0)",
+    "Neg": "Neg(operand=Name(name='L', pos=1), pos=0)",
+    "BinOp": "BinOp(op='+', left=Num(value=1, pos=0), right=Name(name='h', pos=2), pos=1)",
+    "Pow": "Pow(base=Name(name='L', pos=0), exponent=3, pos=1)",
+    "Provenance": f"Provenance(kind='F', params=(('F', {_PL}),), primitives=({_PL},))",
+    "Surface": f"Surface(components=({_W},), offsets=(Fraction(1, 2),),"
+    " provenance=Provenance(kind='raw', params=(), primitives=()))",
+    "FirstFundamental": f"FirstFundamental(E={_W}, F={_W}, G={_W})",
+    "VerificationReport": "VerificationReport(hermitian=(True,), harmonic=(False,),"
+    f" conformal=True, witnesses=(('harmonic:X1', {_W}),))",
+    "UVPoly": "UVPoly(terms=(((1, 0), GaussRational(re=Fraction(1, 2), im=Fraction(-3, 1))),"
+    f" ((0, 2), {_ONE})))",
+    "FockConfig": "FockConfig(dim=8, hbar=1.0, safe_rows=2)",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_value_types_are_frozen_records(name):
+    x = _records()[name]
+    assert type(x).__name__ == name
+    assert repr(x) == REPRS[name]
+    fields = type(x)._fields
+    values = tuple(getattr(x, f) for f in fields)
+    assert hash(x) == hash(values)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, f, values[0])
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    with pytest.raises(AttributeError):
+        x.not_a_field = 1
+    assert tuple(getattr(x, f) for f in fields) == values
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+
+
+def test_records_of_different_classes_differ():
+    from weylmin.holomorphic import PolyLambda
+    from weylmin.parse import Name, Num
+    from weylmin.scalars import HbarPoly
+
+    hp = HbarPoly({0: 1, 3: 2})
+    pl = PolyLambda._of(hp.coeffs)
+    assert pl.coeffs == hp.coeffs and hash(pl) == hash(hp)
+    assert hp != pl and pl != hp
+    assert HbarPoly() != PolyLambda() and HbarPoly() == HbarPoly()
+    assert HbarPoly({1: 1}).__eq__(1) is NotImplemented
+    num, name = Num(1, 0), Name(1, 0)
+    assert num._astuple() == name._astuple() and num != name and name != num
+    assert Num(1, 0) == num and Num(1, 0) is not num and Num(1, 0).__eq__((1, 0)) is NotImplemented

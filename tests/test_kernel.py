@@ -87,6 +87,25 @@ class TestPower:
             for n in range(6):
                 assert x**n == repeated_power(x, n, UVPoly({(0, 0): 1}))
 
+    def test_hbar_poly(self):
+        rng = random.Random(73)
+        for _ in range(10):
+            x = HbarPoly({d: rng.randint(-4, 4) for d in range(rng.randint(1, 3))})
+            for n in range(6):
+                assert x**n == repeated_power(x, n, HbarPoly.const(1))
+
+    def test_square_is_one_product(self, monkeypatch):
+        rng = random.Random(74)
+        for x in (GaussRational(2, 3), HbarPoly({0: 1, 1: 2}), random_poly_lambda(rng, 3, 3),
+                  random_weyl(rng, max_deg=2, terms=3), UVPoly({(1, 0): 1, (0, 1): 2})):
+            calls = []
+            mul = type(x)._mul
+            monkeypatch.setattr(type(x), "_mul", lambda a, b: calls.append(1) or mul(a, b))
+            assert x**2 == mul(x, x)
+            assert len(calls) == 1, type(x).__name__
+            assert x**1 == x and x**0 == type(x)._lift(1)
+            monkeypatch.undo()
+
     def test_negative_power_needs_a_field(self):
         assert GaussRational(2) ** -2 == GaussRational(Fraction(1, 4))
         for x in (LAM, PolyLambda({1: 1}), UVPoly({(1, 0): 1}), HbarPoly({1: 1})):
