@@ -105,37 +105,43 @@ def _read_surface(path: str) -> Surface:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_surface_from_fg(args: argparse.Namespace) -> int:
-    s = surface_from_fg(
-        parse_rat(args.f), parse_rat(args.g), _parse_offsets(args.offsets, 3)
-    )
-    _emit_surface(s, args.fmt, args.out)
-    return EXIT_OK
+# Each surface subcommand: its help, its inputs as (flag, reader, help), its
+# number of offsets and its constructor.  A reader is "rat" (a parse_rat
+# expression), "poly" (one that must be a polynomial) or "int" (a whole
+# number, default 1).  The lambdas look readers and constructors up when a
+# command runs, so a module-level name rebound later (bench/tracer.py wraps
+# parse_rat and the constructors that way) is the one called.
+SURFACE_COMMANDS = {
+    "from-fg": ("integrate the (f, g) representation",
+                (("--f", "rat", "expression for f (mode rat)"),
+                 ("--g", "rat", "expression for g (mode rat)")),
+                3, lambda *a: surface_from_fg(*a)),
+    "from-F": ("Gauss-map-L family from a single F",
+               (("--F", "rat", "expression for F (mode rat)"),),
+               3, lambda *a: surface_from_F(*a)),
+    "from-Ftilde": ("integrated-by-parts polynomial form",
+                    (("--Ft", "poly", "polynomial expression (mode rat)"),),
+                    3, lambda *a: surface_from_Ftilde(*a)),
+    "pair": ("four-component surface from two polynomials",
+             (("--f", "poly", "first polynomial (mode rat)"),
+              ("--g", "poly", "second polynomial (mode rat)")),
+             4, lambda *a: surface_from_pair(*a)),
+    "enneper": ("higher-order Enneper: f = 2, g = L^n",
+                (("--n", "int", "order (default 1)"),),
+                3, lambda *a: enneper(*a)),
+}
+_READERS = {
+    "rat": lambda text: parse_rat(text),
+    "poly": lambda text: _parse_poly_arg(text),
+    "int": lambda n: n,
+}
+_OFFSETS_HELP = {3: "three offsets a,b,c", 4: "four offsets a,b,c,d"}
 
 
-def _cmd_surface_from_F(args: argparse.Namespace) -> int:
-    s = surface_from_F(parse_rat(args.F), _parse_offsets(args.offsets, 3))
-    _emit_surface(s, args.fmt, args.out)
-    return EXIT_OK
-
-
-def _cmd_surface_from_Ftilde(args: argparse.Namespace) -> int:
-    s = surface_from_Ftilde(_parse_poly_arg(args.Ft), _parse_offsets(args.offsets, 3))
-    _emit_surface(s, args.fmt, args.out)
-    return EXIT_OK
-
-
-def _cmd_surface_pair(args: argparse.Namespace) -> int:
-    s = surface_from_pair(
-        _parse_poly_arg(args.f), _parse_poly_arg(args.g), _parse_offsets(args.offsets, 4)
-    )
-    _emit_surface(s, args.fmt, args.out)
-    return EXIT_OK
-
-
-def _cmd_surface_enneper(args: argparse.Namespace) -> int:
-    s = enneper(args.n, _parse_offsets(args.offsets, 3))
-    _emit_surface(s, args.fmt, args.out)
+def _cmd_surface(args: argparse.Namespace) -> int:
+    _, inputs, n_offsets, build = SURFACE_COMMANDS[args.surface_command]
+    values = [_READERS[reader](getattr(args, flag[2:])) for flag, reader, _ in inputs]
+    _emit_surface(build(*values, _parse_offsets(args.offsets, n_offsets)), args.fmt, args.out)
     return EXIT_OK
 
 
@@ -156,6 +162,8 @@ def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     from .fock import FockConfig, residual_report
 
     config = FockConfig(dim=args.dim, hbar=args.hbar, safe_rows=args.safe_rows)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     try:
         report = residual_report(config)
         finite = math.isfinite(report["tail_bound"])
@@ -171,21 +179,23 @@ def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     return EXIT_OK if worst < args.tol and report["tail_bound"] < args.tol else EXIT_VERIFY
 
 
+# The operations of ``eval --op``, in the order its help lists them.
+EVAL_OPS = {
+    "d": lambda e: e.derive(Direction.D),
+    "dbar": lambda e: e.derive(Direction.DBAR),
+    "u": lambda e: e.derive(Direction.U),
+    "v": lambda e: e.derive(Direction.V),
+    "lap": lambda e: e.laplace(),
+    "re": lambda e: e.real_part(),
+    "im": lambda e: e.imag_part(),
+    "star": lambda e: e.star(),
+}
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     elem = parse_weyl(args.expr)
-    op = args.op
-    if op is None:
-        pass
-    elif op in ("d", "dbar", "u", "v"):
-        elem = elem.derive(Direction(op))
-    elif op == "lap":
-        elem = elem.laplace()
-    elif op == "re":
-        elem = elem.real_part()
-    elif op == "im":
-        elem = elem.imag_part()
-    elif op == "star":
-        elem = elem.star()
+    if args.op is not None:
+        elem = EVAL_OPS[args.op](elem)
     if args.fmt == "json":
         doc = {"schema": "weylmin/1", "kind": "element", "element": weyl_to_obj(elem)}
         _emit(dumps_canonical(doc), args.out)
@@ -199,7 +209,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 # Options whose value is an expression, which may start with "-" ("-L").
-EXPR_OPTIONS = ("--expr", "--f", "--g", "--F", "--Ft")
+EXPR_OPTIONS = ("--expr", *dict.fromkeys(
+    flag for _, inputs, _, _ in SURFACE_COMMANDS.values()
+    for flag, reader, _ in inputs if reader != "int"
+))
 
 
 def _join_expr_values(argv: Sequence[str]) -> list[str]:
@@ -240,37 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     surface = sub.add_parser("surface", help="build surfaces from Weierstrass data")
     ssub = surface.add_subparsers(dest="surface_command", required=True)
 
-    p = ssub.add_parser("from-fg", help="integrate the (f, g) representation")
-    p.add_argument("--f", required=True, help="expression for f (mode rat)")
-    p.add_argument("--g", required=True, help="expression for g (mode rat)")
-    p.add_argument("--offsets", default=None, help="three offsets a,b,c")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_surface_from_fg)
-
-    p = ssub.add_parser("from-F", help="Gauss-map-L family from a single F")
-    p.add_argument("--F", required=True, help="expression for F (mode rat)")
-    p.add_argument("--offsets", default=None, help="three offsets a,b,c")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_surface_from_F)
-
-    p = ssub.add_parser("from-Ftilde", help="integrated-by-parts polynomial form")
-    p.add_argument("--Ft", required=True, help="polynomial expression (mode rat)")
-    p.add_argument("--offsets", default=None, help="three offsets a,b,c")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_surface_from_Ftilde)
-
-    p = ssub.add_parser("pair", help="four-component surface from two polynomials")
-    p.add_argument("--f", required=True, help="first polynomial (mode rat)")
-    p.add_argument("--g", required=True, help="second polynomial (mode rat)")
-    p.add_argument("--offsets", default=None, help="four offsets a,b,c,d")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_surface_pair)
-
-    p = ssub.add_parser("enneper", help="higher-order Enneper: f = 2, g = L^n")
-    p.add_argument("--n", type=int, default=1, help="order (default 1)")
-    p.add_argument("--offsets", default=None, help="three offsets a,b,c")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_surface_enneper)
+    for name, (text, inputs, n_offsets, _) in SURFACE_COMMANDS.items():
+        p = ssub.add_parser(name, help=text)
+        for flag, reader, help_text in inputs:
+            if reader == "int":
+                p.add_argument(flag, type=int, default=1, help=help_text)
+            else:
+                p.add_argument(flag, required=True, help=help_text)
+        p.add_argument("--offsets", default=None, help=_OFFSETS_HELP[n_offsets])
+        _add_output_args(p)
+        p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("verify", help="run the exact minimality checks")
     p.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
@@ -294,12 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an algebra expression")
     p.add_argument("--expr", required=True, help="expression (mode weyl)")
-    p.add_argument(
-        "--op",
-        choices=("d", "dbar", "u", "v", "lap", "re", "im", "star"),
-        default=None,
-        help="optional operation to apply",
-    )
+    p.add_argument("--op", choices=tuple(EVAL_OPS), default=None, help="optional operation to apply")
     _add_output_args(p, default_fmt="text")
     p.set_defaults(func=_cmd_eval)
 

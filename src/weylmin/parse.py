@@ -10,20 +10,28 @@ Grammar (precedence climbing):
 
 so '^' binds tighter than unary minus, which binds tighter than '*' and
 '/'.  Recognized names: L, Ls, U, V, h (the central parameter), i (the
-imaginary unit).
+imaginary unit).  Integers are ASCII digits and names ASCII letters and
+digits; any other character is an error at its position, and so is a
+literal longer than Python converts to an int (4300 digits by default).
 
-Two evaluation modes share the grammar:
+The whole input is parsed to a syntax tree first, so a syntax error is
+reported before any algebra work.  One evaluator, ``_evaluate``, then
+walks the tree in a mode: the value type, a table of what each name
+means, and the mode the divisor of '/' is read in.
 
-* weyl mode produces a WeylElement.  Division is restricted to scalar
-  denominators (no L, Ls, U, V, h inside), checked on the syntax tree
-  so the error points at the offending position.
+* weyl mode produces a WeylElement.  Its divisors are read in a scalar
+  mode in which L, Ls, U, V and h are errors, so only Gaussian rationals
+  divide.
 * rat mode produces a RatLambda and forbids the names U, V and Ls;
   division is unrestricted.
+
+Errors come in evaluation order, left operand before right: in
+``L/(1/0*L)`` the division by zero at position 4 is reported, not the L.
 
 Expressions nest at most ``MAX_DEPTH`` levels: every parenthesised
 group, unary minus, power and link of an operator chain is one level, so
 ``L+L+L`` is three deep.  The cap keeps the recursive parser and
-evaluators far from Python's recursion limit.
+evaluator far from Python's recursion limit.
 
 All failures raise :class:`ParseError` carrying a 0-based position into
 the source string.
@@ -55,46 +63,33 @@ class Token(Frozen):
         self._init_fields(kind, text, pos)
 
 
-_OPS = set("+-*/^")
+_PUNCTUATION = dict.fromkeys("+-*/^", "OP") | {"(": "LPAREN", ")": "RPAREN"}
 _NAMES = {"L", "Ls", "U", "V", "h", "i"}
 
 
 def tokenize(src: str) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    n = len(src)
+    i, n = 0, len(src)
     while i < n:
         ch = src[i]
+        j = i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            out.append(Token("NUM", src[i:j], i))
             i = j
             continue
-        if ch.isalpha():
-            j = i
-            while j < n and src[j].isalnum():
+        if "0" <= ch <= "9":
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
-            out.append(Token("NAME", src[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            out.append(Token("OP", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            out.append(Token("LPAREN", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            out.append(Token("RPAREN", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+            kind = "NUM"
+        elif ch.isascii() and ch.isalpha():
+            while j < n and src[j].isascii() and src[j].isalnum():
+                j += 1
+            kind = "NAME"
+        elif ch in _PUNCTUATION:
+            kind = _PUNCTUATION[ch]
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+        out.append(Token(kind, src[i:j], i))
+        i = j
     out.append(Token("END", "", n))
     return out
 
@@ -142,6 +137,14 @@ Node = Union[Num, Name, Neg, BinOp, Pow]
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _UNARY_PREC = 3
 MAX_DEPTH = 200
+
+
+def _integer(t: Token) -> int:
+    """The value of a NUM token; one too long for ``int`` is a ParseError."""
+    try:
+        return int(t.text)
+    except ValueError:
+        raise ParseError(f"integer literal too long ({len(t.text)} digits)", t.pos) from None
 
 
 def _level(height: int, pos: int) -> int:
@@ -212,13 +215,13 @@ class _Parser:
             if e.kind != "NUM":
                 raise ParseError("exponent must be a nonnegative integer", e.pos)
             self.next()
-            return Pow(base, int(e.text), t.pos), _level(height, t.pos)
+            return Pow(base, _integer(e), t.pos), _level(height, t.pos)
         return base, height
 
     def parse_atom(self) -> tuple[Node, int]:
         t = self.next()
         if t.kind == "NUM":
-            return Num(int(t.text), t.pos), 1
+            return Num(_integer(t), t.pos), 1
         if t.kind == "NAME":
             if t.text not in _NAMES:
                 raise ParseError(f"unknown name {t.text!r}", t.pos)
@@ -241,74 +244,49 @@ def parse_ast(src: str) -> Node:
 # -- evaluation --------------------------------------------------------------
 
 
-def _scalar_names(node: Node) -> Token | None:
-    """First non-scalar name in a subtree, or None if purely scalar."""
+class _Mode:
+    """A parse mode: the type numbers and names coerce to, each name's value
+    or the message that refuses it, and the mode that reads a divisor."""
+
+    __slots__ = ("type", "names", "divisor")
+
+    def __init__(self, type_, names: dict, divisor: "_Mode | None" = None) -> None:
+        self.type, self.names, self.divisor = type_, names, divisor or self
+
+
+# weyl mode reads a divisor as a scalar: the algebra inverts nothing else.
+_SCALAR = _Mode(GaussRational, {
+    "i": GR_I,
+    **{g: f"division by {g} is not defined in the algebra" for g in ("L", "Ls", "U", "V", "h")},
+})
+_WEYL = _Mode(WeylElement, {
+    "L": weyl.LAM, "Ls": weyl.LAM_STAR, "U": weyl.U, "V": weyl.V, "h": weyl.HBAR, "i": GR_I,
+}, _SCALAR)
+_RAT = _Mode(RatLambda, {
+    "L": PolyLambda({1: 1}), "h": HP_HBAR, "i": GR_I,
+    **{g: f"{g} is not Lambda-rational (only L, h, i allowed)" for g in ("U", "V", "Ls")},
+})
+
+
+def _evaluate(node: Node, mode: _Mode):
     if isinstance(node, Num):
-        return None
+        return mode.type.coerce(node.value)
     if isinstance(node, Name):
-        if node.name == "i":
-            return None
-        return Token("NAME", node.name, node.pos)
+        value = mode.names[node.name]
+        if isinstance(value, str):
+            raise ParseError(value, node.pos)
+        return mode.type.coerce(value)
     if isinstance(node, Neg):
-        return _scalar_names(node.operand)
+        return -_evaluate(node.operand, mode)
     if isinstance(node, Pow):
-        return _scalar_names(node.base)
-    bad = _scalar_names(node.left)
-    return bad if bad is not None else _scalar_names(node.right)
-
-
-def _eval_scalar(node: Node) -> GaussRational:
-    if isinstance(node, Num):
-        return GaussRational(node.value)
-    if isinstance(node, Name):
-        if node.name == "i":
-            return GR_I
-        raise ParseError(f"{node.name} is not a scalar", node.pos)
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.operand)
-    if isinstance(node, Pow):
-        return _eval_scalar(node.base) ** node.exponent
-    left = _eval_scalar(node.left)
-    right = _eval_scalar(node.right)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right.is_zero():
-        raise ParseError("division by zero", node.pos)
-    return left / right
-
-
-def _eval_weyl(node: Node) -> WeylElement:
-    if isinstance(node, Num):
-        return WeylElement.coerce(node.value)
-    if isinstance(node, Name):
-        return {
-            "L": weyl.LAM,
-            "Ls": weyl.LAM_STAR,
-            "U": weyl.U,
-            "V": weyl.V,
-            "h": weyl.HBAR,
-            "i": WeylElement.coerce(GR_I),
-        }[node.name]
-    if isinstance(node, Neg):
-        return -_eval_weyl(node.operand)
-    if isinstance(node, Pow):
-        return _eval_weyl(node.base) ** node.exponent
-    left = _eval_weyl(node.left)
+        return _evaluate(node.base, mode) ** node.exponent
+    left = _evaluate(node.left, mode)
     if node.op == "/":
-        bad = _scalar_names(node.right)
-        if bad is not None:
-            raise ParseError(
-                f"division by {bad.text} is not defined in the algebra", bad.pos
-            )
-        den = _eval_scalar(node.right)
-        if den.is_zero():
+        right = _evaluate(node.right, mode.divisor)
+        if right.is_zero():
             raise ParseError("division by zero", node.pos)
-        return left.scale(den.inverse())
-    right = _eval_weyl(node.right)
+        return left * right.inverse()
+    right = _evaluate(node.right, mode)
     if node.op == "+":
         return left + right
     if node.op == "-":
@@ -316,41 +294,11 @@ def _eval_weyl(node: Node) -> WeylElement:
     return left * right
 
 
-def _eval_rat(node: Node) -> RatLambda:
-    if isinstance(node, Num):
-        return RatLambda.coerce(node.value)
-    if isinstance(node, Name):
-        if node.name in ("U", "V", "Ls"):
-            raise ParseError(
-                f"{node.name} is not Lambda-rational (only L, h, i allowed)", node.pos
-            )
-        if node.name == "L":
-            return RatLambda.from_poly(PolyLambda({1: 1}))
-        if node.name == "h":
-            return RatLambda.from_poly(PolyLambda.const(HP_HBAR))
-        return RatLambda.coerce(PolyLambda.const(GR_I))
-    if isinstance(node, Neg):
-        return -_eval_rat(node.operand)
-    if isinstance(node, Pow):
-        return _eval_rat(node.base) ** node.exponent
-    left = _eval_rat(node.left)
-    right = _eval_rat(node.right)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if right.is_zero():
-        raise ParseError("division by zero", node.pos)
-    return left / right
-
-
 def parse_weyl(src: str) -> WeylElement:
     """Parse an algebra element (mode weyl)."""
-    return _eval_weyl(parse_ast(src))
+    return _evaluate(parse_ast(src), _WEYL)
 
 
 def parse_rat(src: str) -> RatLambda:
     """Parse a Lambda-rational expression (mode rat)."""
-    return _eval_rat(parse_ast(src))
+    return _evaluate(parse_ast(src), _RAT)

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
 import pathlib
 
 import pytest
 
-from weylmin.cli import main
+from weylmin import cli
+from weylmin.cli import build_parser, main
 from weylmin.parse import parse_weyl
 from weylmin.serialize import surface_from_obj, surface_to_obj
 from weylmin.surfaces import enneper
@@ -59,6 +61,21 @@ class TestSurfaceCommands:
         assert code == 0
         _, want, _ = run(capsys, "surface", "from-F", "--F=-L^2")
         assert out == want
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["from-fg", "--g", "L"], "--f", "-2"),
+            (["from-fg", "--f", "2"], "--g", "-L"),
+            (["from-Ftilde"], "--Ft", "-L^3"),
+            (["pair", "--g", "L^2"], "--f", "-L"),
+            (["pair", "--f", "L"], "--g", "-L^2"),
+        ],
+    )
+    def test_expression_flags_take_a_leading_minus(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, "surface", *argv, flag, value)
+        assert (code, err) == (0, "")
+        assert run(capsys, "surface", *argv, f"{flag}={value}") == (0, out, "")
 
     def test_bad_offsets_count(self, capsys):
         code, _, err = run(capsys, "surface", "enneper", "--n", "1", "--offsets", "1,2")
@@ -237,6 +254,13 @@ class TestFockCommand:
             assert code == 2
             assert out == "" and "hbar" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+    def test_meaningless_tol_rejected(self, capsys, value):
+        # inf passed every report and nan failed every one
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "16", f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol must be positive and finite, got {float(value)}\n"
+
     def test_dim_cap(self, capsys):
         code, out, err = run(capsys, "fock", "catenoid", "--dim", str(10**9))
         assert code == 2
@@ -331,3 +355,106 @@ class TestDeepInput:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("parse error:")
+
+
+# -- the shape of the command line, pinned --------------------------------
+
+_FMT_JSON = (("--fmt",), False, "json", None, ("text", "latex", "json"), "output format (default json)")
+_OUT = (("--out",), False, None, None, None, "output file (default stdout)")
+_OFFSETS_3 = (("--offsets",), False, None, None, None, "three offsets a,b,c")
+
+# (subcommand path, help) and each option's (flags, required, default, type,
+# choices, help), in the order argparse holds them.
+CLI_SHAPE = {
+    ("surface", "build surfaces from Weierstrass data"): None,
+    ("surface from-fg", "integrate the (f, g) representation"): [
+        (("--f",), True, None, None, None, "expression for f (mode rat)"),
+        (("--g",), True, None, None, None, "expression for g (mode rat)"),
+        _OFFSETS_3, _FMT_JSON, _OUT,
+    ],
+    ("surface from-F", "Gauss-map-L family from a single F"): [
+        (("--F",), True, None, None, None, "expression for F (mode rat)"),
+        _OFFSETS_3, _FMT_JSON, _OUT,
+    ],
+    ("surface from-Ftilde", "integrated-by-parts polynomial form"): [
+        (("--Ft",), True, None, None, None, "polynomial expression (mode rat)"),
+        _OFFSETS_3, _FMT_JSON, _OUT,
+    ],
+    ("surface pair", "four-component surface from two polynomials"): [
+        (("--f",), True, None, None, None, "first polynomial (mode rat)"),
+        (("--g",), True, None, None, None, "second polynomial (mode rat)"),
+        (("--offsets",), False, None, None, None, "four offsets a,b,c,d"),
+        _FMT_JSON, _OUT,
+    ],
+    ("surface enneper", "higher-order Enneper: f = 2, g = L^n"): [
+        (("--n",), False, 1, int, None, "order (default 1)"),
+        _OFFSETS_3, _FMT_JSON, _OUT,
+    ],
+    ("verify", "run the exact minimality checks"): [
+        (("--in",), True, None, None, None, "surface JSON file, or - for stdin"),
+        (("--out",), False, None, None, None, "report output file (default stdout)"),
+    ],
+    ("conjugate", "conjugate surface from recorded primitives"): [
+        (("--in",), True, None, None, None, "surface JSON file, or - for stdin"),
+        _FMT_JSON, _OUT,
+    ],
+    ("fock", "truncated Fock-space checks"): None,
+    ("fock catenoid", "catenoid residual report"): [
+        (("--hbar",), False, 1.0, float, None, "hbar value (default 1)"),
+        (("--dim",), True, None, int, None, "truncation dimension"),
+        (("--safe-rows",), False, None, int, None, "safe window (default dim//3)"),
+        (("--tol",), False, 1e-8, float, None, "residual tolerance (default 1e-8)"),
+        (("--out",), False, None, None, None, "report output file (default stdout)"),
+    ],
+    ("eval", "evaluate an algebra expression"): [
+        (("--expr",), True, None, None, None, "expression (mode weyl)"),
+        (("--op",), False, None, None, ("d", "dbar", "u", "v", "lap", "re", "im", "star"),
+         "optional operation to apply"),
+        (("--fmt",), False, "text", None, ("text", "latex", "json"), "output format (default text)"),
+        _OUT,
+    ],
+}
+
+
+def _shape(parser, path=""):
+    """CLI_SHAPE of ``parser``: a command with subcommands maps to None."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            assert action.required
+            helps = {a.dest: a.help for a in action._choices_actions}
+            for name, sub in action.choices.items():
+                cmd = f"{path} {name}".strip()
+                yield (cmd, helps[name]), [
+                    (tuple(a.option_strings), a.required, a.default, a.type, a.choices, a.help)
+                    for a in sub._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)
+                ] or None
+                yield from _shape(sub, cmd)
+
+
+def test_cli_shape():
+    shape = dict(_shape(build_parser()))
+    assert shape == CLI_SHAPE
+    assert list(shape) == list(CLI_SHAPE)
+
+
+@pytest.mark.parametrize(
+    "argv,names",
+    [
+        (["from-fg", "--f", "2", "--g", "L"], ["parse_rat", "surface_from_fg"]),
+        (["from-F", "--F", "L^2"], ["parse_rat", "surface_from_F"]),
+        (["from-Ftilde", "--Ft", "L^3"], ["_parse_poly_arg", "surface_from_Ftilde"]),
+        (["pair", "--f", "L", "--g", "L^2"], ["_parse_poly_arg", "surface_from_pair"]),
+        (["enneper"], ["enneper"]),
+    ],
+)
+def test_surface_commands_look_names_up_when_they_run(monkeypatch, capsys, argv, names):
+    """A tracer rebinds module-level names; the surface table must see that."""
+    seen = []
+    for name in names:
+        original = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, _f=original, _n=name: seen.append(_n) or _f(*a)
+        )
+    assert run(capsys, "surface", *argv)[0] == 0
+    assert sorted(set(seen)) == sorted(names)
