@@ -6,9 +6,8 @@ real variables.  :class:`UVPoly` is that polynomial ring (coefficients
 still GaussRational; hermitian elements land in the real subring), and
 :func:`classical_limit` performs the substitution.  The image of
 ``L^k Ls^l`` is the h-free part of its U,V-ordered form, so the limit is
-the h-degree-0 part of :func:`weylmin.weyl.uv_rows`, the one integer
-accumulation of an element's rows times the rows of
-:func:`weylmin.weyl.uv_table`; this module knows no commutation rule.
+:func:`weylmin.weyl.uv_coefficients` with ``h_free``; this module knows
+no commutation rule and does not read the flat form itself.
 UVPoly is built on the kernel in :mod:`weylmin.scalars`: the operator
 mixin, the canonicaliser and the (total degree, u-degree) term order that
 algebra elements use too.
@@ -20,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .scalars import GaussLike, GaussRational, Ring, bidegree_order, canon
-from .weyl import WeylElement, uv_rows
+from .weyl import WeylElement, uv_coefficients
 
 
 class UVPoly(Ring):
@@ -85,9 +84,9 @@ def classical_limit(a: WeylElement) -> UVPoly:
     h-free rows of ``a`` are rewritten.
     """
     return UVPoly(
-        ((p, q), GaussRational(Fraction(re, a.den), Fraction(im, a.den)))
-        for p, q, d, re, im in uv_rows(row for row in a.rows if not row[2])
-        if not d
+        (pq, GaussRational(re, im))
+        for pq, c in uv_coefficients(a, h_free=True).items()
+        for _, re, im in c
     )
 
 

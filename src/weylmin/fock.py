@@ -47,14 +47,6 @@ from typing import Optional
 
 from .scalars import Frozen
 
-__all__ = [
-    "FockConfig",
-    "exp_lambda",
-    "exp_tail_bound",
-    "catenoid",
-    "residual_report",
-]
-
 _TERM_CUTOFF = 1e-18
 
 MAX_DIM = 1024

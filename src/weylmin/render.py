@@ -7,10 +7,10 @@ as exact rationals.
 
 LaTeX output presents elements in U,V-ordered form (every monomial
 ``U^p V^q`` with all U factors to the left), which tends to match how
-hermitian surface components are written down.  The U,V-ordered rows
-come from :func:`weylmin.weyl.uv_rows`, one integer accumulation of the
-element's coefficients times :func:`weylmin.weyl.uv_table`, and are sorted
-by ``(p + q, -p)``; this module knows no commutation rule.
+hermitian surface components are written down.  Text reads elements
+through :func:`weylmin.weyl.coefficients` and LaTeX through its U,V twin
+:func:`weylmin.weyl.uv_coefficients`, as ``(h-degree, re, im)`` triples,
+not through HbarPoly; this module knows no commutation rule.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussRational, HbarPoly
-from .weyl import group_rows, uv_rows
+from .weyl import Coeff, coefficients, uv_coefficients
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .holomorphic import PolyLambda, RatLambda
@@ -72,7 +71,7 @@ def _join_terms(parts: list[str]) -> str:
     return out
 
 
-def _term_text(coeffs: list[tuple[int, Fraction, Fraction]], monomial: str) -> str:
+def _term_text(coeffs: Coeff, monomial: str) -> str:
     """``coeff*monomial`` for a coefficient given as ``(h-degree, re, im)``
     triples; a sum of several h-powers is parenthesised."""
     parts = [_hbar_monomial_text(*c) for c in coeffs] or ["0"]
@@ -99,24 +98,15 @@ def _lam_monomial(k: int, l: int) -> str:
 
 
 def weyl_text(a: "WeylElement") -> str:
-    """Canonical normal-ordered text, written from the rows and ``den``;
-    parses back to the same element."""
-    terms: dict = {}
-    for k, l, d, re, im in a.rows:
-        terms.setdefault((k, l), []).append((d, Fraction(re, a.den), Fraction(im, a.den)))
-    return _join_terms([_term_text(cs, _lam_monomial(k, l)) for (k, l), cs in terms.items()])
-
-
-def uv_ordered_terms(a: "WeylElement") -> tuple[tuple[tuple[int, int], HbarPoly], ...]:
-    """Rewrite in the U,V-ordered basis U^p V^q (U powers to the left)."""
-    rows = sorted(uv_rows(a.rows), key=lambda r: (r[0] + r[1], -r[0], r[2]))
-    return group_rows(rows, a.den)
+    """Canonical normal-ordered text; parses back to the same element."""
+    return _join_terms([_term_text(c, _lam_monomial(k, l))
+                        for (k, l), c in coefficients(a).items()])
 
 
 def weyl_latex(a: "WeylElement") -> str:
     """LaTeX in U,V-ordered form."""
     parts = []
-    for (p, q), c in uv_ordered_terms(a):
+    for (p, q), c in uv_coefficients(a).items():
         mono = ""
         if p:
             mono += "U" if p == 1 else f"U^{{{p}}}"
@@ -134,25 +124,25 @@ def _latex_frac(x: Fraction) -> str:
     return f"\\frac{{{x.numerator}}}{{{x.denominator}}}"
 
 
-def _latex_gauss(c: GaussRational, *, bare: bool) -> str:
-    """LaTeX scalar; with bare=False a trailing factor follows."""
-    if not c.im:
-        return _latex_frac(c.re)
-    if not c.re:
-        if c.im == 1:
+def _latex_gauss(re: Fraction, im: Fraction, *, bare: bool) -> str:
+    """LaTeX scalar ``re + im i``; with bare=False a trailing factor follows."""
+    if not im:
+        return _latex_frac(re)
+    if not re:
+        if im == 1:
             return "i"
-        if c.im == -1:
+        if im == -1:
             return "-i"
-        return f"{_latex_frac(c.im)}i"
-    inner = f"{_latex_frac(c.re)} {'+' if c.im > 0 else '-'} {_latex_gauss(GaussRational(0, abs(c.im)), bare=True)}"
+        return f"{_latex_frac(im)}i"
+    inner = f"{_latex_frac(re)} {'+' if im > 0 else '-'} {_latex_gauss(0, abs(im), bare=True)}"
     return inner if bare else f"\\left({inner}\\right)"
 
 
-def _latex_term(c: HbarPoly, mono: str) -> str:
+def _latex_term(coeffs: Coeff, mono: str) -> str:
     parts = []
-    for d, g in c.coeffs:
+    for d, re, im in coeffs:
         h = "" if d == 0 else ("\\hbar" if d == 1 else f"\\hbar^{{{d}}}")
-        gs = _latex_gauss(g, bare=False)
+        gs = _latex_gauss(re, im, bare=False)
         if h and gs == "1":
             gs = ""
         elif h and gs == "-1":

@@ -5,18 +5,19 @@ emitted in the canonical storage order (bidegrees by (k+l, k), h-degrees
 ascending), and rationals as separate numerator/denominator integers, so
 serialization is deterministic down to the byte and golden files can be
 compared exactly.  ``dumps_canonical`` fixes the textual JSON layout.
+Elements are read through :func:`weylmin.weyl.coefficients`; one function
+writes the coefficient records of elements and Lambda-polynomials alike.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
 
 from .scalars import GaussRational, HbarPoly
 from .holomorphic import PolyLambda, RatLambda
 from .surfaces import Provenance, Surface, VerificationReport
-from .weyl import WeylElement
+from .weyl import Coeff, WeylElement, coefficients
 
 SCHEMA = "weylmin/1"
 
@@ -34,9 +35,10 @@ def dumps_canonical(obj: dict) -> str:
 # -- scalars -----------------------------------------------------------------
 
 
-def _coeff_to_obj(p: HbarPoly) -> list[dict]:
-    return [{"hbar_deg": d, "re_num": c.re.numerator, "re_den": c.re.denominator,
-             "im_num": c.im.numerator, "im_den": c.im.denominator} for d, c in p.coeffs]
+def _coeff_to_obj(coeffs: Coeff) -> list[dict]:
+    """The one coefficient record writer, for ``(h-degree, re, im)`` triples."""
+    return [{"hbar_deg": d, "re_num": re.numerator, "re_den": re.denominator,
+             "im_num": im.numerator, "im_den": im.denominator} for d, re, im in coeffs]
 
 
 def _field(rec: object, name: str) -> object:
@@ -46,27 +48,29 @@ def _field(rec: object, name: str) -> object:
         raise DeserializeError(f"record has no field {name!r}") from exc
 
 
-def _int(rec: object, name: str) -> int:
-    """The JSON integer in field ``name``; a float or a bool is an error."""
+def _exact(rec: object, name: str, typ: type = int):
+    """The value in field ``name`` if its type is exactly ``typ``: a float or
+    a bool is not an integer, and a number or an object is not a string."""
     x = _field(rec, name)
-    if type(x) is not int:
+    if type(x) is not typ:
         got = json.dumps(x, default=repr)
-        raise DeserializeError(f"field {name!r} must be an integer, got {got}")
+        noun = "an integer" if typ is int else "a string"
+        raise DeserializeError(f"field {name!r} must be {noun}, got {got}")
     return x
 
 
 def _rational(rec: object, num: str, den: str) -> Fraction:
-    d = _int(rec, den)
+    d = _exact(rec, den)
     if not d:
         raise DeserializeError(f"field {den!r} must be nonzero")
-    return Fraction(_int(rec, num), d)
+    return Fraction(_exact(rec, num), d)
 
 
 def _coeff_from_obj(obj: object) -> HbarPoly:
     if not isinstance(obj, list):
         raise DeserializeError("coefficient must be a list of records")
     return HbarPoly(
-        (_int(rec, "hbar_deg"),
+        (_exact(rec, "hbar_deg"),
          GaussRational(_rational(rec, "re_num", "re_den"), _rational(rec, "im_num", "im_den")))
         for rec in obj
     )
@@ -84,34 +88,26 @@ def _fraction_from_obj(obj: object) -> Fraction:
 
 
 def weyl_to_obj(a: WeylElement) -> list[dict]:
-    """Term records written from the rows: consecutive rows share a
-    bidegree, and each numerator is reduced against ``den`` on its own."""
-    out: list[dict] = []
-    for k, l, d, re, im in a.rows:
-        if not out or (out[-1]["k"], out[-1]["l"]) != (k, l):
-            out.append({"k": k, "l": l, "coeff": []})
-        g, h = gcd(re, a.den), gcd(im, a.den)
-        out[-1]["coeff"].append({"hbar_deg": d, "re_num": re // g, "re_den": a.den // g,
-                                 "im_num": im // h, "im_den": a.den // h})
-    return out
+    return [{"k": k, "l": l, "coeff": _coeff_to_obj(c)} for (k, l), c in coefficients(a).items()]
 
 
 def weyl_from_obj(obj: object) -> WeylElement:
     if not isinstance(obj, list):
         raise DeserializeError("element must be a list of term records")
     return WeylElement(
-        ((_int(rec, "k"), _int(rec, "l")), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj
+        ((_exact(rec, "k"), _exact(rec, "l")), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj
     )
 
 
 def poly_to_obj(p: PolyLambda) -> list[dict]:
-    return [{"deg": d, "coeff": _coeff_to_obj(c)} for d, c in p.coeffs]
+    return [{"deg": d, "coeff": _coeff_to_obj([(j, g.re, g.im) for j, g in c.coeffs])}
+            for d, c in p.coeffs]
 
 
 def poly_from_obj(obj: object) -> PolyLambda:
     if not isinstance(obj, list):
         raise DeserializeError("polynomial must be a list of records")
-    return PolyLambda((_int(rec, "deg"), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj)
+    return PolyLambda((_exact(rec, "deg"), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj)
 
 
 def rat_to_obj(r: RatLambda) -> dict:
@@ -137,10 +133,7 @@ def _param_to_obj(name: str, value) -> dict:
 
 
 def _param_from_obj(obj: object) -> tuple[str, object]:
-    try:
-        name, typ, value = obj["name"], obj["type"], obj["value"]
-    except (KeyError, TypeError) as exc:
-        raise DeserializeError(f"bad provenance parameter: {exc}") from exc
+    name, typ, value = _exact(obj, "name", str), _field(obj, "type"), _field(obj, "value")
     if typ == "rat":
         return name, rat_from_obj(value)
     if typ == "poly":
@@ -177,13 +170,13 @@ def surface_from_obj(obj: object) -> Surface:
         offsets = tuple(_fraction_from_obj(x) for x in obj["offsets"])
         prov_obj = obj["provenance"]
         prov = Provenance(
-            kind=str(prov_obj["kind"]),
+            kind=_exact(prov_obj, "kind", str),
             params=tuple(_param_from_obj(p) for p in prov_obj["params"]),
             primitives=tuple(poly_from_obj(p) for p in prov_obj["primitives"]),
         )
     except (KeyError, TypeError) as exc:
         raise DeserializeError(f"bad surface document: {exc}") from exc
-    if "n" in obj and _int(obj, "n") != len(comps):
+    if "n" in obj and _exact(obj, "n") != len(comps):
         raise DeserializeError("component count does not match n")
     return Surface(comps, offsets, prov)
 

@@ -42,34 +42,12 @@ from typing import Sequence, Union
 from .scalars import GR_I, Frozen, GaussRational, HbarPoly
 from .holomorphic import (
     NotIntegrableError,
-    PhiTriple,
     PolyLambda,
     RatLambda,
     phi_from_fg,
     poly_to_weyl,
 )
 from .weyl import Direction, WeylElement, symmetric_product_sum
-
-__all__ = [
-    "NonPolynomialPrimitiveError",
-    "Provenance",
-    "Surface",
-    "FirstFundamental",
-    "VerificationReport",
-    "bilinear",
-    "first_fundamental",
-    "verify_minimal",
-    "phi_components",
-    "surface_from_fg",
-    "surface_from_F",
-    "surface_from_Ftilde",
-    "surface_from_pair",
-    "enneper",
-    "conjugate_surface",
-    "normal_element",
-    "check_normal",
-    "mean_curvature_h0",
-]
 
 
 class NonPolynomialPrimitiveError(ValueError):
@@ -276,17 +254,11 @@ def surface_from_F(
     F: RatLambda,
     offsets: Union[Sequence[Union[int, Fraction]], None] = None,
 ) -> Surface:
-    """The Gauss-map-L family: integrate ((1-L^2)F, i(1+L^2)F, 2LF) / nu."""
+    """The Gauss-map-L family: integrate phi_from_fg(2F, L), which is
+    ((1-L^2)F, i(1+L^2)F, 2LF), and divide by nu."""
     F = RatLambda.coerce(F)
     offs = _offsets_tuple(3, offsets)
-    l2 = RatLambda.from_poly(PolyLambda({2: 1}))
-    lam = RatLambda.from_poly(PolyLambda({1: 1}))
-    one = RatLambda.from_poly(PolyLambda.const(1))
-    phi = PhiTriple.of(
-        (one - l2) * F,
-        (one + l2) * F * GR_I,
-        lam * F * 2,
-    )
+    phi = phi_from_fg(F * 2, RatLambda.from_poly(PolyLambda({1: 1})))
     nu = _nu_from_degree(F.num.degree() - F.den.degree())
     prims = tuple(
         _integrate_component(c, f"Phi{idx}").scale(Fraction(1, 1) / nu)

@@ -15,10 +15,7 @@ which is exactly what iterating the single swap ``Ls L = L Ls - 2h`` yields.
 This module is the only one that knows the commutation relation.  The
 other basis the package writes elements in, U,V order (every monomial
 ``U^p V^q`` with all U factors to the left), comes from one table,
-:func:`uv_table`; :func:`uv_rows` adds an element's coefficients times
-its tables into one integer accumulation, which the LaTeX renderer
-formats and whose h-free part is the classical limit.  It is the
-expansion of
+:func:`uv_table`, the expansion of
 
     e^(a L) e^(b Ls) = e^((a+b) U) e^(i(a-b) V) e^(h((a^2-b^2)/2 + ab)),
 
@@ -38,7 +35,12 @@ integer products into one accumulator keyed by ``(k, l, h-degree)``
 (:func:`_accumulate`), from which the canonical rows are rebuilt;
 :func:`symmetric_product_sum` (the surface layer's bilinear form) puts all
 its products into one.  HbarPoly coefficients come in only through the
-constructor and go out only through the ``terms`` view.
+constructor.  Everything else reads the flat form through
+:func:`coefficients` or its U,V-ordered twin :func:`uv_coefficients`, one
+integer accumulation of the rows times their :func:`uv_table` rows; both
+give ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction parts.  The
+``terms`` view, text and JSON read the first; LaTeX, and the classical
+limit as its h-free part, the second.
 
 The four derivations act on basis monomials by
 
@@ -168,12 +170,16 @@ def _element(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement"
     return object.__new__(WeylElement)._store(items, den)
 
 
-def group_rows(rows: Iterable[Row], den: int) -> tuple[tuple[Bidegree, HbarPoly], ...]:
-    """Rows over ``den``, sorted, as ``((k, l), HbarPoly)`` pairs in row order."""
+# A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
+Coeff = list[tuple[int, Fraction, Fraction]]
+
+
+def _grouped(rows: Iterable[Row], den: int) -> dict[Bidegree, Coeff]:
+    """Rows over ``den`` grouped by their first two entries, in row order."""
     out: dict = {}
     for k, l, d, re, im in rows:
-        out.setdefault((k, l), []).append((d, GaussRational(Fraction(re, den), Fraction(im, den))))
-    return tuple((kl, HbarPoly._of(tuple(cs))) for kl, cs in out.items())
+        out.setdefault((k, l), []).append((d, Fraction(re, den), Fraction(im, den)))
+    return out
 
 
 class WeylElement(Ring):
@@ -233,7 +239,8 @@ class WeylElement(Ring):
     @property
     def terms(self) -> tuple[tuple[Bidegree, HbarPoly], ...]:
         """``((k, l), HbarPoly)`` pairs sorted by ``(k + l, k)``."""
-        return group_rows(self.rows, self.den)
+        return tuple((kl, HbarPoly._of(tuple((d, GaussRational(re, im)) for d, re, im in c)))
+                     for kl, c in coefficients(self).items())
 
     @classmethod
     def _lift(cls, x: HbarLike) -> "WeylElement":
@@ -353,17 +360,27 @@ V = WeylElement(
 )
 
 
-def uv_rows(rows: Iterable[Row]) -> list[Row]:
-    """Rows of an element rewritten in U,V order, ``(p, q, h-degree, re, im)``
-    over the same denominator: one integer accumulation of each row's
-    coefficient times the rows of :func:`uv_table`, zero rows dropped, in no
-    particular order."""
+def coefficients(a: WeylElement) -> dict[Bidegree, Coeff]:
+    """The flat form as ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction
+    parts, bidegrees by ``(k + l, k)`` and h-degrees ascending."""
+    return _grouped(a.rows, a.den)
+
+
+def uv_coefficients(a: WeylElement, h_free: bool = False) -> dict[Bidegree, Coeff]:
+    """The element in U,V order, grouped as :func:`coefficients` groups it
+    with ``(p, q)`` by ``(p + q, -p)``.  With ``h_free`` only the h-free
+    part, the classical limit, is formed, from the h-free rows alone: no
+    row of :func:`uv_table` lowers the h-degree."""
     acc = _accumulate({}, (
         ((p, q, d + e), re * tr - im * ti, re * ti + im * tr)
-        for k, l, d, re, im in rows
+        for k, l, d, re, im in a.rows
+        if not (h_free and d)
         for p, q, e, tr, ti in uv_table(k, l)
+        if not (h_free and e)
     ))
-    return [(p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im]
+    rows = sorted(((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im),
+                  key=lambda r: (r[0] + r[1], -r[0], r[2]))
+    return _grouped(rows, a.den)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -439,9 +456,8 @@ def sym(k: int, l: int) -> WeylElement:
     """
     if k < 0 or l < 0:
         raise ValueError("sym requires nonnegative powers")
-    minus_half_i = GaussRational(0, Fraction(-1, 2))
     total = ZERO
     for j in range(min(k, l) + 1):
-        c = comb(k + l, k) * factorial(j) * comb(k, j) * comb(l, j) * minus_half_i**j
+        c = comb(k + l, k) * factorial(j) * comb(k, j) * comb(l, j) * _MINUS_HALF_I**j
         total = total + (U ** (k - j) * V ** (l - j)).scale(HbarPoly.hbar(j, c))
     return total

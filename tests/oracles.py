@@ -143,7 +143,8 @@ def terms_shift_hbar(a: WeylElement, j: int) -> tuple:
 
 
 def terms_uv_ordered(a: WeylElement) -> tuple:
-    """``render.uv_ordered_terms``: each coefficient times its uv_table rows."""
+    """``weyl.uv_coefficients`` as ``((p, q), HbarPoly)`` pairs: each
+    coefficient times its uv_table rows."""
     return canon(
         (
             ((p, q), c.shift(d).scale(GaussRational(re, im)))
@@ -152,6 +153,12 @@ def terms_uv_ordered(a: WeylElement) -> tuple:
         ),
         lambda pair: (pair[0][0] + pair[0][1], -pair[0][0]),
     )
+
+
+def grouped(terms: Iterable) -> list:
+    """``((k, l), HbarPoly)`` pairs as the items of the flat-form readers'
+    ``{(k, l): [(h-degree, re, im), ...]}``, in the given order."""
+    return [(kl, [(d, g.re, g.im) for d, g in p.coeffs]) for kl, p in terms]
 
 
 def terms_classical_limit(a: WeylElement) -> UVPoly:

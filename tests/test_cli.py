@@ -147,12 +147,12 @@ class TestVerifyCommand:
 class TestVerifyInputErrors:
     """Malformed surface documents end in exit 2 and a message, never a traceback."""
 
-    def verify_edited(self, tmp_path, capsys, edit):
+    def verify_edited(self, tmp_path, capsys, edit, command="verify"):
         doc = surface_to_obj(enneper(1))  # f and g are "rat" parameters
         edit(doc)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(doc))
-        return run(capsys, "verify", "--in", str(path))
+        return run(capsys, command, "--in", str(path))
 
     # Where each integer field of the format sits in that document.
     INT_FIELDS = [
@@ -182,6 +182,27 @@ class TestVerifyInputErrors:
         code, out, err = self.verify_edited(tmp_path, capsys, edit)
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and repr(field) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    @pytest.mark.parametrize("path,field,value", [
+        (("provenance",), "kind", {"a": 1}),
+        (("provenance",), "kind", 3),
+        (("provenance", "params", 0), "name", 5),
+        (("provenance", "params", 0), "name", None),
+    ])
+    def test_provenance_fields_accept_only_json_strings(
+        self, tmp_path, capsys, command, path, field, value
+    ):
+        def edit(doc):
+            rec = doc
+            for key in path:
+                rec = rec[key]
+            rec[field] = value
+
+        code, out, err = self.verify_edited(tmp_path, capsys, edit, command)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"input error: field {field!r} must be a string, got ")
         assert "Traceback" not in err
 
     def test_zero_denominator_field(self, tmp_path, capsys):

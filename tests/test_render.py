@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 from oracles import (
+    grouped,
     random_poly_lambda,
     random_rat,
     random_weyl,
@@ -17,13 +18,16 @@ from weylmin.render import (
     rat_text,
     surface_latex,
     surface_text,
-    uv_ordered_terms,
     weyl_latex,
     weyl_text,
 )
 from weylmin.scalars import GaussRational, HbarPoly
 from weylmin.surfaces import enneper
-from weylmin.weyl import HBAR, LAM, LAM_STAR, ONE, U, V, WeylElement, ZERO, from_uv
+from weylmin.weyl import HBAR, LAM, LAM_STAR, ONE, U, V, WeylElement, ZERO, from_uv, uv_coefficients
+
+
+def uv_items(a):
+    return list(uv_coefficients(a).items())
 
 
 class TestWeylText:
@@ -55,8 +59,9 @@ class TestUvOrdering:
         for _ in range(30):
             a = random_weyl(rng, max_deg=4, terms=4)
             total = ZERO
-            for (p, q), coeff in uv_ordered_terms(a):
-                total = total + (U**p * V**q).scale(coeff)
+            for (p, q), coeff in uv_items(a):
+                for d, re, im in coeff:
+                    total = total + (U**p * V**q).scale(HbarPoly.hbar(d, GaussRational(re, im)))
             assert total == a
 
     def test_against_per_term_reference(self):
@@ -64,16 +69,16 @@ class TestUvOrdering:
         rng = random.Random(62)
         for _ in range(30):
             a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
-            assert uv_ordered_terms(a) == terms_uv_ordered(a)
-        assert uv_ordered_terms(ZERO) == terms_uv_ordered(ZERO) == ()
-        assert uv_ordered_terms(U * V - V * U) == terms_uv_ordered(U * V - V * U)
+            assert uv_items(a) == grouped(terms_uv_ordered(a))
+        assert uv_items(ZERO) == grouped(terms_uv_ordered(ZERO)) == []
+        assert uv_items(U * V - V * U) == grouped(terms_uv_ordered(U * V - V * U))
 
     def test_against_word_rewriter(self):
         # rendering V^2 U in UV order must match the single-swap oracle
         elem = from_uv("VVU")
-        got = dict(uv_ordered_terms(elem))
+        got = uv_coefficients(elem)
         want = uv_word_normal_order("VVU")
-        assert got == want
+        assert got == dict(grouped(want.items()))
         # L^k Ls^l: expand (U + iV)^k (U - iV)^l into words, rewrite each
         for n in range(7):
             for k in range(n + 1):
@@ -86,7 +91,7 @@ class TestUvOrdering:
                     for pq, p in uv_word_normal_order(letters).items():
                         want[pq] = want.get(pq, HbarPoly()) + p.scale(c)
                 want = {pq: p for pq, p in want.items() if not p.is_zero()}
-                assert dict(uv_ordered_terms(WeylElement.basis(k, n - k))) == want
+                assert uv_coefficients(WeylElement.basis(k, n - k)) == dict(grouped(want.items()))
 
 
 class TestLatex:

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import (
+    grouped,
     lambda_word_normal_order,
     random_gauss,
     random_weyl,
@@ -14,8 +15,10 @@ from oracles import (
     terms_laplace,
     terms_scale,
     terms_shift_hbar,
+    terms_classical_limit,
     terms_star,
     terms_sum,
+    terms_uv_ordered,
     uv_word_normal_order,
     weyl_product_by_swaps,
 )
@@ -30,10 +33,13 @@ from weylmin.weyl import (
     ZERO,
     Direction,
     WeylElement,
+    coefficients,
     commutator,
     derive_by_commutator,
     from_uv,
     sym,
+    uv_coefficients,
+    uv_table,
 )
 
 I = WeylElement({(0, 0): HbarPoly({0: GaussRational(0, 1)})})
@@ -199,6 +205,89 @@ class TestFlatStorage:
         # equal bidegrees are summed, zero sums dropped
         assert WeylElement([((1, 0), 1), ((1, 0), -1)]) == ZERO
         assert WeylElement([((1, 0), 1), ((1, 0), 1)]) == LAM.scale(2)
+
+
+class TestReader:
+    """``coefficients`` and its U,V twin ``uv_coefficients`` against
+    ``.terms`` and the per-term U,V reference, key order included."""
+
+    @staticmethod
+    def cases():
+        yield ZERO
+        # mixed denominators
+        yield HBAR.scale(Fraction(-3, 2)) * U + LAM_STAR.scale(GaussRational(Fraction(1, 3), 2))
+        yield LAM.scale(Fraction(1, 6)) + LAM_STAR.scale(Fraction(3, 4)) + HBAR.scale(Fraction(5, 9))
+        # normal-ordered rows that cancel: U V - V U = i h
+        yield U * V - V * U
+        yield (LAM + HBAR * HBAR) - LAM
+        # U,V rows that cancel: L Ls + Ls L = 2 (U^2 + V^2), its h rows cancel
+        yield LAM * LAM_STAR + LAM_STAR * LAM
+        yield from rand_elems(230, 12, max_deg=5, terms=5, max_hbar=2)
+
+    def test_against_terms_and_uv_reference(self):
+        for x in self.cases():
+            got, uv = coefficients(x), uv_coefficients(x)
+            assert list(got.items()) == grouped(x.terms)
+            assert list(uv.items()) == grouped(terms_uv_ordered(x))
+            for table in (got, uv):
+                for c in table.values():
+                    assert c and all(re or im for _, re, im in c)
+                    assert all(type(re) is type(im) is Fraction for _, re, im in c)
+                    assert [d for d, *_ in c] == sorted({d for d, *_ in c})
+            # the h-free twin is the h-degree-0 part of the full one
+            h_free = uv_coefficients(x, h_free=True)
+            assert list(h_free.items()) == [
+                (pq, [t for t in c if not t[0]]) for pq, c in uv.items() if not c[0][0]
+            ]
+            assert h_free == {pq: [(0, g.re, g.im)] for pq, g in terms_classical_limit(x).terms}
+
+    def test_pinned(self):
+        x = HBAR.scale(Fraction(-3, 2)) * U + LAM_STAR.scale(GaussRational(Fraction(1, 3), 2))
+        assert list(coefficients(x).items()) == [
+            ((0, 1), [(0, Fraction(1, 3), Fraction(2)), (1, Fraction(-3, 4), Fraction(0))]),
+            ((1, 0), [(1, Fraction(-3, 4), Fraction(0))]),
+        ]
+        assert coefficients(ZERO) == uv_coefficients(ZERO) == uv_coefficients(ZERO, True) == {}
+        assert uv_coefficients(U * V - V * U) == {(0, 0): [(1, Fraction(0), Fraction(1))]}
+        assert uv_coefficients(U * V - V * U, h_free=True) == {}
+
+
+def weight_parts(x):
+    """x split into its homogeneous parts, weight k + l + 2 * (h-degree)."""
+    parts = {}
+    for (k, l), c in x.terms:
+        for d, g in c.coeffs:
+            parts.setdefault(k + l + 2 * d, []).append(((k, l), HbarPoly.hbar(d, g)))
+    return {w: WeylElement(ts) for w, ts in parts.items()}
+
+
+def weights(x):
+    return {k + l + 2 * d for k, l, d, *_ in x.rows}
+
+
+class TestGrading:
+    """The product, the derivations, the Laplacian, the involution and the
+    U,V table are graded by weight k + l + 2 * (h-degree)."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_operations_map_weight_to_weight(self, seed):
+        elems = rand_elems(240 + seed, 6, max_deg=5, terms=6, max_hbar=2)
+        for a, b in zip(elems[::2], elems[1::2]):
+            pa, pb = weight_parts(a), weight_parts(b)
+            assert sum(pa.values(), ZERO) == a
+            assert all(weights(x) == {w} for w, x in pa.items())
+            for wa, xa in pa.items():
+                for wb, xb in pb.items():
+                    assert weights(xa * xb) <= {wa + wb}
+                for direction in Direction:
+                    assert weights(xa.derive(direction)) <= {wa - 1}
+                assert weights(xa.laplace()) <= {wa - 2}
+                assert weights(xa.star()) == {wa}
+
+    def test_uv_table_rows_keep_the_weight(self):
+        for k in range(7):
+            for l in range(7):
+                assert {p + q + 2 * d for p, q, d, _, _ in uv_table(k, l)} == {k + l}
 
 
 class TestStar:
