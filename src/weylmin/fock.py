@@ -67,6 +67,11 @@ class FockConfig(Frozen):
             raise ValueError("hbar must be positive and finite")
         if safe_rows is None:
             safe_rows = dim // 3
+            if not safe_rows:
+                raise ValueError(
+                    f"safe_rows must satisfy 0 < safe_rows < dim: the default window "
+                    f"dim // 3 is empty at dim {dim}; give one with --safe-rows"
+                )
         if not (0 < safe_rows < dim):
             raise ValueError("safe_rows must satisfy 0 < safe_rows < dim")
         self._init_fields(dim, hbar, safe_rows)

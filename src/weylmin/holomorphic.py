@@ -146,7 +146,7 @@ class RatLambda(Field):
             raise ZeroDivisionError("zero denominator in RatLambda")
         if n.is_zero():
             n, d = PL_ZERO, PL_ONE
-        else:
+        elif d != PL_ONE:  # (n, 1) is already canonical
             g = pl_gcd(n, d)
             if g.degree() > 0:
                 n, d = hp_exact_div(n, g), hp_exact_div(d, g)
@@ -203,8 +203,11 @@ class RatLambda(Field):
         num, den = self.num, self.den
         # lead * num = quo * den + rem; the polynomial part quo / lead is
         # integrated term by term.
-        lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
-        quo, rem = num.scale(lead).divmod_poly(den)
+        if den == PL_ONE:
+            lead, quo, rem = PL_ONE, num, PL_ZERO
+        else:
+            lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
+            quo, rem = num.scale(lead).divmod_poly(den)
         prim = RatLambda(PolyLambda((d + 1, c * Fraction(1, d + 1)) for d, c in quo.coeffs), lead)
         if rem.is_zero():
             return prim, rem, PL_ONE

@@ -20,15 +20,21 @@ Three generating conventions are supported and kept mutually consistent:
   d = deg F.  The scaling keeps the classical shapes of the resulting
   family (Enneper for constant F and its higher-order relatives) and is
   invisible to every minimality or normality property.
-* ``surface_from_Ftilde(Ft)`` applies the integrated-by-parts form
+* ``surface_from_Ftilde(Ft)`` is the integrated-by-parts form of the
+  same family.  On paper its primitives are
 
       Omega1 = (1 - L^2) Ft'' + 2L Ft' - 2Ft
       Omega2 = i(1 + L^2) Ft'' - 2iL Ft' + 2i Ft
       Omega3 = 2L Ft'' - 2 Ft'
 
-  drops constant terms, and divides by nu = n(n - 1), n = deg Ft.  With
-  these choices it agrees exactly with ``surface_from_F`` applied to the
-  third derivative of Ft.
+  with constant terms dropped, divided by nu = n(n - 1), n = deg Ft.
+  Omega' is the triple of F = Ft''' and n(n - 1) = (d+2)(d+3) for
+  d = n - 3, so the code builds it as ``surface_from_F`` of Ft''',
+  recorded under Ft.  The Omega route is kept as the test reference,
+  ``ftilde_primitives_omega`` in ``tests/oracles.py``.
+
+The three integrate through one helper, and ``conjugate_surface`` builds
+its components as real parts of -i P_i through the same last step.
 
 ``surface_from_pair`` builds the four-component analogue carrying both
 real and imaginary parts of two polynomials.
@@ -39,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .scalars import GR_I, Frozen, GaussRational, HbarPoly
+from .scalars import Frozen, GaussRational, HbarPoly
 from .holomorphic import (
     NotIntegrableError,
     PolyLambda,
@@ -203,19 +209,6 @@ def phi_components(s: Surface) -> tuple[WeylElement, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _integrate_component(c: RatLambda, label: str) -> PolyLambda:
-    try:
-        prim = c.primitive()
-    except NotIntegrableError as exc:
-        raise NotIntegrableError(f"component {label}: {exc}") from exc
-    if not prim.is_polynomial():
-        raise NonPolynomialPrimitiveError(
-            f"component {label}: primitive is rational, not polynomial; "
-            "only polynomial representations are supported"
-        )
-    return prim.as_poly()
-
-
 def _surface_from_primitives(
     prims: Sequence[PolyLambda],
     offsets: tuple[Fraction, ...],
@@ -223,8 +216,38 @@ def _surface_from_primitives(
 ) -> Surface:
     comps = []
     for off, p in zip(offsets, prims):
-        comps.append(WeylElement.coerce(off) + poly_to_weyl(p).real_part())
+        re = poly_to_weyl(p).real_part()
+        comps.append(WeylElement.coerce(off) + re if off else re)
     return Surface(tuple(comps), offsets, provenance)
+
+
+def _weierstrass(kind: str, params: tuple, f: RatLambda, g: RatLambda, offsets, nu: int = 1) -> Surface:
+    """Every integrating constructor: check the offsets, integrate each
+    component of phi_from_fg(f, g), divide it by nu and take real parts."""
+    offs = _offsets_tuple(3, offsets)
+    prims = []
+    for idx, c in enumerate(phi_from_fg(f, g), start=1):
+        try:
+            prim = c.primitive()
+        except NotIntegrableError as exc:
+            raise NotIntegrableError(f"component Phi{idx}: {exc}") from exc
+        if not prim.is_polynomial():
+            raise NonPolynomialPrimitiveError(
+                f"component Phi{idx}: primitive is rational, not polynomial; "
+                "only polynomial representations are supported"
+            )
+        prims.append(prim.num if nu == 1 else prim.num.scale(Fraction(1, nu)))
+    return _surface_from_primitives(prims, offs, Provenance(kind, params, tuple(prims)))
+
+
+_GAUSS_L = RatLambda(PolyLambda({1: 1}))
+
+
+def _gauss_map_L(kind: str, params: tuple, F: RatLambda, offsets) -> Surface:
+    """Integrate phi_from_fg(2F, L) and divide by nu = (d+2)(d+3),
+    d = deg F, or by 1 where that is 0."""
+    d = F.num.degree() - F.den.degree()
+    return _weierstrass(kind, params, F * 2, _GAUSS_L, offsets, (d + 2) * (d + 3) or 1)
 
 
 def surface_from_fg(
@@ -235,19 +258,7 @@ def surface_from_fg(
     """Integrate the Weierstrass triple of (f, g) and take real parts."""
     f = RatLambda.coerce(f)
     g = RatLambda.coerce(g)
-    offs = _offsets_tuple(3, offsets)
-    phi = phi_from_fg(f, g)
-    prims = tuple(
-        _integrate_component(c, f"Phi{idx}")
-        for idx, c in enumerate(phi.components, start=1)
-    )
-    prov = Provenance("fg", (("f", f), ("g", g)), prims)
-    return _surface_from_primitives(prims, offs, prov)
-
-
-def _nu_from_degree(d: int) -> Fraction:
-    nu = (d + 2) * (d + 3)
-    return Fraction(nu) if nu > 0 else Fraction(1)
+    return _weierstrass("fg", (("f", f), ("g", g)), f, g, offsets)
 
 
 def surface_from_F(
@@ -257,42 +268,17 @@ def surface_from_F(
     """The Gauss-map-L family: integrate phi_from_fg(2F, L), which is
     ((1-L^2)F, i(1+L^2)F, 2LF), and divide by nu."""
     F = RatLambda.coerce(F)
-    offs = _offsets_tuple(3, offsets)
-    phi = phi_from_fg(F * 2, RatLambda.from_poly(PolyLambda({1: 1})))
-    nu = _nu_from_degree(F.num.degree() - F.den.degree())
-    prims = tuple(
-        _integrate_component(c, f"Phi{idx}").scale(Fraction(1, 1) / nu)
-        for idx, c in enumerate(phi.components, start=1)
-    )
-    prov = Provenance("F", (("F", F),), prims)
-    return _surface_from_primitives(prims, offs, prov)
+    return _gauss_map_L("F", (("F", F),), F, offsets)
 
 
 def surface_from_Ftilde(
     Ft: PolyLambda,
     offsets: Union[Sequence[Union[int, Fraction]], None] = None,
 ) -> Surface:
-    """Integrated-by-parts construction from a polynomial potential."""
+    """The Gauss-map-L family of F = Ft''', recorded under Ft."""
     Ft = PolyLambda.coerce(Ft)
-    offs = _offsets_tuple(3, offsets)
-    d1 = Ft.derivative()
-    d2 = d1.derivative()
-    one = PolyLambda.const(1)
-    lam = PolyLambda({1: 1})
-    l2 = PolyLambda({2: 1})
-    omega = (
-        (one - l2) * d2 + lam * d1 * 2 - Ft * 2,
-        ((one + l2) * d2 - lam * d1 * 2 + Ft * 2).scale(GR_I),
-        lam * d2 * 2 - d1 * 2,
-    )
-    n = Ft.degree()
-    nu = Fraction(n * (n - 1)) if n >= 2 else Fraction(1)
-    prims = tuple(
-        PolyLambda((dg, c) for dg, c in o.coeffs if dg > 0).scale(Fraction(1, 1) / nu)
-        for o in omega
-    )
-    prov = Provenance("Ftilde", (("Ftilde", Ft),), prims)
-    return _surface_from_primitives(prims, offs, prov)
+    F = RatLambda(Ft.derivative().derivative().derivative())
+    return _gauss_map_L("Ftilde", (("Ftilde", Ft),), F, offsets)
 
 
 def surface_from_pair(
@@ -336,10 +322,10 @@ def conjugate_surface(s: Surface) -> Surface:
         raise ValueError(
             f"cannot conjugate a surface of kind {prov.kind!r}: no primitives recorded"
         )
-    comps = tuple(poly_to_weyl(p).imag_part() for p in prov.primitives)
-    new_prims = tuple(p.scale(GaussRational(0, -1)) for p in prov.primitives)
-    offs = (Fraction(0),) * len(comps)
-    return Surface(comps, offs, Provenance("conjugate", prov.params, new_prims))
+    # Re(-i P) = Im P
+    prims = tuple(p.scale(GaussRational(0, -1)) for p in prov.primitives)
+    offs = (Fraction(0),) * len(prims)
+    return _surface_from_primitives(prims, offs, Provenance("conjugate", prov.params, prims))
 
 
 # ---------------------------------------------------------------------------

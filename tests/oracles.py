@@ -275,6 +275,62 @@ def rat_equal_crossmul(r1, r2) -> bool:
     return pd_sub(pd_mul(p1, q2), pd_mul(p2, q1)) == {}
 
 
+# -- Weierstrass primitives and real parts by hand -----------------------------
+
+
+def ftilde_primitives_omega(ft) -> tuple:
+    """The integrated-by-parts primitives of ``surface_from_Ftilde``:
+
+        Omega1 = (1 - L^2) Ft'' + 2L Ft' - 2Ft
+        Omega2 = i(1 + L^2) Ft'' - 2iL Ft' + 2i Ft
+        Omega3 = 2L Ft'' - 2 Ft'
+
+    constant terms dropped, each divided by nu = n(n - 1), n = deg Ft
+    (1 when n < 2), in dict arithmetic.
+    """
+    from weylmin.holomorphic import PolyLambda
+
+    f0 = poly_dict(ft)
+    f1 = pd_diff(f0)
+    f2 = pd_diff(f1)
+    lam, l2 = {1: HbarPoly.const(1)}, {2: HbarPoly.const(1)}
+
+    def comb(*scaled):
+        out: PolyDict = {}
+        for c, p in scaled:
+            out = pd_sub(out, {d: x * -c for d, x in p.items()})
+        return out
+
+    omega = (
+        comb((1, f2), (-1, pd_mul(l2, f2)), (2, pd_mul(lam, f1)), (-2, f0)),
+        comb((GR_I, f2), (GR_I, pd_mul(l2, f2)), (-2 * GR_I, pd_mul(lam, f1)), (2 * GR_I, f0)),
+        comb((2, pd_mul(lam, f2)), (-2, f1)),
+    )
+    n = ft.degree()
+    nu = Fraction(n * (n - 1)) if n >= 2 else Fraction(1)
+    return tuple(PolyLambda({d: x * (1 / nu) for d, x in o.items() if d > 0}) for o in omega)
+
+
+def real_part_components(prims, offsets) -> tuple:
+    """offset + Re(P) = offset + sum (c_k L^k + conj(c_k) Ls^k)/2, term by term."""
+    out = []
+    for off, p in zip(offsets, prims):
+        terms: Dict[Tuple[int, int], HbarPoly] = {(0, 0): HbarPoly.const(off)}
+        for k, c in p.coeffs:
+            for kl, x in (((k, 0), c), ((0, k), c.conjugate())):
+                half = x * Fraction(1, 2)
+                terms[kl] = terms[kl] + half if kl in terms else half
+        out.append(WeylElement(terms))
+    return tuple(out)
+
+
+def conjugate_components(prims) -> tuple:
+    """The conjugate surface's X~^i = Im(P_i) = (P - P*)/(2i)."""
+    from weylmin.holomorphic import poly_to_weyl
+
+    return tuple(poly_to_weyl(p).imag_part() for p in prims)
+
+
 # -- powers -------------------------------------------------------------------
 
 

@@ -288,6 +288,18 @@ class TestFockCommand:
         assert out == ""
         assert "MAX_DIM = 1024" in err
 
+    def test_dim_2_needs_a_window(self, capsys):
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: safe_rows must satisfy 0 < safe_rows < dim: the default window "
+            "dim // 3 is empty at dim 2; give one with --safe-rows\n"
+        )
+        code, out, err = run(capsys, "fock", "catenoid", "--dim", "2", "--safe-rows", "1")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert (doc["kind"], doc["dim"], doc["safe_rows"]) == ("fock-residuals", 2, 1)
+
     def test_overflow_names_its_cause(self, capsys):
         code, out, err = run(capsys, "fock", "catenoid", "--dim", "8", "--hbar", "1e150")
         assert code == 2

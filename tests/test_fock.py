@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             FockConfig(dim=0, hbar=1.0)
 
+    def test_empty_default_window_names_the_option(self):
+        # dim // 3 is 0 at dim 2: the message says the empty window is the default
+        with pytest.raises(ValueError, match=r"default window dim // 3 is empty at dim 2; give one with --safe-rows"):
+            FockConfig(dim=2)
+        with pytest.raises(ValueError, match=r"^safe_rows must satisfy 0 < safe_rows < dim$"):
+            FockConfig(dim=2, safe_rows=2)
+        assert FockConfig(dim=2, safe_rows=1).safe_rows == 1
+        assert FockConfig(dim=3).safe_rows == 1
+
     def test_dim_cap_allocates_nothing(self):
         assert FockConfig(dim=MAX_DIM).dim == 1024
         with pytest.raises(ValueError, match="MAX_DIM"):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    random_gauss,
     random_poly_lambda,
     random_rat,
     rat_derivative_matches,
@@ -96,6 +97,32 @@ class TestRatLambdaCanonical:
         r = R("(L+1)/(L-1)")
         assert r * r.inverse() == R("1")
 
+    def test_polynomial_equals_cancelled_quotient(self):
+        # a denominator of 1 skips normalization, so (n, 1) must already be
+        # the canonical form of n q / q, h in q included
+        rng = random.Random(12)
+        for _ in range(12):
+            n = random_poly_lambda(rng, 5, 3)
+            q = PolyLambda({0: HbarPoly({0: random_gauss(rng), 1: random_gauss(rng)})})
+            q = q + PolyLambda({rng.randint(1, 3): HbarPoly({rng.randint(0, 1): 1})})
+            assert RatLambda(n) == RatLambda(n * q, q)
+            assert RatLambda(n).den == PolyLambda.const(1)
+
+    def test_constant_denominators_still_normalised(self):
+        rng = random.Random(13)
+        h1 = HbarPoly({0: 1, 1: 1})
+        for _ in range(8):
+            n = random_poly_lambda(rng, 4, 3)
+            if n.is_zero():
+                continue
+            halved = RatLambda(n, 2)
+            assert halved.den == PolyLambda.const(1)
+            assert halved.num == n.scale(Fraction(1, 2))
+            assert RatLambda(n.scale(h1), h1) == RatLambda(n)
+            assert RatLambda(n.scale(h1), h1).den == PolyLambda.const(1)
+            r = RatLambda(n, h1 * 2)
+            assert (r.num, r.den) == (n.scale(Fraction(1, 2)), PolyLambda.const(h1))
+
 
 class TestDerivative:
     def test_quotient_rule_against_dict_oracle(self):
@@ -115,6 +142,17 @@ class TestPrimitive:
         p = R("3*L^2 + 2*L + 5")
         assert p.is_integrable()
         assert p.primitive() == R("L^3 + L^2 + 5*L")
+
+    def test_polynomial_primitive_is_exact(self):
+        # polynomials skip the pseudo-division by 1
+        rng = random.Random(14)
+        for _ in range(12):
+            p = random_poly_lambda(rng, 7, 4)
+            p = p + PolyLambda({rng.randint(0, 3): HbarPoly({1: random_gauss(rng)})})
+            prim = RatLambda(p).primitive()
+            assert prim.is_polynomial()
+            assert rat_derivative_matches(prim, RatLambda(p))
+            assert prim.num.coeff(0).is_zero()
 
     def test_normalization_at_zero(self):
         # constant of integration fixed by P(0) = 0 where that makes sense

@@ -5,12 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import bilinear_literal, random_poly_lambda, random_weyl
+from oracles import (
+    bilinear_literal,
+    conjugate_components,
+    ftilde_primitives_omega,
+    random_gauss,
+    random_poly_lambda,
+    random_weyl,
+    real_part_components,
+)
 from weylmin.holomorphic import NotIntegrableError, PolyLambda
 from weylmin.parse import parse_rat, parse_weyl
 from weylmin.render import surface_text
+from weylmin.scalars import GaussRational, HbarPoly
+from weylmin.serialize import dumps_canonical, surface_to_obj
 from weylmin.surfaces import (
     NonPolynomialPrimitiveError,
+    Provenance,
     Surface,
     bilinear,
     check_normal,
@@ -36,6 +47,13 @@ def P(text) -> PolyLambda:
     return R(text).as_poly()
 
 
+def hbar_poly_lambda(rng, deg: int) -> PolyLambda:
+    """Degree ``deg``, every coefficient a + b h with Gaussian rationals."""
+    coeffs = {k: HbarPoly({0: random_gauss(rng), 1: random_gauss(rng)}) for k in range(deg)}
+    coeffs[deg] = HbarPoly({0: random_gauss(rng), 1: GaussRational(Fraction(1, 3), 1)})
+    return PolyLambda(coeffs)
+
+
 class TestConstructors:
     def test_enneper_is_fg_special_case(self):
         assert enneper(1).components == surface_from_fg(R("2"), R("L")).components
@@ -58,6 +76,40 @@ class TestConstructors:
                 ft.derivative().derivative().derivative()
             )
             assert surface_from_Ftilde(ft).components == via_f.components
+
+    def test_from_Ftilde_equals_omega_oracle(self):
+        # the integrated-by-parts formulas, kept only in the oracle
+        rng = random.Random(41)
+        for deg in range(9):
+            for offsets in (None, [Fraction(rng.randint(-4, 4), 3) for _ in range(3)]):
+                ft = hbar_poly_lambda(rng, deg)
+                s = surface_from_Ftilde(ft, offsets)
+                prims = ftilde_primitives_omega(ft)
+                offs = s.offsets
+                assert s.provenance.primitives == prims
+                assert s.components == real_part_components(prims, offs)
+                ref = Surface(
+                    real_part_components(prims, offs),
+                    offs,
+                    Provenance("Ftilde", (("Ftilde", ft),), prims),
+                )
+                assert dumps_canonical(surface_to_obj(s)) == dumps_canonical(surface_to_obj(ref))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda offs: surface_from_fg(R("1/L"), R("L"), offs),
+            lambda offs: surface_from_F(R("1/(L-h)"), offs),
+            lambda offs: surface_from_F(R("1/L^2"), offs),
+            # the third derivative of Ft is a polynomial, so Ft always integrates
+            lambda offs: surface_from_Ftilde(P("h*L^5"), offs),
+        ],
+    )
+    def test_offsets_checked_before_integration(self, build):
+        for offs, message in (([1, 2], "expected 3 offsets, got 2"), ([1, 2, "x"], "rational")):
+            with pytest.raises(ValueError, match=message) as info:
+                build(offs)
+            assert type(info.value) is ValueError
 
     def test_plane(self):
         s = surface_from_fg(R("2"), R("0"))
@@ -217,6 +269,22 @@ class TestConjugate:
         s = enneper(1)
         t = conjugate_surface(conjugate_surface(s))
         assert t.components == tuple(-c for c in s.components)
+
+    def test_matches_imag_part_oracle(self):
+        rng = random.Random(42)
+        minus_i = GaussRational(0, -1)
+        for s in (
+            surface_from_fg(R("h*(L-1-h)^2"), R("(L+2)/(L-1-h)")),
+            surface_from_F(R("1/3*L^2 - h*L + 2")),
+            surface_from_Ftilde(hbar_poly_lambda(rng, 6), [1, 2, 3]),
+            surface_from_pair(hbar_poly_lambda(rng, 3), hbar_poly_lambda(rng, 4), [1, 0, -1, 2]),
+        ):
+            once = conjugate_surface(s)
+            twice = conjugate_surface(once)
+            for t, u in ((s, once), (once, twice)):
+                assert u.components == conjugate_components(t.provenance.primitives)
+                assert u.provenance.primitives == tuple(p.scale(minus_i) for p in t.provenance.primitives)
+                assert u.offsets == (Fraction(0),) * s.n
 
     def test_conjugate_of_plane(self):
         t = conjugate_surface(surface_from_fg(R("2"), R("0")))
