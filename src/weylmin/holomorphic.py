@@ -5,7 +5,8 @@ expressions in L behave exactly like a commutative field of rational
 functions.  This module provides that field:
 
 * :class:`PolyLambda` -- polynomials in L with HbarPoly coefficients,
-* :class:`RatLambda`  -- reduced quotients of two PolyLambda,
+* :class:`RatLambda`  -- reduced quotients of two PolyLambda, the kernel's
+  :class:`~weylmin.scalars.Quotient` with the reduction below,
 * differentiation, and rational integration.
 
 All of it works fraction-free in Q(i)[h][L], the ring PolyLambda already
@@ -38,9 +39,9 @@ from .scalars import (
     HP_ZERO,
     HbarLike,
     HbarPoly,
-    Field,
     Frozen,
     Poly,
+    Quotient,
     hp_exact_div,
     hp_gcd,
 )
@@ -123,7 +124,7 @@ def _solve(cols: list[PolyLambda], rhs: PolyLambda) -> tuple[HbarPoly, list[Hbar
     return prev, [row[n] for row in rows]
 
 
-class RatLambda(Field):
+class RatLambda(Quotient):
     """Reduced quotient of two PolyLambda.
 
     Canonical form: numerator and denominator coprime over the h-rational
@@ -134,58 +135,34 @@ class RatLambda(Field):
     denominator 1.
     """
 
-    __slots__ = _fields = ("num", "den")
-    num: PolyLambda
-    den: PolyLambda
-    LIFTS = (PolyLambda, HbarPoly, GaussRational, int, Fraction)
+    __slots__ = ()
+    POLY, ZERO, ONE = PolyLambda, PL_ZERO, PL_ONE
+    LIFTS = (POLY, *POLY.LIFTS)
 
     def __init__(self, num: "PolyLike" = PL_ZERO, den: "PolyLike" = PL_ONE) -> None:
-        n = PolyLambda.coerce(num)
-        d = PolyLambda.coerce(den)
-        if d.is_zero():
-            raise ZeroDivisionError("zero denominator in RatLambda")
-        if n.is_zero():
-            n, d = PL_ZERO, PL_ONE
-        elif d != PL_ONE:  # (n, 1) is already canonical
-            g = pl_gcd(n, d)
-            if g.degree() > 0:
-                n, d = hp_exact_div(n, g), hp_exact_div(d, g)
-            c = _content(d, n)
-            n, d = _cancel(n, c), _cancel(d, c)
-        self._init_fields(n, d)
+        super().__init__(num, den)
+
+    @staticmethod
+    def _reduce(n: PolyLambda, d: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
+        g = pl_gcd(n, d)
+        if g.degree() > 0:
+            n, d = hp_exact_div(n, g), hp_exact_div(d, g)
+        c = _content(d, n)
+        return _cancel(n, c), _cancel(d, c)
 
     @staticmethod
     def from_poly(p: "PolyLike") -> "RatLambda":
         return RatLambda(p)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        """True when the value lies in the polynomial ring (denominator 1)."""
-        return self.den == PL_ONE
-
-    def as_poly(self) -> PolyLambda:
-        if not self.is_polynomial():
-            raise ValueError("RatLambda value is not a polynomial")
-        return self.num
-
-    def _add(self, o: "RatLambda") -> "RatLambda":
-        return RatLambda(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __neg__(self) -> "RatLambda":
-        return RatLambda(-self.num, self.den)
-
-    def _mul(self, o: "RatLambda") -> "RatLambda":
-        return RatLambda(self.num * o.num, self.den * o.den)
-
-    def inverse(self) -> "RatLambda":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero RatLambda")
-        return RatLambda(self.den, self.num)
-
     def scale(self, c: HbarLike) -> "RatLambda":
-        return RatLambda(self.num.scale(c), self.den)
+        """The product with the h-polynomial ``c``.  A nonzero constant is a
+        unit: the quotient stays reduced, so it is not reduced again."""
+        c = HbarPoly.coerce(c)
+        if c.degree() != 0:
+            return RatLambda(self.num.scale(c), self.den)
+        out = object.__new__(RatLambda)
+        out._init_fields(self.num.scale(c), self.den)
+        return out
 
     def derivative(self) -> "RatLambda":
         return RatLambda(
@@ -290,8 +267,8 @@ def phi_from_fg(f: RatLike, g: RatLike) -> PhiTriple:
     half = GaussRational(Fraction(1, 2))
     ihalf = GaussRational(0, Fraction(1, 2))
     return PhiTriple.of(
-        (RL_ONE - g2) * fr * half,
-        (RL_ONE + g2) * fr * ihalf,
+        ((RL_ONE - g2) * fr).scale(half),
+        ((RL_ONE + g2) * fr).scale(ihalf),
         fr * gr,
     )
 

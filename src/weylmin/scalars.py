@@ -27,6 +27,9 @@ On top of them sit the three scalar layers, all exact:
   h-rationals.  It is public API only: the Lambda-rational calculus
   works fraction-free over HbarPoly and never builds one.
 
+Both fields of fractions of the package, HbarRat and the Lambda-rationals
+of :mod:`weylmin.holomorphic`, are one :class:`Quotient` over their ring.
+
 Everything is immutable and hashable; equality is equality of canonical
 forms.  :class:`Frozen`, the base of every value type of the package,
 gives that behaviour from ``__slots__`` without the cost of importing
@@ -438,7 +441,7 @@ class HbarPoly(Poly):
         return self._of(tuple((d + j, c) for d, c in self.coeffs))
 
     def evaluate(self, hbar: float) -> complex:
-        """Numerical value at a concrete hbar (used by the Fock layer)."""
+        """Numerical value at a concrete hbar."""
         return sum((complex(c) * hbar**d for d, c in self.coeffs), 0j)
 
     def __str__(self) -> str:
@@ -462,62 +465,77 @@ HP_ONE = HbarPoly.const(1)
 HP_HBAR = HbarPoly.hbar()
 
 
-class HbarRat(Field):
-    """Quotient of h-polynomials, reduced, with a monic denominator.
+class Quotient(Field):
+    """A reduced quotient ``num / den`` over the polynomial ring ``POLY``.
 
-    The field of h-rationals, exported for users.  No internal code needs
-    it: the Lambda-rational layer normalizes and integrates fraction-free
-    in Q(i)[h][L] (see :mod:`weylmin.holomorphic`).
+    A subclass names its ring (``POLY``, with its ``ZERO`` and ``ONE``) and
+    its ``_reduce``, which brings a nonzero ``num`` over a ``den`` other
+    than ``ONE`` to canonical form.  Zero is ``ZERO / ONE``, and
+    ``(num, ONE)`` is canonical: polynomials have denominator ``ONE``.
     """
 
     __slots__ = _fields = ("num", "den")
-    num: HbarPoly
-    den: HbarPoly
-    LIFTS = (HbarPoly, GaussRational, int, Fraction)
+    num: Poly
+    den: Poly
 
-    def __init__(self, num: HbarLike, den: HbarLike = HP_ONE) -> None:
-        n = HbarPoly.coerce(num)
-        d = HbarPoly.coerce(den)
+    def __init__(self, num, den) -> None:
+        n = self.POLY.coerce(num)
+        d = self.POLY.coerce(den)
         if d.is_zero():
-            raise ZeroDivisionError("zero denominator in HbarRat")
+            raise ZeroDivisionError(f"zero denominator in {type(self).__name__}")
         if n.is_zero():
-            n, d = HP_ZERO, HP_ONE
-        elif d != HP_ONE:
-            g = hp_gcd(n, d)
-            if g.degree() > 0:
-                n = hp_exact_div(n, g)
-                d = hp_exact_div(d, g)
-            lc = d.leading().inverse()
-            n, d = n.scale(lc), d.scale(lc)
+            n, d = self.ZERO, self.ONE
+        elif d != self.ONE:
+            n, d = self._reduce(n, d)
         self._init_fields(n, d)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == HP_ONE
+        """True when the value lies in the polynomial ring (denominator one)."""
+        return self.den == self.ONE
 
-    def as_poly(self) -> HbarPoly:
+    def as_poly(self) -> Poly:
         if not self.is_polynomial():
-            raise ValueError("HbarRat has a nontrivial h-denominator")
+            raise ValueError(f"{type(self).__name__} value is not a polynomial")
         return self.num
 
-    def _add(self, o: "HbarRat") -> "HbarRat":
-        return HbarRat(self.num * o.den + o.num * self.den, self.den * o.den)
+    def _add(self, o):
+        return type(self)(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    def __neg__(self) -> "HbarRat":
-        return HbarRat(-self.num, self.den)
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
 
-    def _mul(self, o: "HbarRat") -> "HbarRat":
-        return HbarRat(self.num * o.num, self.den * o.den)
+    def _mul(self, o):
+        return type(self)(self.num * o.num, self.den * o.den)
 
-    def inverse(self) -> "HbarRat":
+    def inverse(self):
         if self.is_zero():
-            raise ZeroDivisionError("inverse of zero HbarRat")
-        return HbarRat(self.den, self.num)
+            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
+        return type(self)(self.den, self.num)
+
+
+class HbarRat(Quotient):
+    """Quotient of h-polynomials, reduced, with a monic denominator; public
+    API only (see the module docstring)."""
+
+    __slots__ = ()
+    POLY, ZERO, ONE = HbarPoly, HP_ZERO, HP_ONE
+    LIFTS = (POLY, *POLY.LIFTS)
+
+    def __init__(self, num: HbarLike, den: HbarLike = HP_ONE) -> None:
+        super().__init__(num, den)
+
+    @staticmethod
+    def _reduce(n: HbarPoly, d: HbarPoly) -> tuple[HbarPoly, HbarPoly]:
+        g = hp_gcd(n, d)
+        if g.degree() > 0:
+            n, d = hp_exact_div(n, g), hp_exact_div(d, g)
+        lc = d.leading().inverse()
+        return n.scale(lc), d.scale(lc)
 
     def __str__(self) -> str:
         if self.is_polynomial():
             return str(self.num)
         return f"({self.num})/({self.den})"
-

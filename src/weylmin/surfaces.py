@@ -232,10 +232,10 @@ def _weierstrass(kind: str, params: tuple, f: RatLambda, g: RatLambda, offsets, 
         except NotIntegrableError as exc:
             raise NotIntegrableError(f"component Phi{idx}: {exc}") from exc
         if not prim.is_polynomial():
-            raise NonPolynomialPrimitiveError(
-                f"component Phi{idx}: primitive is rational, not polynomial; "
-                "only polynomial representations are supported"
-            )
+            why = (f"has the h-denominator {prim.den}; element coefficients live in Q(i)[h]"
+                   if prim.den.degree() == 0 else
+                   "is rational, not polynomial; only polynomial representations are supported")
+            raise NonPolynomialPrimitiveError(f"component Phi{idx}: primitive {why}")
         prims.append(prim.num if nu == 1 else prim.num.scale(Fraction(1, nu)))
     return _surface_from_primitives(prims, offs, Provenance(kind, params, tuple(prims)))
 

@@ -170,6 +170,13 @@ def _element(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement"
     return object.__new__(WeylElement)._store(items, den)
 
 
+def _real(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
+    """Re P of the summed ``((k, l, d), re, im)`` items P over ``den``: each
+    item plus its adjoint ``((l, k, d), re, -im)``, over ``2 den``."""
+    return _element((t for (k, l, d), re, im in items
+                     for t in (((k, l, d), re, im), ((l, k, d), re, -im))), 2 * den)
+
+
 # A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
 Coeff = list[tuple[int, Fraction, Fraction]]
 
@@ -300,11 +307,11 @@ class WeylElement(Ring):
 
     def real_part(self) -> "WeylElement":
         """Re A = (A + A*)/2, always hermitian."""
-        return (self + self.star()).scale(Fraction(1, 2))
+        return _real((((k, l, d), re, im) for k, l, d, re, im in self.rows), self.den)
 
     def imag_part(self) -> "WeylElement":
-        """Im A = (A - A*)/(2i), always hermitian."""
-        return (self - self.star()).scale(_MINUS_HALF_I)
+        """Im A = (A - A*)/(2i) = Re(-iA), always hermitian."""
+        return _real((((k, l, d), im, -re) for k, l, d, re, im in self.rows), self.den)
 
     # -- calculus --------------------------------------------------------
 
@@ -402,11 +409,8 @@ def symmetric_product_sum(
     ry, dy = _rows(ys)
     if all(map(_is_hermitian, rx + ry)):
         p = _accumulate({}, chain.from_iterable(map(_products, rx, ry)))
-        items = (t for (k, l, d), (re, im) in p.items()
-                 for t in (((k, l, d), re, im), ((l, k, d), re, -im)))
-    else:
-        items = chain.from_iterable(map(_products, rx + ry, ry + rx))
-    return _element(items, 2 * dx * dy)
+        return _real(((key, re, im) for key, (re, im) in p.items()), dx * dy)
+    return _element(chain.from_iterable(map(_products, rx + ry, ry + rx)), 2 * dx * dy)
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

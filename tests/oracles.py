@@ -324,6 +324,30 @@ def real_part_components(prims, offsets) -> tuple:
     return tuple(out)
 
 
+def real_part_by_star(a: WeylElement) -> WeylElement:
+    """Re A = (A + A*)/2 by the ring operations."""
+    return (a + a.star()).scale(Fraction(1, 2))
+
+
+def imag_part_by_star(a: WeylElement) -> WeylElement:
+    """Im A = (A - A*)/(2i) = (A - A*)(-i/2) by the ring operations."""
+    return (a - a.star()).scale(GaussRational(0, Fraction(-1, 2)))
+
+
+def phi_from_fg_products(f, g):
+    """The isotropic triple (f(1 - g^2)/2, i f(1 + g^2)/2, f g), with 1/2 and
+    i/2 applied as Lambda-rational products."""
+    from weylmin.holomorphic import RL_ONE, PhiTriple, RatLambda
+
+    fr, gr = RatLambda.coerce(f), RatLambda.coerce(g)
+    g2 = gr * gr
+    return PhiTriple.of(
+        (RL_ONE - g2) * fr * GaussRational(Fraction(1, 2)),
+        (RL_ONE + g2) * fr * GaussRational(0, Fraction(1, 2)),
+        fr * gr,
+    )
+
+
 def conjugate_components(prims) -> tuple:
     """The conjugate surface's X~^i = Im(P_i) = (P - P*)/(2i)."""
     from weylmin.holomorphic import poly_to_weyl
@@ -689,14 +713,18 @@ def random_weyl(rng, max_deg: int = 4, terms: int = 4, max_hbar: int = 1) -> Wey
     return out
 
 
-def random_poly_lambda(rng, max_deg: int = 6, terms: int = 4):
+def random_hbar_poly(rng, max_deg: int = 2, terms: int = 2) -> HbarPoly:
+    return HbarPoly([(rng.randint(0, max_deg), random_gauss(rng, 3)) for _ in range(terms)])
+
+
+def random_poly_lambda(rng, max_deg: int = 6, terms: int = 4, max_hbar: int = 0):
+    """Coefficients are constants, or h-polynomials up to degree ``max_hbar``."""
     from weylmin.holomorphic import PolyLambda
 
     coeffs: Dict[int, HbarPoly] = {}
     for _ in range(terms):
         deg = rng.randint(0, max_deg)
-        c = random_gauss(rng)
-        poly = HbarPoly({0: c})
+        poly = random_hbar_poly(rng, max_hbar) if max_hbar else HbarPoly({0: random_gauss(rng)})
         coeffs[deg] = coeffs[deg] + poly if deg in coeffs else poly
     return PolyLambda(coeffs)
 

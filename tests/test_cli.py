@@ -105,6 +105,16 @@ class TestSurfaceCommands:
         assert code == 4
         assert "polynomial" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("from-F", "--F", "L/(1+h)"),
+        ("from-fg", "--f", "(L+h)^2", "--g", "L/(1+h)"),
+    ])
+    def test_hbar_denominator_exit(self, capsys, argv):
+        code, _, err = run(capsys, "surface", *argv)
+        assert code == 4
+        assert "primitive has the h-denominator (1 + " in err
+        assert "element coefficients live in Q(i)[h]" in err and "rational, not" not in err
+
 
 class TestVerifyCommand:
     def test_verify_golden(self, capsys):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    phi_from_fg_products,
     random_gauss,
     random_poly_lambda,
     random_rat,
@@ -221,6 +222,29 @@ class TestWeierstrassData:
             g = random_rat(rng, 3, 1)
             phi = phi_from_fg(f, g)
             assert isotropy_check(phi)
+
+    def test_phi_from_fg_matches_products(self):
+        rng = random.Random(25)
+        pairs = [(R("2"), R("L")), (R("(L+h)^2"), R("L/(1+h)")), (R("h*(L-1-h)^2"), R("(L+2)/(L-1-h)"))]
+        pairs += [(random_poly_lambda(rng, 3, 3, max_hbar=1), random_poly_lambda(rng, 2, 2, max_hbar=1))
+                  for _ in range(4)]
+        pairs += [(random_rat(rng, 2, 1) / (1 + HbarPoly({1: 1})), random_rat(rng, 2, 1)) for _ in range(4)]
+        for f, g in pairs:
+            phi = phi_from_fg(f, g)
+            assert isinstance(phi, PhiTriple) and phi == phi_from_fg_products(f, g)
+
+    def test_phi_from_fg_builds_fewer_quotients(self, monkeypatch):
+        calls = []
+        init = RatLambda.__init__
+        monkeypatch.setattr(RatLambda, "__init__", lambda *args: calls.append(1) or init(*args))
+        for f, g in ((R("2"), R("L")), (R("(L+h)^2/(L-1)"), R("L/(1+h)"))):
+            calls.clear()
+            phi_from_fg(f, g)
+            scaled = len(calls)
+            calls.clear()
+            phi_from_fg_products(f, g)
+            # each of 1/2 and i/2 was a lift and a reduced product
+            assert scaled == len(calls) - 4
 
     def test_fg_round_trip(self):
         f, g = R("2"), R("L")

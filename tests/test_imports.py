@@ -288,3 +288,54 @@ def test_records_of_different_classes_differ():
     num, name = Num(1, 0), Name(1, 0)
     assert num._astuple() == name._astuple() and num != name and name != num
     assert Num(1, 0) == num and Num(1, 0) is not num and Num(1, 0).__eq__((1, 0)) is NotImplemented
+
+
+# Every target of bench/tracer.py that resolves, as "module attribute-path".
+# The tracer finds a method in its class's own __dict__ and a function among
+# its module's globals, and silently skips one it cannot find: a method moved
+# to a base class, or a function renamed, would read 0 in its per-layer metric.
+TRACED = """
+parse parse_rat
+parse parse_weyl
+holomorphic RatLambda.__init__
+holomorphic RatLambda.primitive
+holomorphic RatLambda.derivative
+scalars hp_gcd
+weyl WeylElement.__mul__
+surfaces surface_from_fg
+surfaces surface_from_F
+surfaces surface_from_Ftilde
+surfaces surface_from_pair
+surfaces enneper
+surfaces conjugate_surface
+surfaces verify_minimal
+surfaces bilinear
+classical classical_limit
+classical classical_limit_fraction
+serialize dumps_canonical
+serialize surface_to_obj
+serialize surface_from_obj
+serialize report_to_obj
+serialize weyl_to_obj
+serialize rat_to_obj
+serialize fock_report_to_obj
+render weyl_text
+render surface_text
+render rat_text
+render poly_lambda_text
+render weyl_latex
+render surface_latex
+fock exp_lambda
+fock exp_tail_bound
+cli main
+""".split("\n")[1:-1]
+
+
+@pytest.mark.parametrize("target", TRACED)
+def test_traced_target_is_own_attribute(target):
+    module, path = target.split()
+    owner = importlib.import_module(f"weylmin.{module}")
+    *outer, attr = path.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    assert callable(vars(owner).get(attr)), target

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_poly_lambda, random_weyl, repeated_power
+from oracles import random_hbar_poly, random_poly_lambda, random_weyl, repeated_power
 from weylmin.classical import UVPoly, classical_limit
 from weylmin.holomorphic import PolyLambda, RatLambda, pl_gcd
 from weylmin.scalars import (
     GaussRational,
     HbarPoly,
+    HbarRat,
     bidegree_order,
     canon,
     hp_exact_div,
@@ -149,3 +150,56 @@ class TestPrimitivePRS:
     def test_inexact_step_rejected(self):
         with pytest.raises(ValueError, match="inexact"):
             PolyLambda({1: 1}).divmod_poly(PolyLambda({1: HbarPoly({1: 1})}))
+
+
+def _cross_equal(a, b) -> bool:
+    """a == b in the field of fractions, by cross-multiplication."""
+    return a.num * b.den == b.num * a.den
+
+
+# Each field of fractions with a seeded generator of its ring's elements.
+# The L-degree stays at 1: sums and products of quotients of higher degree
+# with h in their coefficients can take seconds each in pl_gcd.
+QUOTIENTS = {
+    "HbarRat": (HbarRat, lambda rng: random_hbar_poly(rng, 2, 2)),
+    "RatLambda": (RatLambda, lambda rng: random_poly_lambda(rng, 1, 2, max_hbar=1)),
+}
+
+
+class TestQuotient:
+    """HbarRat and RatLambda share one field of fractions; its canonical form
+    and field laws are checked against cross-multiplication."""
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_field_laws(self, name):
+        cls, ring = QUOTIENTS[name]
+        rng = random.Random(75)
+
+        def nonzero():
+            x = ring(rng)
+            return x if not x.is_zero() else nonzero()
+
+        def quotient():
+            return cls(ring(rng), nonzero())
+
+        zero, one = cls(0), cls(1)
+        for _ in range(12):
+            n, d, m = ring(rng), nonzero(), nonzero()
+            q, q2 = cls(n, d), cls(n * m, d * m)
+            assert q2 == q and _cross_equal(q2, q) and _cross_equal(q, cls._lift(n) / d)
+            x, y, z = quotient(), quotient(), quotient()
+            if not x.is_zero():
+                assert x * x.inverse() == one
+            assert x + (-x) == zero and (x + (-x)).is_zero()
+            lhs, rhs = (x + y) * z, x * z + y * z
+            assert lhs == rhs and _cross_equal(lhs, rhs)
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_messages_name_the_class(self, name):
+        cls, _ = QUOTIENTS[name]
+        with pytest.raises(ZeroDivisionError, match=f"^zero denominator in {name}$"):
+            cls(1, 0)
+        with pytest.raises(ZeroDivisionError, match=f"^inverse of zero {name}$"):
+            cls(0).inverse()
+        with pytest.raises(ValueError, match=f"^{name} value is not a polynomial$"):
+            cls(1, cls.POLY({1: 1})).as_poly()

@@ -8,9 +8,11 @@ import pytest
 
 from oracles import (
     grouped,
+    imag_part_by_star,
     lambda_word_normal_order,
     random_gauss,
     random_weyl,
+    real_part_by_star,
     terms_derive,
     terms_laplace,
     terms_scale,
@@ -307,6 +309,16 @@ class TestStar:
             re, im = a.real_part(), a.imag_part()
             assert re.is_hermitian() and im.is_hermitian()
             assert re + I * im == a
+
+    def test_real_imag_parts_match_star_oracle(self):
+        # elements with mixed denominators and h-degrees
+        rng = random.Random(5)
+        for _ in range(20):
+            a = random_weyl(rng, max_deg=4, terms=5, max_hbar=3)
+            a = a + random_weyl(rng, max_deg=3, terms=2, max_hbar=1).shift_hbar(1)
+            assert a.real_part() == real_part_by_star(a)
+            assert a.imag_part() == imag_part_by_star(a)
+        assert ZERO.real_part() == ZERO and ZERO.imag_part() == ZERO
 
     def test_hermitian_predicate(self):
         assert (U * V + V * U).is_hermitian()
