@@ -5,7 +5,7 @@ parameter ``h`` (Planck's constant), so every identity it reports is
 exact.  The main layers are
 
 * :mod:`weylmin.scalars` -- the sparse-polynomial kernel every exact
-  type shares (operators, canonical form, Euclid), Gaussian-rational
+  type shares (operators, canonical form, the gcd), Gaussian-rational
   coefficients, and polynomials/rational functions in ``h``;
 * :mod:`weylmin.weyl` -- normal-ordered elements of the algebra with
   derivations, the Laplacian, and the star involution;

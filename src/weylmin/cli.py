@@ -55,10 +55,15 @@ def _parse_offsets(text: Optional[str], n: int) -> Optional[list[Fraction]]:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated offsets, got {len(parts)}")
-    try:
-        return [Fraction(p.strip()) for p in parts]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad offset value: {exc}") from exc
+    out = []
+    for p in map(str.strip, parts):
+        try:
+            out.append(Fraction(p))
+        except ZeroDivisionError:
+            raise ValueError(f"bad offset value {p!r}: zero denominator") from None
+        except ValueError as exc:
+            raise ValueError(f"bad offset value: {exc}") from exc
+    return out
 
 
 def _parse_poly_arg(expr: str) -> PolyLambda:

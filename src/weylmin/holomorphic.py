@@ -6,14 +6,14 @@ functions.  This module provides that field:
 
 * :class:`PolyLambda` -- polynomials in L with HbarPoly coefficients,
 * :class:`RatLambda`  -- reduced quotients of two PolyLambda, the kernel's
-  :class:`~weylmin.scalars.Quotient` with the reduction below,
+  :class:`~weylmin.scalars.Quotient` over PolyLambda,
 * differentiation, and rational integration.
 
 All of it works fraction-free in Q(i)[h][L], the ring PolyLambda already
-is: an h-rational coefficient never appears.  :func:`pl_gcd` is the
-primitive polynomial remainder sequence (Collins 1967; Brown 1971):
-pseudo-remainders, each divided by its content, an HbarPoly gcd.  Exact
-quotients use the kernel's division, whose every step is exact there.
+is: an h-rational coefficient never appears.  The kernel's gcd,
+:func:`~weylmin.scalars.hp_gcd`, is there the primitive remainder
+sequence, whose contents are HbarPoly gcds.  Exact quotients use the
+kernel's division, whose every step is exact there.
 
 Integration never factors over the complex numbers.  Hermite reduction
 in the Horowitz-Ostrogradsky form (Bronstein, *Symbolic Integration I*,
@@ -36,7 +36,6 @@ from typing import Union
 from .scalars import (
     GaussRational,
     HP_ONE,
-    HP_ZERO,
     HbarLike,
     HbarPoly,
     Frozen,
@@ -69,40 +68,6 @@ PolyLike = Union[PolyLambda, HbarPoly, GaussRational, int, Fraction]
 
 PL_ZERO = PolyLambda()
 PL_ONE = PolyLambda.const(1)
-
-
-def _content(lead: PolyLambda, *rest: PolyLambda) -> HbarPoly:
-    """The gcd of all coefficients, scaled so that dividing it out leaves
-    ``lead`` with a monic h-polynomial as leading coefficient."""
-    c = HP_ZERO
-    for x in (x for p in (lead, *rest) for _, x in p.coeffs):
-        c = hp_gcd(c, x)
-        if c == HP_ONE:
-            break
-    return c.scale(lead.leading().leading())
-
-
-def _cancel(p: PolyLambda, c: HbarPoly) -> PolyLambda:
-    """p with every coefficient divided exactly by the h-polynomial c."""
-    if c == HP_ONE:
-        return p
-    return PolyLambda._of(tuple((d, hp_exact_div(x, c)) for d, x in p.coeffs))
-
-
-def _primitive(p: PolyLambda) -> PolyLambda:
-    return _cancel(p, _content(p))
-
-
-def pl_gcd(a: PolyLambda, b: PolyLambda) -> PolyLambda:
-    """gcd over the h-rational field, as a primitive PolyLambda whose
-    leading coefficient is a monic h-polynomial (primitive PRS)."""
-    while not b.is_zero():
-        if b.degree() == 0:
-            return PL_ONE
-        # lc(b)^e a pseudo-divides by b with every quotient step exact.
-        e = max(a.degree() - b.degree() + 1, 0)
-        a, b = b, _primitive(a.scale(b.leading() ** e).divmod_poly(b)[1])
-    return _primitive(a)
 
 
 def _solve(cols: list[PolyLambda], rhs: PolyLambda) -> tuple[HbarPoly, list[HbarPoly]]:
@@ -143,14 +108,6 @@ class RatLambda(Quotient):
         super().__init__(num, den)
 
     @staticmethod
-    def _reduce(n: PolyLambda, d: PolyLambda) -> tuple[PolyLambda, PolyLambda]:
-        g = pl_gcd(n, d)
-        if g.degree() > 0:
-            n, d = hp_exact_div(n, g), hp_exact_div(d, g)
-        c = _content(d, n)
-        return _cancel(n, c), _cancel(d, c)
-
-    @staticmethod
     def from_poly(p: "PolyLike") -> "RatLambda":
         return RatLambda(p)
 
@@ -189,7 +146,7 @@ class RatLambda(Quotient):
         if rem.is_zero():
             return prim, rem, PL_ONE
         # rem = B' D* - B D-' D*/D- + C D- over the h-rationals
-        dm = pl_gcd(den, den.derivative())
+        dm = hp_gcd(den, den.derivative())
         ds = hp_exact_div(den, dm)
         dlog = hp_exact_div(dm.derivative() * ds, dm)
         basis = [PolyLambda({k: 1}) for k in range(den.degree())]
@@ -213,7 +170,7 @@ class RatLambda(Quotient):
         """
         prim, log_num, log_den = self._hermite()
         if not log_num.is_zero():
-            poles = _primitive(RatLambda(log_num, log_den).den)
+            poles = RatLambda(log_num, log_den).den.monic()
             raise NotIntegrableError(
                 f"no Lambda-rational primitive: nonzero residues on ({poles})"
             )

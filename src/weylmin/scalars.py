@@ -12,9 +12,8 @@ Every exact type of the package is assembled from three pieces here:
   keys, drop zero sums, sort.  Integer degrees sort as they are; the
   bivariate types pass :func:`bidegree_order`.
 * :class:`Poly` -- univariate polynomials over any coefficient type, with
-  the one multiply, derivative, division, :meth:`Poly.monic` and
-  :func:`hp_gcd` (the last two need a coefficient field; over a ring
-  division works whenever each step divides exactly).
+  the one multiply, derivative and division, and the one gcd,
+  :func:`hp_gcd`, over a coefficient field or over HbarPoly.
 
 On top of them sit the three scalar layers, all exact:
 
@@ -293,9 +292,7 @@ class Poly(Ring):
 
     Stored as a tuple of ``(degree, coefficient)`` pairs sorted by degree
     with no zero coefficients, which makes equality and hashing structural.
-    Subclasses set ``COEFF`` and ``LIFTS``.  :meth:`monic` and
-    :func:`hp_gcd` need a coefficient field; see :meth:`divmod_poly` for
-    division over a ring.
+    Subclasses set ``COEFF`` and ``LIFTS``.
     """
 
     __slots__ = _fields = ("coeffs",)
@@ -397,16 +394,45 @@ class Poly(Ring):
         return self._of(tuple(reversed(quo))), self._of(canon(rem))
 
     def monic(self):
-        """Divided by the leading coefficient; zero stays zero."""
-        if self.is_zero() or self.leading() == self.COEFF.coerce(1):
-            return self
-        return self.scale(self.leading().inverse())
+        """Divided by its :func:`content`: the normal form up to a unit."""
+        return cancel(self, content(self)) if self.coeffs else self
+
+
+def content(lead: Poly, *rest: Poly):
+    """The joint content, which :func:`cancel` divides out: over a field the
+    leading coefficient of ``lead``; over HbarPoly the monic gcd of every
+    coefficient, scaled to leave the leading coefficient of ``lead`` monic."""
+    lc = lead.leading()
+    if isinstance(lc, Field):
+        return lc
+    c = lc.__class__()
+    for x in (x for p in (lead, *rest) for _, x in p.coeffs):
+        c = hp_gcd(c, x)
+        if not c.degree():
+            break
+    return c.scale(lc.leading())
+
+
+def cancel(p: Poly, c) -> Poly:
+    """``p`` with every coefficient divided exactly by ``c``."""
+    if c == p.COEFF.coerce(1):
+        return p
+    if isinstance(c, Field):
+        return p.scale(c.inverse())
+    return p._of(tuple((d, hp_exact_div(x, c)) for d, x in p.coeffs))
 
 
 def hp_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two polynomials over a coefficient field (Euclid)."""
+    """The gcd over the coefficients' field of fractions, in normal form, by
+    the primitive remainder sequence (Collins 1967; Brown 1971): each
+    pseudo-remainder is divided by its content.  Over a field that is
+    Euclid with monic remainders."""
     while not b.is_zero():
-        a, b = b, a.divmod_poly(b)[1]
+        if not b.degree():
+            return b._lift(1)
+        if not isinstance(b.leading(), Field):
+            a = a.scale(b.leading() ** max(a.degree() - b.degree() + 1, 0))
+        a, b = b, a.divmod_poly(b)[1].monic()
     return a.monic()
 
 
@@ -468,10 +494,11 @@ HP_HBAR = HbarPoly.hbar()
 class Quotient(Field):
     """A reduced quotient ``num / den`` over the polynomial ring ``POLY``.
 
-    A subclass names its ring (``POLY``, with its ``ZERO`` and ``ONE``) and
-    its ``_reduce``, which brings a nonzero ``num`` over a ``den`` other
-    than ``ONE`` to canonical form.  Zero is ``ZERO / ONE``, and
-    ``(num, ONE)`` is canonical: polynomials have denominator ``ONE``.
+    A subclass names its ring (``POLY``, with its ``ZERO`` and ``ONE``).
+    The canonical form divides out :func:`hp_gcd` of ``num`` and ``den``,
+    then their joint :func:`content`, which leaves ``den`` in normal form
+    (:meth:`Poly.monic`).  Zero is ``ZERO / ONE``, and ``(num, ONE)`` is
+    canonical: polynomials have denominator ``ONE``.
     """
 
     __slots__ = _fields = ("num", "den")
@@ -486,7 +513,11 @@ class Quotient(Field):
         if n.is_zero():
             n, d = self.ZERO, self.ONE
         elif d != self.ONE:
-            n, d = self._reduce(n, d)
+            g = hp_gcd(n, d)
+            if g.degree() > 0:
+                n, d = hp_exact_div(n, g), hp_exact_div(d, g)
+            c = content(d, n)
+            n, d = cancel(n, c), cancel(d, c)
         self._init_fields(n, d)
 
     def is_zero(self) -> bool:
@@ -526,14 +557,6 @@ class HbarRat(Quotient):
 
     def __init__(self, num: HbarLike, den: HbarLike = HP_ONE) -> None:
         super().__init__(num, den)
-
-    @staticmethod
-    def _reduce(n: HbarPoly, d: HbarPoly) -> tuple[HbarPoly, HbarPoly]:
-        g = hp_gcd(n, d)
-        if g.degree() > 0:
-            n, d = hp_exact_div(n, g), hp_exact_div(d, g)
-        lc = d.leading().inverse()
-        return n.scale(lc), d.scale(lc)
 
     def __str__(self) -> str:
         if self.is_polynomial():

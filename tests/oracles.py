@@ -275,6 +275,15 @@ def rat_equal_crossmul(r1, r2) -> bool:
     return pd_sub(pd_mul(p1, q2), pd_mul(p2, q1)) == {}
 
 
+def euclid_gcd(a: HbarPoly, b: HbarPoly) -> HbarPoly:
+    """Monic gcd of two h-polynomials by plain Euclid: the remainders are
+    left unnormalised, and only the last one is divided by its leading
+    coefficient."""
+    while not b.is_zero():
+        a, b = b, a.divmod_poly(b)[1]
+    return a.scale(a.leading().inverse()) if not a.is_zero() else a
+
+
 # -- Weierstrass primitives and real parts by hand -----------------------------
 
 

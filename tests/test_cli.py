@@ -82,6 +82,10 @@ class TestSurfaceCommands:
         assert code == 2
         assert "offsets" in err
 
+    def test_zero_denominator_offset(self, capsys):
+        code, _, err = run(capsys, "surface", "enneper", "--offsets", "1,2,1/0")
+        assert (code, err) == (2, "error: bad offset value '1/0': zero denominator\n")
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "s.json"
         code, out, _ = run(
@@ -99,6 +103,12 @@ class TestSurfaceCommands:
         code, _, err = run(capsys, "surface", "from-fg", "--f", "1/L", "--g", "L")
         assert code == 3
         assert "integrability" in err
+
+    def test_integrability_exit_names_the_poles(self, capsys):
+        # the pole set is the primitive normal form of the residue denominator
+        code, _, err = run(capsys, "surface", "from-F", "--F", "1/(h*L - 1)")
+        assert code == 3
+        assert err.endswith("nonzero residues on (-1 + h*L)\n")
 
     def test_non_polynomial_exit(self, capsys):
         code, _, err = run(capsys, "surface", "from-fg", "--f", "2/L^2", "--g", "L^2")

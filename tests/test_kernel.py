@@ -1,5 +1,6 @@
-"""The shared sparse-polynomial kernel: canonical form, powers, Euclid."""
+"""The shared sparse-polynomial kernel: canonical form, powers, the gcd."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,16 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_hbar_poly, random_poly_lambda, random_weyl, repeated_power
+from oracles import euclid_gcd, random_hbar_poly, random_poly_lambda, random_weyl, repeated_power
 from weylmin.classical import UVPoly, classical_limit
-from weylmin.holomorphic import PolyLambda, RatLambda, pl_gcd
+from weylmin.holomorphic import PolyLambda, RatLambda
 from weylmin.scalars import (
     GaussRational,
     HbarPoly,
     HbarRat,
+    Poly,
     bidegree_order,
     canon,
     hp_exact_div,
+    hp_gcd,
 )
 from weylmin.weyl import LAM, ONE
 
@@ -39,8 +42,7 @@ def _with_content(terms, factors):
 
 
 # Polynomials in L over Q(i)[h], with a shared h-factor for the content
-# gcds to find; Euclid over GaussRational is checked through HbarPoly in
-# test_scalars.py.
+# gcds to find.
 pl_polys = st.builds(
     _with_content,
     st.lists(st.tuples(st.integers(0, 3), small_hbar_polys), max_size=3),
@@ -48,6 +50,17 @@ pl_polys = st.builds(
 )
 nonzero_pl_polys = pl_polys.filter(lambda p: not p.is_zero())
 with_hbar = nonzero_pl_polys.filter(lambda p: any(c.degree() > 0 for _, c in p.coeffs))
+
+
+# HbarPoly pairs with a shared factor, so that their gcd is often not one.
+hbar_gcd_pairs = st.builds(lambda a, b, m: (a * m, b * m), *[nonzero_hbar_polys] * 3)
+
+
+def _last_leading(p):
+    """The leading coefficient, taken down to a GaussRational."""
+    while isinstance(p, Poly):
+        p = p.leading()
+    return p
 
 
 class TestCanon:
@@ -124,24 +137,58 @@ class TestPrimitivePRS:
         assert sa == q * b + r
         assert r.degree() < b.degree()
 
+    @staticmethod
+    def _divides_both(a, b):
+        g = hp_gcd(a, b)
+        assert _last_leading(g) == GaussRational(1)
+        for p in (a, b):
+            assert hp_exact_div(p, g) * g == p
+
+    @staticmethod
+    def _cofactors_coprime(a, b):
+        g = hp_gcd(a, b)
+        assert hp_gcd(hp_exact_div(a, g), hp_exact_div(b, g)).degree() == 0
+
     @settings(max_examples=30, deadline=None)
     @given(nonzero_pl_polys, nonzero_pl_polys)
     def test_gcd_divides_both(self, a, b):
-        g = pl_gcd(a, b)
-        assert g.leading().leading() == GaussRational(1)
-        for p in (a, b):
-            assert hp_exact_div(p, g) * g == p
+        self._divides_both(a, b)
 
     @settings(max_examples=30, deadline=None)
     @given(nonzero_pl_polys, nonzero_pl_polys)
     def test_cofactors_coprime(self, a, b):
-        g = pl_gcd(a, b)
-        assert pl_gcd(hp_exact_div(a, g), hp_exact_div(b, g)).degree() == 0
+        self._cofactors_coprime(a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hbar_gcd_pairs)
+    def test_hbar_gcd_divides_both(self, pair):
+        self._divides_both(*pair)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hbar_gcd_pairs)
+    def test_hbar_cofactors_coprime(self, pair):
+        self._cofactors_coprime(*pair)
 
     @settings(max_examples=30, deadline=None)
     @given(pl_polys, nonzero_pl_polys, with_hbar)
     def test_common_factor_cancels(self, n, d, m):
         assert RatLambda(n * m, d * m) == RatLambda(n, d)
+
+    def test_hbar_gcd_matches_euclid(self):
+        rng = random.Random(76)
+        for _ in range(40):
+            a, b, m = (random_hbar_poly(rng, 3, 3) for _ in range(3))
+            for x, y in ((a * m, b * m), (a, b), (a * m, m), (m, a * m)):
+                assert hp_gcd(x, y) == euclid_gcd(x, y)
+
+    def test_monic_over_a_ring(self):
+        # the normal form over HbarPoly: the coefficients' content divided
+        # out, and the leading coefficient's leading coefficient one
+        h = HbarPoly({1: 1})
+        assert PolyLambda({1: 2}).monic() == PolyLambda({1: 1})
+        assert PolyLambda({1: h * 2, 0: 4}).monic() == PolyLambda({1: h, 0: 2})
+        assert PolyLambda({2: h * h, 0: h * 3}).monic() == PolyLambda({2: h, 0: 3})
+        assert PolyLambda().monic() == PolyLambda()
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -157,9 +204,21 @@ def _cross_equal(a, b) -> bool:
     return a.num * b.den == b.num * a.den
 
 
+def _draws(ring, rng):
+    """Seeded draws of the field-law checks: ``(n, d, m, xyz)``, with d and
+    m nonzero and xyz the (num, den) pairs of three quotients."""
+
+    def nonzero():
+        x = ring(rng)
+        return x if not x.is_zero() else nonzero()
+
+    while True:
+        yield ring(rng), nonzero(), nonzero(), [(ring(rng), nonzero()) for _ in range(3)]
+
+
 # Each field of fractions with a seeded generator of its ring's elements.
-# The L-degree stays at 1: sums and products of quotients of higher degree
-# with h in their coefficients can take seconds each in pl_gcd.
+# The L-degree stays at 1 to keep the laws fast; test_lambda_degree_2
+# checks one product at L-degree 2, which takes about 1.7 s (CPU).
 QUOTIENTS = {
     "HbarRat": (HbarRat, lambda rng: random_hbar_poly(rng, 2, 2)),
     "RatLambda": (RatLambda, lambda rng: random_poly_lambda(rng, 1, 2, max_hbar=1)),
@@ -173,26 +232,27 @@ class TestQuotient:
     @pytest.mark.parametrize("name", sorted(QUOTIENTS))
     def test_field_laws(self, name):
         cls, ring = QUOTIENTS[name]
-        rng = random.Random(75)
-
-        def nonzero():
-            x = ring(rng)
-            return x if not x.is_zero() else nonzero()
-
-        def quotient():
-            return cls(ring(rng), nonzero())
-
         zero, one = cls(0), cls(1)
-        for _ in range(12):
-            n, d, m = ring(rng), nonzero(), nonzero()
+        for n, d, m, xyz in itertools.islice(_draws(ring, random.Random(75)), 12):
             q, q2 = cls(n, d), cls(n * m, d * m)
             assert q2 == q and _cross_equal(q2, q) and _cross_equal(q, cls._lift(n) / d)
-            x, y, z = quotient(), quotient(), quotient()
+            x, y, z = (cls(*nd) for nd in xyz)
             if not x.is_zero():
                 assert x * x.inverse() == one
             assert x + (-x) == zero and (x + (-x)).is_zero()
             lhs, rhs = (x + y) * z, x * z + y * z
             assert lhs == rhs and _cross_equal(lhs, rhs)
+
+    def test_lambda_degree_2(self):
+        # The sixth draw at L-degree 2, with h in the coefficients: the
+        # content gcds of this product stay fast only if every remainder is
+        # normalised, else their Fraction coefficients grow for seconds.
+        ring = lambda rng: random_poly_lambda(rng, 2, 2, max_hbar=1)
+        *_, xyz = next(itertools.islice(_draws(ring, random.Random(75)), 5, None))
+        x, y, z = (RatLambda(*nd) for nd in xyz)
+        lhs = (x + y) * z
+        num = (x.num * y.den + y.num * x.den) * z.num
+        assert lhs.num * (x.den * y.den * z.den) == num * lhs.den
 
     @pytest.mark.parametrize("name", sorted(QUOTIENTS))
     def test_messages_name_the_class(self, name):
