@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .holomorphic import NotIntegrableError, PolyLambda
 from .parse import ParseError, parse_rat, parse_weyl
@@ -49,6 +49,13 @@ EXIT_INTEGRABILITY = 3
 EXIT_SCOPE = 4
 
 
+def _past_digit_limit(exc: ValueError) -> bool:
+    """Whether ``exc`` is Python refusing to turn an int of more digits than
+    its limit (4300 by default) into text or back; its message advises a
+    call that a CLI user cannot make, so callers name the limit instead."""
+    return "integer string conversion" in str(exc)
+
+
 def _parse_offsets(text: Optional[str], n: int) -> Optional[list[Fraction]]:
     if text is None:
         return None
@@ -62,7 +69,9 @@ def _parse_offsets(text: Optional[str], n: int) -> Optional[list[Fraction]]:
         except ZeroDivisionError:
             raise ValueError(f"bad offset value {p!r}: zero denominator") from None
         except ValueError as exc:
-            raise ValueError(f"bad offset value: {exc}") from exc
+            why = (f"an integer longer than the {sys.get_int_max_str_digits()}-digit input limit"
+                   if _past_digit_limit(exc) else exc)
+            raise ValueError(f"bad offset value: {why}") from exc
     return out
 
 
@@ -73,7 +82,15 @@ def _parse_poly_arg(expr: str) -> PolyLambda:
     return value.as_poly()
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(write: Callable[..., str], value: object, out: Optional[str]) -> None:
+    """Write ``write(value)``, the command's output, to ``out`` (stdout by default)."""
+    try:
+        text = write(value)
+    except ValueError as exc:
+        if not _past_digit_limit(exc):
+            raise
+        raise ValueError(f"the result has an integer longer than the "
+                         f"{sys.get_int_max_str_digits()}-digit output limit") from None
     if out is None or out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -85,11 +102,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _emit_surface(s: Surface, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        _emit(dumps_canonical(surface_to_obj(s)), out)
+        _emit(dumps_canonical, surface_to_obj(s), out)
     elif fmt == "latex":
-        _emit(surface_latex(s), out)
+        _emit(surface_latex, s, out)
     else:
-        _emit(surface_text(s), out)
+        _emit(surface_text, s, out)
 
 
 def _read_surface(path: str) -> Surface:
@@ -104,6 +121,11 @@ def _read_surface(path: str) -> Surface:
         raise DeserializeError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DeserializeError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        if not _past_digit_limit(exc):
+            raise
+        raise DeserializeError(f"invalid JSON: an integer longer than the "
+                               f"{sys.get_int_max_str_digits()}-digit input limit") from None
     return surface_from_obj(obj)
 
 
@@ -153,7 +175,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     s = _read_surface(getattr(args, "in"))
     rep = verify_minimal(s)
-    _emit(dumps_canonical(report_to_obj(rep)), args.out)
+    _emit(dumps_canonical, report_to_obj(rep), args.out)
     return EXIT_OK if rep.passes else EXIT_VERIFY
 
 
@@ -179,7 +201,7 @@ def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
             f"Fock matrices overflow at --hbar {args.hbar} --dim {args.dim}: "
             "a residual or the tail bound is too large for a float; use a smaller --hbar or --dim"
         )
-    _emit(dumps_canonical(fock_report_to_obj(report)), args.out)
+    _emit(dumps_canonical, fock_report_to_obj(report), args.out)
     worst = max(report["residuals"].values())
     return EXIT_OK if worst < args.tol and report["tail_bound"] < args.tol else EXIT_VERIFY
 
@@ -203,11 +225,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         elem = EVAL_OPS[args.op](elem)
     if args.fmt == "json":
         doc = {"schema": "weylmin/1", "kind": "element", "element": weyl_to_obj(elem)}
-        _emit(dumps_canonical(doc), args.out)
+        _emit(dumps_canonical, doc, args.out)
     elif args.fmt == "latex":
-        _emit(weyl_latex(elem), args.out)
+        _emit(weyl_latex, elem, args.out)
     else:
-        _emit(weyl_text(elem), args.out)
+        _emit(weyl_text, elem, args.out)
     return EXIT_OK
 
 

@@ -4,15 +4,22 @@ Every document carries ``"schema": "weylmin/1"``.  Element records are
 emitted in the canonical storage order (bidegrees by (k+l, k), h-degrees
 ascending), and rationals as separate numerator/denominator integers, so
 serialization is deterministic down to the byte and golden files can be
-compared exactly.  ``dumps_canonical`` fixes the textual JSON layout.
-Elements are read through :func:`weylmin.weyl.coefficients`; one function
-writes the coefficient records of elements and Lambda-polynomials alike.
+compared exactly.  ``dumps_canonical`` writes the one textual layout:
+two-space indent, sorted keys, ASCII-escaped strings, integers as JSON
+integers, floats by ``repr``, NaN and infinities refused, and a trailing
+newline.  Its bytes are those of ``json.dumps(obj, indent=2,
+sort_keys=True, allow_nan=False)``, written by one small recursive writer
+instead of the standard library's pure-Python encoder (its C encoder runs
+only without ``indent``).  Elements are read through
+:func:`weylmin.weyl.coefficients`; one function writes the coefficient
+records of elements and Lambda-polynomials alike.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .scalars import GaussRational, HbarPoly
 from .holomorphic import PolyLambda, RatLambda
@@ -27,9 +34,54 @@ class DeserializeError(ValueError):
 
 
 def dumps_canonical(obj: dict) -> str:
-    """The one true JSON layout for files and stdout; strict JSON, so NaN
-    and infinities raise ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The one true JSON layout for files and stdout (see the module
+    docstring); strict JSON, so NaN and infinities raise ValueError, and an
+    object JSON cannot hold raises TypeError, as ``json.dumps`` does."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _key(k: object) -> str:
+    """A dict key as JSON writes it: a string, or a number, bool or None as text."""
+    if isinstance(k, str):
+        return _quote(k)
+    if k is None or isinstance(k, (int, float)):
+        return _quote(json.dumps(k, allow_nan=False))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _write(x: object, nl: str, out: list[str]) -> None:
+    """Append ``x`` to ``out`` in the canonical layout; ``nl`` is a newline
+    and the indent of the line ``x`` starts on.  Strings and integers are
+    written here, every other scalar by ``json.dumps``."""
+    if type(x) is str:
+        out.append(_quote(x))
+    elif type(x) is int:
+        out.append(f"{x}")
+    elif isinstance(x, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(x.items()):
+            k = _quote(k) if type(k) is str else _key(k)
+            if type(v) is int:
+                out.append(f"{sep}{k}: {v}")
+            else:
+                out.append(f"{sep}{k}: ")
+                _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]" if x else "[]")
+    else:
+        out.append(json.dumps(x, allow_nan=False))
 
 
 # -- scalars -----------------------------------------------------------------

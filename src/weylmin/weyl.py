@@ -30,12 +30,15 @@ for the sum of all orderings of k letters U and l letters V.  (Ordered
 expansions of this kind: Cahill & Glauber, Phys. Rev. 177, 1857 (1969).)
 
 An element is stored in one flat form: rows ``(k, l, h-degree, re, im)``
-of Gaussian-integer numerators over one denominator.  Every operation adds
-integer products into one accumulator keyed by ``(k, l, h-degree)``
-(:func:`_accumulate`), from which the canonical rows are rebuilt;
-:func:`symmetric_product_sum` (the surface layer's bilinear form) puts all
-its products into one.  HbarPoly coefficients come in only through the
-constructor.  Everything else reads the flat form through
+of Gaussian-integer numerators over one denominator.  Every operation
+builds one accumulator, a dict of numerator pairs keyed by
+``(k, l, h-degree)``, from which the canonical rows are rebuilt.  The
+product adds each (row pair, reordering term) into it in a plain loop
+(:func:`_products`), and :func:`symmetric_product_sum` (the surface
+layer's bilinear form) puts all its products into one; the other
+operations sum their items with :func:`_accumulate`, or build the dict
+at once where no two items share a key.  HbarPoly coefficients come in
+only through the constructor.  Everything else reads the flat form through
 :func:`coefficients` or its U,V-ordered twin :func:`uv_coefficients`, one
 integer accumulation of the rows times their :func:`uv_table` rows; both
 give ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction parts.  The
@@ -59,9 +62,8 @@ from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .scalars import (
     GR_I,
@@ -148,16 +150,19 @@ def _rows(elems: Sequence["WeylElement"]) -> tuple[list[tuple[Row, ...]], int]:
     ) for e in elems], den
 
 
-def _products(a: Iterable[Row], b: Sequence[Row]) -> Iterator[tuple[tuple, int, int]]:
-    """The normal-ordered product of two row lists as ``(key, re, im)`` items,
-    over the product of their denominators."""
-    return (
-        ((k1 + k2 - j, l1 + l2 - j, d1 + d2 + j), c * re, c * im)
-        for k1, l1, d1, ar, ai in a
-        for k2, l2, d2, br, bi in b
-        for re, im in ((ar * br - ai * bi, ar * bi + ai * br),)
-        for j, c in _reorder(l1, k2)
-    )
+def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
+    """Add the normal-ordered product of two row lists, over the product of
+    their denominators, into the accumulator ``acc``."""
+    get = acc.get
+    for k1, l1, d1, ar, ai in a:
+        for k2, l2, d2, br, bi in b:
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            k, l, d = k1 + k2, l1 + l2, d1 + d2
+            for j, c in _reorder(l1, k2):
+                key = (k - j, l - j, d + j)
+                cur = get(key)
+                acc[key] = (c * re, c * im) if cur is None else (cur[0] + c * re, cur[1] + c * im)
+    return acc
 
 
 def _is_hermitian(rows: Iterable[Row]) -> bool:
@@ -165,16 +170,17 @@ def _is_hermitian(rows: Iterable[Row]) -> bool:
     return set(rows) == {(l, k, d, re, -im) for k, l, d, re, im in rows}
 
 
-def _element(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
-    """The canonical element of the summed ``((k, l, d), re, im)`` items over ``den``."""
-    return object.__new__(WeylElement)._store(items, den)
+def _element(acc: dict, den: int) -> "WeylElement":
+    """The canonical element of the accumulator ``acc`` over ``den``."""
+    return object.__new__(WeylElement)._store(acc, den)
 
 
-def _real(items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
-    """Re P of the summed ``((k, l, d), re, im)`` items P over ``den``: each
-    item plus its adjoint ``((l, k, d), re, -im)``, over ``2 den``."""
-    return _element((t for (k, l, d), re, im in items
-                     for t in (((k, l, d), re, im), ((l, k, d), re, -im))), 2 * den)
+def _real(acc: dict, den: int) -> "WeylElement":
+    """Re P of the accumulator P over ``den``: P plus its adjoint, whose
+    ``(l, k, d)`` entry is ``conj P[k, l, d]``, over ``2 den``.  The
+    adjoint is added into ``acc`` itself."""
+    adjoint = [((l, k, d), re, -im) for (k, l, d), (re, im) in acc.items()]
+    return _element(_accumulate(acc, adjoint), 2 * den)
 
 
 # A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
@@ -216,15 +222,13 @@ class WeylElement(Ring):
         if any(k < 0 or l < 0 for (k, l), c in polys if c.coeffs):
             raise ValueError("negative monomial degree")
         den = lcm(*(x.denominator for _, c in polys for _, g in c.coeffs for x in (g.re, g.im)))
-        self._store((
+        self._store(_accumulate({}, (
             ((k, l, d), *(x.numerator * den // x.denominator for x in (g.re, g.im)))
             for (k, l), c in polys for d, g in c.coeffs
-        ), den)
+        )), den)
 
-    def _store(self, items: Iterable[tuple[tuple, int, int]], den: int) -> "WeylElement":
-        """Set the canonical rows of the summed ``((k, l, d), re, im)`` items
-        over ``den > 0``."""
-        acc = _accumulate({}, items)
+    def _store(self, acc: dict, den: int) -> "WeylElement":
+        """Set the canonical rows of the accumulator ``acc`` over ``den > 0``."""
         # (k + l, row) sorts by (k + l, k, h-degree): no two rows share (k, l, d).
         rows = sorted(((k, l, d, re, im) for (k, l, d), (re, im) in acc.items() if re or im),
                       key=lambda r: (r[0] + r[1], r))
@@ -280,17 +284,17 @@ class WeylElement(Ring):
 
     def _add(self, o: "WeylElement") -> "WeylElement":
         (a, b), den = _rows((self, o))
-        return _element((((k, l, d), re, im) for k, l, d, re, im in a + b), den)
+        return _element(_accumulate({}, (((k, l, d), re, im) for k, l, d, re, im in a + b)), den)
 
     def __neg__(self) -> "WeylElement":
-        return _element((((k, l, d), -re, -im) for k, l, d, re, im in self.rows), self.den)
+        return _element({(k, l, d): (-re, -im) for k, l, d, re, im in self.rows}, self.den)
 
     def __mul__(self, other: "WeylLike") -> "WeylElement":
         o = self._try(other)
         return NotImplemented if o is None else self._mul(o)
 
     def _mul(self, o: "WeylElement") -> "WeylElement":
-        return _element(_products(self.rows, o.rows), self.den * o.den)
+        return _element(_products({}, self.rows, o.rows), self.den * o.den)
 
     def scale(self, c: HbarLike) -> "WeylElement":
         """The product with the central scalar ``c``."""
@@ -300,18 +304,18 @@ class WeylElement(Ring):
 
     def star(self) -> "WeylElement":
         """The antihomomorphic involution: (L^k Ls^l)* = L^l Ls^k."""
-        return _element((((l, k, d), re, -im) for k, l, d, re, im in self.rows), self.den)
+        return _element({(l, k, d): (re, -im) for k, l, d, re, im in self.rows}, self.den)
 
     def is_hermitian(self) -> bool:
         return _is_hermitian(self.rows)
 
     def real_part(self) -> "WeylElement":
         """Re A = (A + A*)/2, always hermitian."""
-        return _real((((k, l, d), re, im) for k, l, d, re, im in self.rows), self.den)
+        return _real({(k, l, d): (re, im) for k, l, d, re, im in self.rows}, self.den)
 
     def imag_part(self) -> "WeylElement":
         """Im A = (A - A*)/(2i) = Re(-iA), always hermitian."""
-        return _real((((k, l, d), im, -re) for k, l, d, re, im in self.rows), self.den)
+        return _real({(k, l, d): (im, -re) for k, l, d, re, im in self.rows}, self.den)
 
     # -- calculus --------------------------------------------------------
 
@@ -322,26 +326,26 @@ class WeylElement(Ring):
             wd, wdbar = _DERIVE_WEIGHTS[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
-        return _element((
+        return _element(_accumulate({}, (
             (key, n * (wr * re - wi * im), n * (wr * im + wi * re))
             for k, l, d, re, im in self.rows
             for key, n, (wr, wi) in (((k - 1, l, d), k, wd), ((k, l - 1, d), l, wdbar))
             if n
-        ), self.den)
+        )), self.den)
 
     def laplace(self) -> "WeylElement":
         """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2."""
-        return _element((
-            ((k - 1, l - 1, d), 4 * k * l * re, 4 * k * l * im)
+        return _element({
+            (k - 1, l - 1, d): (4 * k * l * re, 4 * k * l * im)
             for k, l, d, re, im in self.rows
             if k and l
-        ), self.den)
+        }, self.den)
 
     def shift_hbar(self, j: int) -> "WeylElement":
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""
         if any(d + j < 0 for _, _, d, _, _ in self.rows):
             raise ValueError("not divisible by the requested power of h")
-        return _element((((k, l, d + j), re, im) for k, l, d, re, im in self.rows), self.den)
+        return _element({(k, l, d + j): (re, im) for k, l, d, re, im in self.rows}, self.den)
 
     def __str__(self) -> str:
         from .render import weyl_text
@@ -407,10 +411,14 @@ def symmetric_product_sum(
     """
     rx, dx = _rows(xs)
     ry, dy = _rows(ys)
+    acc: dict = {}
     if all(map(_is_hermitian, rx + ry)):
-        p = _accumulate({}, chain.from_iterable(map(_products, rx, ry)))
-        return _real(((key, re, im) for key, (re, im) in p.items()), dx * dy)
-    return _element(chain.from_iterable(map(_products, rx + ry, ry + rx)), 2 * dx * dy)
+        for a, b in zip(rx, ry):
+            _products(acc, a, b)
+        return _real(acc, dx * dy)
+    for a, b in zip(rx + ry, ry + rx):
+        _products(acc, a, b)
+    return _element(acc, 2 * dx * dy)
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

@@ -9,6 +9,7 @@ are kept dumb on purpose.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from collections import defaultdict
@@ -89,6 +90,14 @@ def bilinear_literal(xs, ys) -> WeylElement:
     for x, y in zip(xs, ys):
         total = total + weyl_product_by_swaps(x, y) + weyl_product_by_swaps(y, x)
     return total.scale(Fraction(1, 2))
+
+
+# -- the JSON layout -----------------------------------------------------------
+
+
+def dumps_stdlib(obj) -> str:
+    """The canonical layout by the standard library's own (pure-Python) encoder."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # -- WeylElement operations term by term, on HbarPoly coefficients ------------

@@ -3,6 +3,7 @@
 import argparse
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -389,6 +390,44 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "--expr", "1/(U+V)")
         assert code == 2
         assert "division" in err
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length to text",
+)
+class TestDigitLimit:
+    """Integers past Python's int-to-text limit exit 2 with a message that
+    names the limit, not a call the user cannot make."""
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    def test_output(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "eval", "--expr", f"10^{limit}", "--fmt", fmt)
+        assert (code, out) == (2, "")
+        assert err == f"error: the result has an integer longer than the {limit}-digit output limit\n"
+        code, out, err = run(capsys, "eval", "--expr", f"10^{limit - 1}", "--fmt", fmt)
+        assert (code, err) == (0, "")
+        assert "1" + "0" * (limit - 1) in out
+
+    def test_surface_output(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run(capsys, "surface", "from-fg", "--f", f"10^{limit}", "--g", "L")
+        assert code == 2 and f"{limit}-digit output limit" in err
+
+    def test_offsets(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run(capsys, "surface", "enneper", "--offsets", "1" * (limit + 1) + ",0,0")
+        assert code == 2
+        assert err == f"error: bad offset value: an integer longer than the {limit}-digit input limit\n"
+
+    def test_input_document(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        text = (GOLDENS / "enneper.json").read_text().replace('"den": 1', '"den": 1' + "0" * limit, 1)
+        (tmp_path / "big.json").write_text(text)
+        code, _, err = run(capsys, "verify", "--in", str(tmp_path / "big.json"))
+        assert code == 2
+        assert err == f"input error: invalid JSON: an integer longer than the {limit}-digit input limit\n"
 
 
 class TestDeepInput:

@@ -1,12 +1,15 @@
 """Canonical JSON interchange format."""
 
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import random_rat, random_weyl
+from oracles import dumps_stdlib, random_rat, random_weyl
+from weylmin.cli import main
 from weylmin.parse import parse_rat
 from weylmin.serialize import (
     SCHEMA,
@@ -160,3 +163,78 @@ class TestReports:
         assert obj["schema"] == SCHEMA
         assert obj["kind"] == "fock-residuals"
         assert set(obj["residuals"]) == {"X1", "X2", "X3", "phi_isotropy"}
+
+
+# -- the writer against the standard library's encoder -------------------------
+
+GOLDENS = pathlib.Path(__file__).parent / "goldens"
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\xe9\u20ac\U0001f600'),
+                          st.characters()), max_size=6)
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 1e308]))
+_INTS = st.one_of(st.integers(-(2**80), 2**80), st.sampled_from([2**64, -(2**64) - 1, 3**200]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _INTS, _FLOATS, _TEXT)
+# The keys of one dict must sort together: text, or numbers and bools, or None.
+_KEYS = st.sampled_from([_TEXT, st.one_of(_INTS, _FLOATS, st.booleans()), st.none()])
+_DOCS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    _KEYS.flatmap(lambda keys: st.dictionaries(keys, inner, max_size=4)),
+), max_leaves=24)
+
+
+class TestWriter:
+    """``dumps_canonical`` writes what ``json.dumps(indent=2, sort_keys=True)`` writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_DOCS)
+    def test_bytes_equal_the_stdlib(self, doc):
+        assert dumps_canonical(doc) == dumps_stdlib(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}], True, False, None, -0.0, 5e-324,
+        1e308, 2**64, -(2**64), {"t": True, "f": False, "n": None, "i": 1},
+        {1: "a", 2.5: "b", False: "c"}, {None: 0}, {-0.0: 1, 3: 2},
+        {"\u00e9\"\\\n\x00": "\U0001f600"},
+    ])
+    def test_edge_values(self, doc):
+        assert dumps_canonical(doc) == dumps_stdlib(doc)
+
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1, x], lambda x: {"a": x},
+                                      lambda x: {x: 1}])
+    def test_non_finite_floats_raise_value_error(self, x, wrap):
+        for dumps in (dumps_stdlib, dumps_canonical):
+            with pytest.raises(ValueError):
+                dumps(wrap(x))
+
+    @pytest.mark.parametrize("doc", [Fraction(1, 2), {"a": Fraction(1, 2)}, [{1, 2}],
+                                     {"a": 1, 2: 3}, {(1, 2): 0}, {"a": {None: 1, "b": 2}}])
+    def test_unencodable_values_raise_type_error(self, doc):
+        for dumps in (dumps_stdlib, dumps_canonical):
+            with pytest.raises(TypeError):
+                dumps(doc)
+
+    @pytest.mark.parametrize("path", sorted(GOLDENS.glob("*.json")), ids=lambda p: p.name)
+    def test_goldens(self, path):
+        text = path.read_text()
+        doc = json.loads(text)
+        assert dumps_canonical(doc) == dumps_stdlib(doc) == text
+
+    @pytest.mark.parametrize("argv", [
+        ("surface", "from-fg", "--f", "1 - L^2", "--g", "h*L/3", "--offsets", "1/2,0,-3"),
+        ("verify", "--in", "BROKEN"),
+        ("eval", "--expr", "(2*L + i*Ls/3 + h)^3", "--fmt", "json"),
+        ("fock", "catenoid", "--dim", "24"),
+    ], ids=["surface", "verification", "element", "fock-residuals"])
+    def test_every_document_kind(self, capsys, tmp_path, argv):
+        broken = json.loads((GOLDENS / "enneper.json").read_text())
+        broken["components"][0][0]["coeff"][0]["im_num"] = 5
+        (tmp_path / "broken.json").write_text(json.dumps(broken))
+        main([str(tmp_path / "broken.json") if a == "BROKEN" else a for a in argv])
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert dumps_canonical(doc) == dumps_stdlib(doc) == out
+        if doc["kind"] == "verification":
+            assert doc["witnesses"]

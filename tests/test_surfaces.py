@@ -246,6 +246,32 @@ class TestBilinear:
             p = sum((x * y for x, y in zip(xs, ys)), ZERO)
             assert p.real_part() != want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_operands_over_different_denominators(self, seed):
+        rng = random.Random(310 + seed)
+        xs = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part().scale(Fraction(1, p))
+              for p in (101, 103)]
+        ys = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part().scale(Fraction(1, p))
+              for p in (107, 109)]
+        assert [e.den % p for e, p in zip(xs + ys, (101, 103, 107, 109))] == [0] * 4
+        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # the hermitian branch
+        xs[1] = random_weyl(rng, max_deg=3, terms=4, max_hbar=2).scale(Fraction(1, 103))
+        assert not xs[1].is_hermitian() and xs[1].den % 103 == 0
+        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # both products
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_every_item_cancels(self, hermitian):
+        # <(x, y), (y, -x)> = (xy + yx - yx - xy)/2 = 0
+        rng = random.Random(320 + hermitian)
+        for _ in range(3):
+            x, y = (random_weyl(rng, max_deg=3, terms=4, max_hbar=2).scale(Fraction(1, p))
+                    for p in (5, 7))
+            if hermitian:
+                x, y = x.real_part(), y.real_part()
+            else:
+                assert not x.is_hermitian()
+            assert bilinear((x, y), (y, -x)) == bilinear_literal((x, y), (y, -x)) == ZERO
+
     def test_surface_partials_match_literal_form(self):
         s = surface_from_pair(P("L^3 + h*L"), P("L^2"))
         xu = tuple(c.derive(Direction.U) for c in s.components)

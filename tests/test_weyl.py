@@ -127,6 +127,30 @@ class TestFlatProduct:
         want = LAM**2 - LAM_STAR**2 - HBAR.scale(2)
         assert a * b == weyl_product_by_swaps(a, b) == want
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_operands_over_different_denominators(self, seed):
+        rng = random.Random(130 + seed)
+        for _ in range(3):
+            a = random_weyl(rng, max_deg=4, terms=5, max_hbar=2).scale(Fraction(1, 101))
+            b = random_weyl(rng, max_deg=4, terms=5, max_hbar=2).scale(Fraction(3, 103))
+            assert a.den % 101 == 0 and b.den % 103 == 0
+            assert a * b == weyl_product_by_swaps(a, b)
+            assert b * a == weyl_product_by_swaps(b, a)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cancelling_items_of_random_products(self, seed):
+        # y, a polynomial in x, commutes with x, so every item of the cross
+        # terms of (x + y)(x - y) cancels against another.  (The algebra has
+        # no zero divisors: a whole product cancels only inside a sum, see
+        # the bilinear form's tests.)
+        rng = random.Random(140 + seed)
+        for _ in range(2):
+            x = random_weyl(rng, max_deg=3, terms=4, max_hbar=1).scale(Fraction(1, 101))
+            y = (x * x).scale(random_gauss(rng)) + x.scale(HbarPoly({1: random_gauss(rng)}))
+            a, b = x + y, x - y
+            assert a * b == weyl_product_by_swaps(a, b) == weyl_product_by_swaps(x, x) - (
+                weyl_product_by_swaps(y, y))
+
 
 class TestFlatStorage:
     """Rows and den against the per-term HbarPoly references, and the
