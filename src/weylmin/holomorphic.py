@@ -10,7 +10,10 @@ functions.  This module provides that field:
 * differentiation, and rational integration.
 
 All of it works fraction-free in Q(i)[h][L], the ring PolyLambda already
-is: an h-rational coefficient never appears.  The kernel's gcd,
+is: an h-rational coefficient never appears.  PolyLambda is the kernel's
+flat form (:class:`~weylmin.scalars.Flat`) with rows ``(L-degree,
+h-degree, re, im)``, so its products are integer convolutions; its
+coefficients are HbarPoly views.  The kernel's gcd,
 :func:`~weylmin.scalars.hp_gcd`, is there the primitive remainder
 sequence, whose contents are HbarPoly gcds.  Exact quotients use the
 kernel's division, whose every step is exact there.
@@ -142,7 +145,7 @@ class RatLambda(Quotient):
         else:
             lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
             quo, rem = num.scale(lead).divmod_poly(den)
-        prim = RatLambda(PolyLambda((d + 1, c * Fraction(1, d + 1)) for d, c in quo.coeffs), lead)
+        prim = RatLambda(quo.integral(), lead)
         if rem.is_zero():
             return prim, rem, PL_ONE
         # rem = B' D* - B D-' D*/D- + C D- over the h-rationals
@@ -260,12 +263,13 @@ def isotropy_check(phi: PhiTriple) -> bool:
 
 
 def poly_to_weyl(p: PolyLambda) -> WeylElement:
-    """Embed a polynomial in L as the holomorphic element sum c_k L^k."""
-    return WeylElement(((d, 0), c) for d, c in p.coeffs)
+    """Embed a polynomial in L as the holomorphic element sum c_k L^k: its
+    rows ``(k, d, re, im)`` re-keyed as ``(k, 0, d, re, im)``."""
+    return WeylElement._wrap([(k, 0, d, re, im) for k, d, re, im in p.rows], p.den)
 
 
 def weyl_to_poly(a: WeylElement) -> PolyLambda:
     """Inverse embedding; requires a holomorphic element."""
     if not a.is_holomorphic():
         raise ValueError("element has Ls terms and is not holomorphic")
-    return PolyLambda((k, c) for (k, _), c in a.terms)
+    return PolyLambda._wrap([(k, d, re, im) for k, _, d, re, im in a.rows], a.den)

@@ -19,7 +19,8 @@ import re
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .weyl import Coeff, coefficients, uv_coefficients
+from .scalars import Coeff, grouped
+from .weyl import coefficients, uv_coefficients
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .holomorphic import PolyLambda, RatLambda
@@ -166,9 +167,9 @@ def _latex_term(coeffs: Coeff, mono: str) -> str:
 
 def poly_lambda_text(p: "PolyLambda") -> str:
     parts = []
-    for d, c in p.coeffs:
+    for (d,), c in grouped(p.rows, p.den, 1).items():
         mono = "" if d == 0 else ("L" if d == 1 else f"L^{d}")
-        parts.append(_term_text([(j, g.re, g.im) for j, g in c.coeffs], mono))
+        parts.append(_term_text(c, mono))
     return _join_terms(parts)
 
 

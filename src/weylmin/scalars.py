@@ -8,17 +8,21 @@ Every exact type of the package is assembled from three pieces here:
   own type (plus ``inverse`` for a field).  The mixin supplies
   ``coerce``, the binary and reflected operators, ``/`` for fields, and
   ``**`` by repeated squaring.
-* :func:`canon` -- the one canonicaliser: sum the coefficients of equal
-  keys, drop zero sums, sort.  Integer degrees sort as they are; the
-  bivariate types pass :func:`bidegree_order`.
-* :class:`Poly` -- univariate polynomials over any coefficient type, with
-  the one multiply, derivative and division, and the one gcd,
-  :func:`hp_gcd`, over a coefficient field or over HbarPoly.
+* :class:`Flat` -- the one stored form of every polynomial type: rows
+  ``(*key, re, im)`` of Gaussian-integer numerators over one positive
+  denominator, with one canonicaliser, one sum and the commutative
+  product.  HbarPoly (key: the h-degree), PolyLambda (L-degree,
+  h-degree), UVPoly (u-degree, v-degree) and WeylElement (L-degree,
+  Ls-degree, h-degree) differ only in key length and product.  Their
+  coefficients (GaussRational or HbarPoly) are views built on access.
+* :class:`Poly` -- univariate polynomials over either coefficient type,
+  with the one derivative and division, and the one gcd, :func:`hp_gcd`,
+  over a coefficient field or over HbarPoly.
 
 On top of them sit the three scalar layers, all exact:
 
 * :class:`GaussRational` -- complex numbers a + b*i with rational parts,
-  the base field for every coefficient in the package.
+  the public scalar and the coefficient view of HbarPoly and UVPoly.
 * :class:`HbarPoly` -- polynomials in the central hermitian parameter ``h``
   over GaussRational.  ``h`` is formal, so identities proved here hold for
   every numerical value of the parameter.
@@ -39,7 +43,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from math import gcd, lcm
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -51,9 +56,9 @@ class Frozen:
     ``__slots__`` too, and sets them in ``__init__`` with ``_init_fields``
     or ``object.__setattr__``; afterwards they are read-only.  Two records are
     equal when they have the same class and equal field tuples, the hash is
-    the hash of the field tuple, and the repr lists the fields.  The hot
-    types override ``__eq__`` and ``__hash__`` with the same values read
-    directly.
+    the hash of the field tuple, and the repr lists the fields.  The flat
+    polynomial types override ``__eq__`` with their stored form, which is
+    canonical.
     """
 
     __slots__ = ()
@@ -178,34 +183,6 @@ class Field(Ring):
         return NotImplemented if o is None else o._mul(self.inverse())
 
 
-def canon(
-    items: Union[Mapping, Iterable[tuple]],
-    order: Optional[Callable] = None,
-    coerce: Optional[Callable] = None,
-) -> tuple:
-    """The canonical tuple of ``(key, coeff)`` pairs.
-
-    Coefficients of equal keys are summed and zero sums dropped; the pairs
-    are sorted by key, or by ``order(pair)`` when given.  A Mapping is read
-    as its items, and ``coerce`` converts each coefficient first.
-    """
-    if isinstance(items, Mapping):
-        items = items.items()
-    if coerce is not None:
-        items = [(key, coerce(c)) for key, c in items]
-    acc: dict = {}
-    for key, c in items:
-        cur = acc.get(key)
-        acc[key] = c if cur is None else cur + c
-    return tuple(sorted([kc for kc in acc.items() if not kc[1].is_zero()], key=order))
-
-
-def bidegree_order(pair: tuple) -> tuple[int, int]:
-    """Sort key of bivariate terms: total degree, then the first degree."""
-    (k, l), _ = pair
-    return k + l, k
-
-
 def _frac(x: Rational) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -229,14 +206,6 @@ class GaussRational(Field):
     def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def is_zero(self) -> bool:
         return not self.re and not self.im
@@ -287,115 +256,235 @@ GR_ONE = GaussRational(1)
 GR_I = GaussRational(0, 1)
 
 
-class Poly(Ring):
-    """Univariate polynomial over the coefficient type ``COEFF``.
+# The flat form: rows (*key, re, im) of Gaussian-integer numerators over one denominator.
+Row = tuple
 
-    Stored as a tuple of ``(degree, coefficient)`` pairs sorted by degree
-    with no zero coefficients, which makes equality and hashing structural.
-    Subclasses set ``COEFF`` and ``LIFTS``.
+
+def _accumulate(acc: dict, items: Iterable[tuple[tuple, int, int]]) -> dict:
+    """Add each ``(key, re, im)`` into ``acc``, a dict of numerator pairs."""
+    for key, re, im in items:
+        cur = acc.get(key)
+        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return acc
+
+
+def _common(elems: Sequence["Flat"]) -> tuple[list[tuple[Row, ...]], int]:
+    """The rows of each element, rescaled to their least common denominator."""
+    den = lcm(*(e.den for e in elems))
+    return [e.rows if e.den == den else tuple(
+        r[:-2] + (r[-2] * (den // e.den), r[-1] * (den // e.den)) for r in e.rows
+    ) for e in elems], den
+
+
+def _convolve(a: Sequence[Row], b: Sequence[Row]) -> dict:
+    """The commutative product of two row lists with keys of length 1 or 2,
+    as an accumulator over the product of their denominators."""
+    acc: dict = {}
+    get = acc.get
+    if a and len(a[0]) == 3:
+        pairs = (((x + y,), ar, ai, br, bi) for x, ar, ai in a for y, br, bi in b)
+    else:
+        pairs = (((x1 + y1, x2 + y2), ar, ai, br, bi)
+                 for x1, x2, ar, ai in a for y1, y2, br, bi in b)
+    for key, ar, ai, br, bi in pairs:
+        re, im = ar * br - ai * bi, ar * bi + ai * br
+        cur = get(key)
+        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+    return acc
+
+
+def grouped(rows: Iterable[Row], den: int, n: int) -> dict[tuple, "Coeff"]:
+    """Rows ``(*monomial, h-degree, re, im)`` over ``den`` grouped by their
+    first ``n`` entries, the monomial, in row order."""
+    out: dict = {}
+    for r in rows:
+        out.setdefault(r[:n], []).append((r[n], Fraction(r[n + 1], den), Fraction(r[n + 2], den)))
+    return out
+
+
+# A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
+Coeff = list[tuple[int, Fraction, Fraction]]
+
+
+def _by_total_degree(row: Row) -> tuple:
+    return row[0] + row[1], row
+
+
+class Flat(Ring):
+    """A sparse polynomial in the one flat form of the package.
+
+    ``rows`` are ``(*key, re, im)``: a monomial's exponents, then those of
+    its coefficient (in ``COEFF``), then the Gaussian-integer numerator,
+    over the positive ``den``.  Rows are nonzero with distinct keys, sorted
+    by ``ORDER`` (default: the key), and ``den`` is reduced against every
+    numerator, so ``==`` is structural.  The first ``OUTER`` key entries
+    are the monomial: the constructor takes ``(monomial, coefficient)``
+    pairs, and :meth:`_view` gives them back.  Every operation builds one
+    accumulator, a dict of numerator pairs keyed by ``key``, and
+    :meth:`_store` is the one canonicaliser.  The product is the
+    commutative one unless a subclass overrides ``_mul``.
     """
 
-    __slots__ = _fields = ("coeffs",)
-    coeffs: tuple
+    __slots__ = ("rows", "den")
+    rows: tuple[Row, ...]
+    den: int
+    OUTER = 1
+    ORDER: Optional[Callable] = None
+    _NEGATIVE = "negative monomial degree"
 
-    def __init__(self, coeffs: Union[Mapping, Iterable[tuple]] = ()) -> None:
-        canonical = canon(coeffs, coerce=self.COEFF.coerce)
-        if canonical and canonical[0][0] < 0:
-            raise ValueError("negative degree")
-        object.__setattr__(self, "coeffs", canonical)
+    def __init__(self, items: Union[Mapping, Iterable[tuple]] = ()) -> None:
+        if isinstance(items, Mapping):
+            items = items.items()
+        parts = []
+        for key, c in items:
+            c = self.COEFF.coerce(c)
+            key = key if type(key) is tuple else (key,)
+            if isinstance(c, GaussRational):
+                d = lcm(c.re.denominator, c.im.denominator)
+                parts.append(([(key, int(c.re * d), int(c.im * d))], d))
+            else:
+                parts.append(([(key + r[:-2], r[-2], r[-1]) for r in c.rows], c.den))
+        den = lcm(*(d for _, d in parts))
+        self._store(_accumulate({}, ((key, re * (den // d), im * (den // d))
+                                     for rows, d in parts for key, re, im in rows)), den)
+        if any(x < 0 for r in self.rows for x in r[:-2]):
+            raise ValueError(self._NEGATIVE)
+
+    def _store(self, acc: dict, den: int):
+        """Set the canonical rows of the accumulator ``acc`` over ``den > 0``."""
+        rows = [key + nums for key, nums in acc.items() if nums[0] or nums[1]]
+        rows.sort(key=self.ORDER)
+        return self._set(rows, den)
+
+    def _set(self, rows: Sequence[Row], den: int):
+        """Set rows that are sorted and nonzero, dividing out their gcd with ``den``."""
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = gcd(g, r[-2], r[-1])
+        if g > 1:
+            rows = [r[:-2] + (r[-2] // g, r[-1] // g) for r in rows]
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "den", den // g)
+        return self
+
+    @classmethod
+    def _new(cls, acc: dict, den: int):
+        """The canonical element of the accumulator ``acc`` over ``den``."""
+        return object.__new__(cls)._store(acc, den)
+
+    @classmethod
+    def _wrap(cls, rows: Sequence[Row], den: int):
+        """The element of rows that are already sorted and nonzero."""
+        return object.__new__(cls)._set(rows, den)
+
+    @classmethod
+    def _lift(cls, x):
+        return cls((((0,) * cls.OUTER, x),))
 
     def __eq__(self, o):
         if o.__class__ is not self.__class__:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.rows == o.rows and self.den == o.den
 
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
+    __hash__ = Frozen.__hash__
 
-    @classmethod
-    def _of(cls, coeffs: tuple):
-        """Wrap a tuple of pairs that is already canonical."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
+    def _view(self) -> tuple:
+        """``(monomial, coefficient)`` pairs, the coefficients in ``COEFF``."""
+        groups: dict = {}
+        for r in self.rows:
+            groups.setdefault(r[:self.OUTER], []).append(r[self.OUTER:])
+        return tuple((key, self._coeff(inner)) for key, inner in groups.items())
 
-    @classmethod
-    def const(cls, c):
-        return cls(((0, c),))
-
-    _lift = const
+    def _coeff(self, inner: list):
+        """The coefficient of rows that share a monomial, without it."""
+        if self.COEFF is GaussRational:
+            re, im = inner[0] if inner else (0, 0)
+            return GaussRational(Fraction(re, self.den), Fraction(im, self.den))
+        return self.COEFF._wrap(inner, self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
+
+    def _add(self, o):
+        (a, b), den = _common((self, o))
+        return self._new(_accumulate({}, ((r[:-2], r[-2], r[-1]) for r in a + b)), den)
+
+    def __neg__(self):
+        return self._wrap([r[:-2] + (-r[-2], -r[-1]) for r in self.rows], self.den)
+
+    def _mul(self, o):
+        return self._new(_convolve(self.rows, o.rows), self.den * o.den)
+
+    def scale(self, c):
+        """The product with the coefficient ``c``."""
+        return self._mul(self._lift(c))
+
+
+class Poly(Flat):
+    """Univariate polynomial over the coefficient type ``COEFF``: rows
+    ``(degree, *coefficient key, re, im)``, read as ``(degree,
+    coefficient)`` pairs through ``coeffs``.  Subclasses set ``COEFF`` and
+    ``LIFTS``.
+    """
+
+    __slots__ = ()
+    _fields = ("coeffs",)
+    _NEGATIVE = "negative degree"
+
+    @property
+    def coeffs(self) -> tuple:
+        """``(degree, coefficient)`` pairs by degree, built on access."""
+        return tuple((k, c) for (k,), c in self._view())
+
+    const = classmethod(lambda cls, c: cls._lift(c))
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return self.coeffs[-1][0] if self.coeffs else -1
+        return self.rows[-1][0] if self.rows else -1
 
     def leading(self):
-        return self.coeffs[-1][1] if self.coeffs else self.COEFF.coerce(0)
+        return self.coeff(self.degree())
 
     def coeff(self, deg: int):
-        for d, c in self.coeffs:
-            if d == deg:
-                return c
-        return self.COEFF.coerce(0)
-
-    def _add(self, o):
-        return self._of(canon(self.coeffs + o.coeffs))
-
-    def __neg__(self):
-        return self._of(tuple((d, -c) for d, c in self.coeffs))
-
-    def _mul(self, o):
-        return self._of(
-            canon([(d1 + d2, c1 * c2) for d1, c1 in self.coeffs for d2, c2 in o.coeffs])
-        )
-
-    def scale(self, c):
-        """Multiply every coefficient by the scalar ``c``."""
-        co = self.COEFF.coerce(c)
-        if co.is_zero():
-            return self._of(())
-        return self._of(tuple((d, cc * co) for d, cc in self.coeffs))
+        return self._coeff([r[1:] for r in self.rows if r[0] == deg])
 
     def derivative(self):
-        return self._of(tuple((d - 1, c * d) for d, c in self.coeffs if d))
+        return self._wrap([(r[0] - 1,) + r[1:-2] + (r[0] * r[-2], r[0] * r[-1])
+                           for r in self.rows if r[0]], self.den)
+
+    def integral(self):
+        """The primitive without constant term."""
+        m = lcm(*{r[0] + 1 for r in self.rows})
+        return self._wrap([(r[0] + 1,) + r[1:-2] + (r[-2] * (f := m // (r[0] + 1)), r[-1] * f)
+                           for r in self.rows], self.den * m)
 
     def divmod_poly(self, other):
         """Euclidean division: ``(q, r)`` with self = q*other + r, deg r < deg other.
 
-        Over a coefficient ring that is not a field (PolyLambda's HbarPoly)
-        each quotient coefficient is an exact division, which succeeds
-        whenever q lies in the ring: when ``other`` divides ``self`` and is
-        primitive, or when ``self`` is premultiplied by a power of the
-        leading coefficient (pseudo-division).  Otherwise ValueError.
+        Each step subtracts a monomial multiple of ``other`` in the flat
+        form.  Over a coefficient ring that is not a field (PolyLambda's
+        HbarPoly) each quotient coefficient is an exact division, which
+        succeeds whenever q lies in the ring: when ``other`` divides
+        ``self`` and is primitive, or when ``self`` is premultiplied by a
+        power of the leading coefficient (pseudo-division).  Otherwise
+        ValueError.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        *lower, (db, lb) = other.coeffs
-        inv = lb.inverse() if isinstance(lb, Field) else None
-        rem = dict(self.coeffs)
-        quo = []
-        while rem:
-            dr = max(rem)
-            if dr < db:
-                break
-            top = rem.pop(dr)
-            q = top * inv if inv is not None else hp_exact_div(top, lb)
-            quo.append((dr - db, q))
-            for d, c in lower:
-                nd = d + dr - db
-                nc = rem[nd] - c * q if nd in rem else -(c * q)
-                if nc.is_zero():
-                    del rem[nd]
-                else:
-                    rem[nd] = nc
-        return self._of(tuple(reversed(quo))), self._of(canon(rem))
+        db, lb = other.degree(), other.leading()
+        quo, rem = type(self)(), self
+        while rem.degree() >= db:
+            top = rem.leading()
+            step = type(self)({rem.degree() - db: top / lb if isinstance(lb, Field)
+                               else hp_exact_div(top, lb)})
+            quo, rem = quo + step, rem - step * other
+        return quo, rem
 
     def monic(self):
         """Divided by its :func:`content`: the normal form up to a unit."""
-        return cancel(self, content(self)) if self.coeffs else self
+        return cancel(self, content(self)) if self.rows else self
 
 
 def content(lead: Poly, *rest: Poly):
@@ -419,7 +508,7 @@ def cancel(p: Poly, c) -> Poly:
         return p
     if isinstance(c, Field):
         return p.scale(c.inverse())
-    return p._of(tuple((d, hp_exact_div(x, c)) for d, x in p.coeffs))
+    return type(p)((d, hp_exact_div(x, c)) for d, x in p.coeffs)
 
 
 def hp_gcd(a: Poly, b: Poly) -> Poly:
@@ -456,22 +545,20 @@ class HbarPoly(Poly):
 
     def conjugate(self) -> "HbarPoly":
         """Complex-conjugate coefficients; h itself is hermitian and fixed."""
-        return self._of(tuple((d, c.conjugate()) for d, c in self.coeffs))
+        return self._wrap([(d, re, -im) for d, re, im in self.rows], self.den)
 
     def shift(self, j: int) -> "HbarPoly":
         """Multiply by h**j (j may be negative if every degree allows it)."""
-        if j == 0:
-            return self
-        if self.coeffs and self.coeffs[0][0] + j < 0:
+        if self.rows and self.rows[0][0] + j < 0:
             raise ValueError("not divisible by the requested power of h")
-        return self._of(tuple((d + j, c) for d, c in self.coeffs))
+        return self._wrap([(d + j, re, im) for d, re, im in self.rows], self.den)
 
     def evaluate(self, hbar: float) -> complex:
         """Numerical value at a concrete hbar."""
         return sum((complex(c) * hbar**d for d, c in self.coeffs), 0j)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.rows:
             return "0"
         parts = []
         for d, c in self.coeffs:

@@ -11,8 +11,9 @@ newline.  Its bytes are those of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)``, written by one small recursive writer
 instead of the standard library's pure-Python encoder (its C encoder runs
 only without ``indent``).  Elements are read through
-:func:`weylmin.weyl.coefficients`; one function writes the coefficient
-records of elements and Lambda-polynomials alike.
+:func:`weylmin.weyl.coefficients` and Lambda-polynomials through the
+kernel's :func:`~weylmin.scalars.grouped`, which it calls; one function
+writes the coefficient records of both.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .scalars import GaussRational, HbarPoly
+from .scalars import Coeff, GaussRational, HbarPoly, grouped
 from .holomorphic import PolyLambda, RatLambda
 from .surfaces import Provenance, Surface, VerificationReport
-from .weyl import Coeff, WeylElement, coefficients
+from .weyl import WeylElement, coefficients
 
 SCHEMA = "weylmin/1"
 
@@ -152,8 +153,7 @@ def weyl_from_obj(obj: object) -> WeylElement:
 
 
 def poly_to_obj(p: PolyLambda) -> list[dict]:
-    return [{"deg": d, "coeff": _coeff_to_obj([(j, g.re, g.im) for j, g in c.coeffs])}
-            for d, c in p.coeffs]
+    return [{"deg": d, "coeff": _coeff_to_obj(c)} for (d,), c in grouped(p.rows, p.den, 1).items()]
 
 
 def poly_from_obj(obj: object) -> PolyLambda:

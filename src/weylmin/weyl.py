@@ -29,21 +29,17 @@ so its coefficients are Gaussian integers.  In the other direction
 for the sum of all orderings of k letters U and l letters V.  (Ordered
 expansions of this kind: Cahill & Glauber, Phys. Rev. 177, 1857 (1969).)
 
-An element is stored in one flat form: rows ``(k, l, h-degree, re, im)``
-of Gaussian-integer numerators over one denominator.  Every operation
-builds one accumulator, a dict of numerator pairs keyed by
-``(k, l, h-degree)``, from which the canonical rows are rebuilt.  The
-product adds each (row pair, reordering term) into it in a plain loop
-(:func:`_products`), and :func:`symmetric_product_sum` (the surface
-layer's bilinear form) puts all its products into one; the other
-operations sum their items with :func:`_accumulate`, or build the dict
-at once where no two items share a key.  HbarPoly coefficients come in
-only through the constructor.  Everything else reads the flat form through
-:func:`coefficients` or its U,V-ordered twin :func:`uv_coefficients`, one
-integer accumulation of the rows times their :func:`uv_table` rows; both
-give ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction parts.  The
-``terms`` view, text and JSON read the first; LaTeX, and the classical
-limit as its h-free part, the second.
+An element is stored in the kernel's flat form
+(:class:`~weylmin.scalars.Flat`): rows ``(k, l, h-degree, re, im)`` of
+Gaussian-integer numerators over one denominator, with the product here.
+It adds each (row pair, reordering term) into one accumulator in a plain
+loop (:func:`_products`), and :func:`symmetric_product_sum` (the surface
+layer's bilinear form) puts all its products into one.  The writers read
+the rows through :func:`coefficients` or its U,V-ordered twin
+:func:`uv_coefficients`, one integer accumulation of the rows times their
+:func:`uv_table` rows; both give ``{(k, l): [(h-degree, re, im), ...]}``
+with Fraction parts.  Text and JSON read the first and LaTeX the second;
+the classical limit is the h-free part of the accumulation behind it.
 
 The four derivations act on basis monomials by
 
@@ -58,22 +54,26 @@ Laplacian is ``lap A = 4 d dbar A = d_u^2 A + d_v^2 A``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial
 from typing import Iterable, Sequence, Union
 
 from .scalars import (
     GR_I,
+    Coeff,
+    Flat,
     GaussLike,
     GaussRational,
     HP_HBAR,
-    HP_ZERO,
     HbarLike,
     HbarPoly,
-    Ring,
+    Row,
+    _accumulate,
+    _by_total_degree,
+    _common,
+    grouped,
 )
 
 
@@ -107,16 +107,9 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-# The flat form: rows (k, l, h-degree, re, im) of integer numerators over one denominator.
-Row = tuple[int, int, int, int, int]
-
-
-def _accumulate(acc: dict, items: Iterable[tuple[tuple, int, int]]) -> dict:
-    """Add each ``(key, re, im)`` into ``acc``, a dict of numerator pairs."""
-    for key, re, im in items:
-        cur = acc.get(key)
-        acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    return acc
+# The largest k + l of a U,V table.  uv_table(k, l) takes O((k + l)^3)
+# steps and has up to (k + l + 2)^2 / 4 rows: about 4 s and 5 MB at 300.
+UV_TABLE_CAP = 300
 
 
 @lru_cache(maxsize=1024)
@@ -126,7 +119,11 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
     A row stands for the term ``(re + i im) h^d U^p V^q``.  The table is 1
     multiplied on the right by U + iV k times and by U - iV l times, in a
     loop, each new U moved left with ``V^q U = U V^q - i h q V^(q-1)``.
+    A table past ``k + l = UV_TABLE_CAP`` raises ValueError, before any work.
     """
+    if k + l > UV_TABLE_CAP:
+        raise ValueError(f"U,V order is capped at total degree {UV_TABLE_CAP} (the U,V-table"
+                         f" cap); this element has a term L^k Ls^l of degree {k + l}")
     acc = {(0, 0, 0): (1, 0)}
     for s in [1] * k + [-1] * l:
         acc = _accumulate({}, (
@@ -140,14 +137,6 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
             if t[1] or t[2]
         ))
     return tuple((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im)
-
-
-def _rows(elems: Sequence["WeylElement"]) -> tuple[list[tuple[Row, ...]], int]:
-    """The rows of each element, rescaled to their least common denominator."""
-    den = lcm(*(e.den for e in elems))
-    return [e.rows if e.den == den else tuple(
-        (k, l, d, re * (den // e.den), im * (den // e.den)) for k, l, d, re, im in e.rows
-    ) for e in elems], den
 
 
 def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
@@ -170,92 +159,35 @@ def _is_hermitian(rows: Iterable[Row]) -> bool:
     return set(rows) == {(l, k, d, re, -im) for k, l, d, re, im in rows}
 
 
-def _element(acc: dict, den: int) -> "WeylElement":
-    """The canonical element of the accumulator ``acc`` over ``den``."""
-    return object.__new__(WeylElement)._store(acc, den)
-
-
 def _real(acc: dict, den: int) -> "WeylElement":
     """Re P of the accumulator P over ``den``: P plus its adjoint, whose
     ``(l, k, d)`` entry is ``conj P[k, l, d]``, over ``2 den``.  The
     adjoint is added into ``acc`` itself."""
     adjoint = [((l, k, d), re, -im) for (k, l, d), (re, im) in acc.items()]
-    return _element(_accumulate(acc, adjoint), 2 * den)
+    return WeylElement._new(_accumulate(acc, adjoint), 2 * den)
 
 
-# A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
-Coeff = list[tuple[int, Fraction, Fraction]]
-
-
-def _grouped(rows: Iterable[Row], den: int) -> dict[Bidegree, Coeff]:
-    """Rows over ``den`` grouped by their first two entries, in row order."""
-    out: dict = {}
-    for k, l, d, re, im in rows:
-        out.setdefault((k, l), []).append((d, Fraction(re, den), Fraction(im, den)))
-    return out
-
-
-class WeylElement(Ring):
+class WeylElement(Flat):
     """An algebra element in normal-ordered canonical form.
 
     ``rows`` are ``(k, l, h-degree, re, im)`` (L power, Ls power, h power,
-    coefficient numerator), sorted by ``(k + l, k, h-degree)`` without zero
-    rows, over the positive ``den``, reduced against all numerators; so
-    ``==`` and ``hash`` are structural.  ``terms`` is the same element as
-    ``((k, l), HbarPoly)`` pairs, built on access.
+    coefficient numerator), sorted by ``(k + l, k, h-degree)``, over
+    ``den``: the kernel's flat form (:class:`~weylmin.scalars.Flat`), with
+    the normal-ordered product.  ``terms`` is the same element as ``((k,
+    l), HbarPoly)`` pairs, built on access.
     """
 
-    __slots__ = _fields = ("rows", "den")
-    rows: tuple[Row, ...]
-    den: int
+    __slots__ = ()
+    _fields = ("rows", "den")
+    COEFF = HbarPoly
     LIFTS = (HbarPoly, GaussRational, int, Fraction)
-
-    def __init__(
-        self,
-        terms: Union[
-            Mapping[Bidegree, HbarLike], Iterable[tuple[Bidegree, HbarLike]]
-        ] = (),
-    ) -> None:
-        if isinstance(terms, Mapping):
-            terms = terms.items()
-        polys = [(kl, HbarPoly.coerce(c)) for kl, c in terms]
-        if any(k < 0 or l < 0 for (k, l), c in polys if c.coeffs):
-            raise ValueError("negative monomial degree")
-        den = lcm(*(x.denominator for _, c in polys for _, g in c.coeffs for x in (g.re, g.im)))
-        self._store(_accumulate({}, (
-            ((k, l, d), *(x.numerator * den // x.denominator for x in (g.re, g.im)))
-            for (k, l), c in polys for d, g in c.coeffs
-        )), den)
-
-    def _store(self, acc: dict, den: int) -> "WeylElement":
-        """Set the canonical rows of the accumulator ``acc`` over ``den > 0``."""
-        # (k + l, row) sorts by (k + l, k, h-degree): no two rows share (k, l, d).
-        rows = sorted(((k, l, d, re, im) for (k, l, d), (re, im) in acc.items() if re or im),
-                      key=lambda r: (r[0] + r[1], r))
-        g = gcd(den, *(x for *_, re, im in rows for x in (re, im)))
-        if g > 1:
-            rows = [(k, l, d, re // g, im // g) for k, l, d, re, im in rows]
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "den", den // g)
-        return self
-
-    def __eq__(self, o):
-        if o.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == o.rows and self.den == o.den
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.den))
+    OUTER = 2
+    ORDER = staticmethod(_by_total_degree)
 
     @property
     def terms(self) -> tuple[tuple[Bidegree, HbarPoly], ...]:
         """``((k, l), HbarPoly)`` pairs sorted by ``(k + l, k)``."""
-        return tuple((kl, HbarPoly._of(tuple((d, GaussRational(re, im)) for d, re, im in c)))
-                     for kl, c in coefficients(self).items())
-
-    @classmethod
-    def _lift(cls, x: HbarLike) -> "WeylElement":
-        return cls({(0, 0): x})
+        return self._view()
 
     @staticmethod
     def basis(k: int, l: int, coeff: HbarLike = 1) -> "WeylElement":
@@ -263,15 +195,12 @@ class WeylElement(Ring):
 
     # -- basic structure -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.rows
-
     def degree(self) -> int:
         """Maximal total degree k + l; -1 for the zero element."""
         return self.rows[-1][0] + self.rows[-1][1] if self.rows else -1
 
     def term(self, k: int, l: int) -> HbarPoly:
-        return dict(self.terms).get((k, l), HP_ZERO)
+        return self._coeff([r[2:] for r in self.rows if r[:2] == (k, l)])
 
     def bidegrees(self) -> tuple[Bidegree, ...]:
         return tuple(dict.fromkeys((k, l) for k, l, *_ in self.rows))
@@ -282,29 +211,18 @@ class WeylElement(Ring):
 
     # -- ring operations -------------------------------------------------
 
-    def _add(self, o: "WeylElement") -> "WeylElement":
-        (a, b), den = _rows((self, o))
-        return _element(_accumulate({}, (((k, l, d), re, im) for k, l, d, re, im in a + b)), den)
-
-    def __neg__(self) -> "WeylElement":
-        return _element({(k, l, d): (-re, -im) for k, l, d, re, im in self.rows}, self.den)
-
     def __mul__(self, other: "WeylLike") -> "WeylElement":
         o = self._try(other)
         return NotImplemented if o is None else self._mul(o)
 
     def _mul(self, o: "WeylElement") -> "WeylElement":
-        return _element(_products({}, self.rows, o.rows), self.den * o.den)
-
-    def scale(self, c: HbarLike) -> "WeylElement":
-        """The product with the central scalar ``c``."""
-        return self._mul(self._lift(c))
+        return WeylElement._new(_products({}, self.rows, o.rows), self.den * o.den)
 
     # -- involution ------------------------------------------------------
 
     def star(self) -> "WeylElement":
         """The antihomomorphic involution: (L^k Ls^l)* = L^l Ls^k."""
-        return _element({(l, k, d): (re, -im) for k, l, d, re, im in self.rows}, self.den)
+        return WeylElement._new({(l, k, d): (re, -im) for k, l, d, re, im in self.rows}, self.den)
 
     def is_hermitian(self) -> bool:
         return _is_hermitian(self.rows)
@@ -326,7 +244,7 @@ class WeylElement(Ring):
             wd, wdbar = _DERIVE_WEIGHTS[direction]
         except KeyError:
             raise ValueError(f"unknown direction {direction!r}") from None
-        return _element(_accumulate({}, (
+        return WeylElement._new(_accumulate({}, (
             (key, n * (wr * re - wi * im), n * (wr * im + wi * re))
             for k, l, d, re, im in self.rows
             for key, n, (wr, wi) in (((k - 1, l, d), k, wd), ((k, l - 1, d), l, wdbar))
@@ -335,7 +253,7 @@ class WeylElement(Ring):
 
     def laplace(self) -> "WeylElement":
         """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2."""
-        return _element({
+        return WeylElement._new({
             (k - 1, l - 1, d): (4 * k * l * re, 4 * k * l * im)
             for k, l, d, re, im in self.rows
             if k and l
@@ -345,7 +263,7 @@ class WeylElement(Ring):
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""
         if any(d + j < 0 for _, _, d, _, _ in self.rows):
             raise ValueError("not divisible by the requested power of h")
-        return _element({(k, l, d + j): (re, im) for k, l, d, re, im in self.rows}, self.den)
+        return WeylElement._new({(k, l, d + j): (re, im) for k, l, d, re, im in self.rows}, self.den)
 
     def __str__(self) -> str:
         from .render import weyl_text
@@ -374,24 +292,29 @@ V = WeylElement(
 def coefficients(a: WeylElement) -> dict[Bidegree, Coeff]:
     """The flat form as ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction
     parts, bidegrees by ``(k + l, k)`` and h-degrees ascending."""
-    return _grouped(a.rows, a.den)
+    return grouped(a.rows, a.den, 2)
 
 
-def uv_coefficients(a: WeylElement, h_free: bool = False) -> dict[Bidegree, Coeff]:
-    """The element in U,V order, grouped as :func:`coefficients` groups it
-    with ``(p, q)`` by ``(p + q, -p)``.  With ``h_free`` only the h-free
-    part, the classical limit, is formed, from the h-free rows alone: no
-    row of :func:`uv_table` lowers the h-degree."""
-    acc = _accumulate({}, (
+def _uv_acc(a: WeylElement, h_free: bool = False) -> dict:
+    """The element in U,V order, as an accumulator keyed by ``(p, q,
+    h-degree)`` over ``a.den``.  With ``h_free`` only the h-free part, the
+    classical limit, is formed, from the h-free rows alone: no row of
+    :func:`uv_table` lowers the h-degree."""
+    return _accumulate({}, (
         ((p, q, d + e), re * tr - im * ti, re * ti + im * tr)
         for k, l, d, re, im in a.rows
         if not (h_free and d)
         for p, q, e, tr, ti in uv_table(k, l)
         if not (h_free and e)
     ))
-    rows = sorted(((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im),
-                  key=lambda r: (r[0] + r[1], -r[0], r[2]))
-    return _grouped(rows, a.den)
+
+
+def uv_coefficients(a: WeylElement, h_free: bool = False) -> dict[Bidegree, Coeff]:
+    """The element in U,V order (:func:`_uv_acc`), grouped as
+    :func:`coefficients` groups it with ``(p, q)`` by ``(p + q, -p)``."""
+    rows = sorted(((p, q, d, re, im) for (p, q, d), (re, im) in _uv_acc(a, h_free).items()
+                   if re or im), key=lambda r: (r[0] + r[1], -r[0], r[2]))
+    return grouped(rows, a.den, 2)
 
 
 def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -409,8 +332,8 @@ def symmetric_product_sum(
     Hermiticity is tested here, not assumed; otherwise the products
     y_i x_i are added to the same accumulator.
     """
-    rx, dx = _rows(xs)
-    ry, dy = _rows(ys)
+    rx, dx = _common(xs)
+    ry, dy = _common(ys)
     acc: dict = {}
     if all(map(_is_hermitian, rx + ry)):
         for a, b in zip(rx, ry):
@@ -418,7 +341,7 @@ def symmetric_product_sum(
         return _real(acc, dx * dy)
     for a, b in zip(rx + ry, ry + rx):
         _products(acc, a, b)
-    return _element(acc, 2 * dx * dy)
+    return WeylElement._new(acc, 2 * dx * dy)
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

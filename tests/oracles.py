@@ -17,9 +17,8 @@ from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from weylmin.classical import UVPoly
 from weylmin.fock import _TERM_CUTOFF, exp_lambda
-from weylmin.scalars import GR_I, GaussRational, HbarPoly, bidegree_order, canon
+from weylmin.scalars import GR_I, Field, GaussRational, HbarPoly
 from weylmin.weyl import Direction, WeylElement, uv_table
 
 Word = Tuple[str, ...]
@@ -90,6 +89,175 @@ def bilinear_literal(xs, ys) -> WeylElement:
     for x, y in zip(xs, ys):
         total = total + weyl_product_by_swaps(x, y) + weyl_product_by_swaps(y, x)
     return total.scale(Fraction(1, 2))
+
+
+# -- the nested kernel -----------------------------------------------------------
+#
+# Polynomials as canonical tuples of (key, coefficient) pairs, summed by
+# ``canon``: an h-polynomial over GaussRational and a polynomial in L over
+# it, with the multiply, division, content and gcd that the package ran on
+# this form before it stored every polynomial as flat rows of integers.
+
+
+def canon(items, order=None, coerce=None) -> tuple:
+    """The canonical tuple of ``(key, coeff)`` pairs.
+
+    Coefficients of equal keys are summed and zero sums dropped; the pairs
+    are sorted by key, or by ``order(pair)`` when given.  A mapping is read
+    as its items, and ``coerce`` converts each coefficient first.
+    """
+    if isinstance(items, dict):
+        items = items.items()
+    if coerce is not None:
+        items = [(key, coerce(c)) for key, c in items]
+    acc: dict = {}
+    for key, c in items:
+        cur = acc.get(key)
+        acc[key] = c if cur is None else cur + c
+    return tuple(sorted([kc for kc in acc.items() if not kc[1].is_zero()], key=order))
+
+
+def bidegree_order(pair: tuple) -> tuple:
+    """Sort key of bivariate terms: total degree, then the first degree."""
+    (k, l), _ = pair
+    return k + l, k
+
+
+class NestedPoly:
+    """Univariate polynomial as canonical ``(degree, coefficient)`` pairs."""
+
+    COEFF: type
+
+    def __init__(self, coeffs=()):
+        self.coeffs = canon(coeffs, coerce=self.COEFF.coerce)
+
+    @classmethod
+    def coerce(cls, x):
+        return x if isinstance(x, cls) else cls({0: x})
+
+    def __eq__(self, o):
+        return type(o) is type(self) and self.coeffs == o.coeffs
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.coeffs!r})"
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def degree(self):
+        return self.coeffs[-1][0] if self.coeffs else -1
+
+    def leading(self):
+        return self.coeffs[-1][1] if self.coeffs else self.COEFF.coerce(0)
+
+    def __add__(self, o):
+        return type(self)(self.coeffs + self.coerce(o).coeffs)
+
+    def __neg__(self):
+        return type(self)((d, -c) for d, c in self.coeffs)
+
+    def __sub__(self, o):
+        return self + -self.coerce(o)
+
+    def __mul__(self, o):
+        o = self.coerce(o)
+        return type(self)([(d1 + d2, c1 * c2) for d1, c1 in self.coeffs for d2, c2 in o.coeffs])
+
+    def __pow__(self, n: int):
+        return repeated_power(self, n, self.coerce(1))
+
+    def scale(self, c):
+        return type(self)((d, x * c) for d, x in self.coeffs)
+
+    def divmod_poly(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        *lower, (db, lb) = other.coeffs
+        inv = lb.inverse() if isinstance(lb, Field) else None
+        rem = dict(self.coeffs)
+        quo = []
+        while rem:
+            dr = max(rem)
+            if dr < db:
+                break
+            top = rem.pop(dr)
+            q = top * inv if inv is not None else nested_exact_div(top, lb)
+            quo.append((dr - db, q))
+            for d, c in lower:
+                nd = d + dr - db
+                rem[nd] = rem[nd] - c * q if nd in rem else -(c * q)
+                if rem[nd].is_zero():
+                    del rem[nd]
+        return type(self)(quo), type(self)(rem)
+
+    def monic(self):
+        return nested_cancel(self, nested_content(self)) if self.coeffs else self
+
+
+class NestedHbar(NestedPoly):
+    COEFF = GaussRational
+
+
+class NestedLambda(NestedPoly):
+    COEFF = NestedHbar
+
+
+def nested(p):
+    """An HbarPoly or PolyLambda as the nested reference type."""
+    if isinstance(p, HbarPoly):
+        return NestedHbar(p.coeffs)
+    return NestedLambda((k, nested(c)) for k, c in p.coeffs)
+
+
+def nested_content(lead, *rest):
+    lc = lead.leading()
+    if isinstance(lc, Field):
+        return lc
+    c = NestedHbar()
+    for p in (lead, *rest):
+        for _, x in p.coeffs:
+            c = nested_gcd(c, x)
+    return c.scale(lc.leading())
+
+
+def nested_cancel(p, c):
+    if isinstance(c, Field):
+        return p.scale(c.inverse())
+    return type(p)((d, nested_exact_div(x, c)) for d, x in p.coeffs)
+
+
+def nested_exact_div(a, b):
+    q, r = a.divmod_poly(b)
+    if not r.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+def nested_gcd(a, b):
+    """The primitive remainder sequence on the nested form."""
+    while not b.is_zero():
+        if not b.degree():
+            return b.coerce(1)
+        if not isinstance(b.leading(), Field):
+            a = a.scale(b.leading() ** max(a.degree() - b.degree() + 1, 0))
+        a, b = b, a.divmod_poly(b)[1].monic()
+    return a.monic()
+
+
+def nested_quotient(num, den) -> tuple:
+    """The canonical ``(num, den)`` of a quotient of two nested polynomials:
+    their gcd divided out, then their joint content."""
+    if num.is_zero():
+        return type(num)(), type(num).coerce(1)
+    if den != den.coerce(1):
+        g = nested_gcd(num, den)
+        if g.degree() > 0:
+            num, den = nested_exact_div(num, g), nested_exact_div(den, g)
+        c = nested_content(den, num)
+        num, den = nested_cancel(num, c), nested_cancel(den, c)
+    return num, den
 
 
 # -- the JSON layout -----------------------------------------------------------
@@ -170,9 +338,9 @@ def grouped(terms: Iterable) -> list:
     return [(kl, [(d, g.re, g.im) for d, g in p.coeffs]) for kl, p in terms]
 
 
-def terms_classical_limit(a: WeylElement) -> UVPoly:
-    """``classical.classical_limit``: the h-free coefficients times the
-    h-free uv_table rows."""
+def terms_classical_limit(a: WeylElement) -> tuple:
+    """``classical.classical_limit`` as ``((p, q), GaussRational)`` pairs:
+    the h-free coefficients times the h-free uv_table rows."""
     out = []
     for (k, l), c in a.terms:
         c0 = c.coeff(0)
@@ -181,7 +349,7 @@ def terms_classical_limit(a: WeylElement) -> UVPoly:
             for p, q, d, re, im in uv_table(k, l)
             if not d
         )
-    return UVPoly(out)
+    return canon(out, bidegree_order)
 
 
 def uv_word_normal_order(word: Iterable[str]) -> Dict[Tuple[int, int], HbarPoly]:
@@ -745,6 +913,18 @@ def random_poly_lambda(rng, max_deg: int = 6, terms: int = 4, max_hbar: int = 0)
         poly = random_hbar_poly(rng, max_hbar) if max_hbar else HbarPoly({0: random_gauss(rng)})
         coeffs[deg] = coeffs[deg] + poly if deg in coeffs else poly
     return PolyLambda(coeffs)
+
+
+def quotient_draws(ring, rng):
+    """Seeded draws of the field-law checks: ``(n, d, m, xyz)``, with d and
+    m nonzero and xyz the (num, den) pairs of three quotients."""
+
+    def nonzero():
+        x = ring(rng)
+        return x if not x.is_zero() else nonzero()
+
+    while True:
+        yield ring(rng), nonzero(), nonzero(), [(ring(rng), nonzero()) for _ in range(3)]
 
 
 def random_rat(rng, num_deg: int = 4, den_deg: int = 2):

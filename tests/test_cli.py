@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import itertools
 import json
 import pathlib
+import random
 import sys
+import time
 
 import pytest
 
+from oracles import quotient_draws, random_poly_lambda
 from weylmin import cli
 from weylmin.cli import build_parser, main
+from weylmin.holomorphic import RatLambda
 from weylmin.parse import parse_weyl
 from weylmin.serialize import surface_from_obj, surface_to_obj
 from weylmin.surfaces import enneper
-from weylmin.weyl import Direction
+from weylmin.weyl import UV_TABLE_CAP, Direction
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -110,6 +115,22 @@ class TestSurfaceCommands:
         code, _, err = run(capsys, "surface", "from-F", "--F", "1/(h*L - 1)")
         assert code == 3
         assert err.endswith("nonzero residues on (-1 + h*L)\n")
+
+    def test_integrability_exit_with_hbar_in_g(self, capsys):
+        # g = x + y for the x, y of test_kernel's test_lambda_degree_2 draw:
+        # h in g's coefficients, so every content is an h-polynomial gcd.
+        # The message pins the normal form of the pole set.
+        ring = lambda rng: random_poly_lambda(rng, 2, 2, max_hbar=1)
+        *_, xyz = next(itertools.islice(quotient_draws(ring, random.Random(75)), 5, None))
+        x, y = (RatLambda(*nd) for nd in xyz[:2])
+        code, out, err = run(capsys, "surface", "from-fg", "--f", "1", "--g", f"{x}+{y}")
+        assert (code, out) == (3, "")
+        assert err == (
+            "integrability error: component Phi1: no Lambda-rational primitive: nonzero residues"
+            " on (((3/20 + 19/20*i) + (237/520 - 609/520*i)*h + (45/13 + 81/52*i)*h^2)"
+            " + ((619/520 + 417/520*i) + (1127/1040 + 331/1040*i)*h + (99/26 + 27/26*i)*h^2)*L"
+            " + ((99/260 + 27/260*i) + (277/520 + 111/520*i)*h + h^2)*L^2)\n"
+        )
 
     def test_non_polynomial_exit(self, capsys):
         code, _, err = run(capsys, "surface", "from-fg", "--f", "2/L^2", "--g", "L^2")
@@ -428,6 +449,21 @@ class TestDigitLimit:
         code, _, err = run(capsys, "verify", "--in", str(tmp_path / "big.json"))
         assert code == 2
         assert err == f"input error: invalid JSON: an integer longer than the {limit}-digit input limit\n"
+
+
+class TestUVTableCap:
+    """U,V order past the table cap exits 2 at once, naming the cap."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--expr", "L^1000000000", "--fmt", "latex"],
+        ["surface", "enneper", "--n", "100000", "--fmt", "latex"],
+    ], ids=["eval", "enneper"])
+    def test_exit_2(self, capsys, argv):
+        start = time.process_time()
+        code, out, err = run(capsys, *argv)
+        assert time.process_time() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: U,V order is capped at total degree {UV_TABLE_CAP} ")
 
 
 class TestDeepInput:

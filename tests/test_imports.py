@@ -279,8 +279,7 @@ def test_records_of_different_classes_differ():
     from weylmin.parse import Name, Num
     from weylmin.scalars import HbarPoly
 
-    hp = HbarPoly({0: 1, 3: 2})
-    pl = PolyLambda._of(hp.coeffs)
+    hp, pl = HbarPoly(), PolyLambda()
     assert pl.coeffs == hp.coeffs and hash(pl) == hash(hp)
     assert hp != pl and pl != hp
     assert HbarPoly() != PolyLambda() and HbarPoly() == HbarPoly()

@@ -8,7 +8,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import euclid_gcd, random_hbar_poly, random_poly_lambda, random_weyl, repeated_power
+from oracles import (
+    bidegree_order,
+    canon,
+    euclid_gcd,
+    nested,
+    nested_gcd,
+    nested_quotient,
+    quotient_draws,
+    random_hbar_poly,
+    random_poly_lambda,
+    random_weyl,
+    repeated_power,
+    terms_classical_limit,
+)
 from weylmin.classical import UVPoly, classical_limit
 from weylmin.holomorphic import PolyLambda, RatLambda
 from weylmin.scalars import (
@@ -16,8 +29,6 @@ from weylmin.scalars import (
     HbarPoly,
     HbarRat,
     Poly,
-    bidegree_order,
-    canon,
     hp_exact_div,
     hp_gcd,
 )
@@ -204,21 +215,9 @@ def _cross_equal(a, b) -> bool:
     return a.num * b.den == b.num * a.den
 
 
-def _draws(ring, rng):
-    """Seeded draws of the field-law checks: ``(n, d, m, xyz)``, with d and
-    m nonzero and xyz the (num, den) pairs of three quotients."""
-
-    def nonzero():
-        x = ring(rng)
-        return x if not x.is_zero() else nonzero()
-
-    while True:
-        yield ring(rng), nonzero(), nonzero(), [(ring(rng), nonzero()) for _ in range(3)]
-
-
 # Each field of fractions with a seeded generator of its ring's elements.
 # The L-degree stays at 1 to keep the laws fast; test_lambda_degree_2
-# checks one product at L-degree 2, which takes about 1.7 s (CPU).
+# checks one product at L-degree 2, which takes about 0.35 s (CPU).
 QUOTIENTS = {
     "HbarRat": (HbarRat, lambda rng: random_hbar_poly(rng, 2, 2)),
     "RatLambda": (RatLambda, lambda rng: random_poly_lambda(rng, 1, 2, max_hbar=1)),
@@ -233,7 +232,7 @@ class TestQuotient:
     def test_field_laws(self, name):
         cls, ring = QUOTIENTS[name]
         zero, one = cls(0), cls(1)
-        for n, d, m, xyz in itertools.islice(_draws(ring, random.Random(75)), 12):
+        for n, d, m, xyz in itertools.islice(quotient_draws(ring, random.Random(75)), 12):
             q, q2 = cls(n, d), cls(n * m, d * m)
             assert q2 == q and _cross_equal(q2, q) and _cross_equal(q, cls._lift(n) / d)
             x, y, z = (cls(*nd) for nd in xyz)
@@ -246,9 +245,9 @@ class TestQuotient:
     def test_lambda_degree_2(self):
         # The sixth draw at L-degree 2, with h in the coefficients: the
         # content gcds of this product stay fast only if every remainder is
-        # normalised, else their Fraction coefficients grow for seconds.
+        # normalised, else their coefficients grow for seconds.
         ring = lambda rng: random_poly_lambda(rng, 2, 2, max_hbar=1)
-        *_, xyz = next(itertools.islice(_draws(ring, random.Random(75)), 5, None))
+        *_, xyz = next(itertools.islice(quotient_draws(ring, random.Random(75)), 5, None))
         x, y, z = (RatLambda(*nd) for nd in xyz)
         lhs = (x + y) * z
         num = (x.num * y.den + y.num * x.den) * z.num
@@ -263,3 +262,56 @@ class TestQuotient:
             cls(0).inverse()
         with pytest.raises(ValueError, match=f"^{name} value is not a polynomial$"):
             cls(1, cls.POLY({1: 1})).as_poly()
+
+
+class TestAgainstNestedKernel:
+    """The flat kernel against the nested one it replaced, kept in
+    ``oracles.NestedPoly``: seeded HbarPoly and PolyLambda draws with h in
+    the coefficients, non-unit denominators and a shared factor."""
+
+    @staticmethod
+    def pairs(seed):
+        rng = random.Random(seed)
+        for _ in range(6):
+            m = random_hbar_poly(rng, 2, 2)
+            a, b = random_hbar_poly(rng, 3, 3), random_hbar_poly(rng, 3, 3)
+            yield a, b
+            yield a * m, b * m
+            m = random_poly_lambda(rng, 1, 2, max_hbar=1)
+            a, b = (random_poly_lambda(rng, 2, 3, max_hbar=2) for _ in range(2))
+            yield a, b
+            yield a * m, b * m
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_ring_operations(self, seed):
+        for a, b in self.pairs(300 + seed):
+            na, nb = nested(a), nested(b)
+            assert nested(a + b) == na + nb and nested(a - b) == na - nb
+            assert nested(a * b) == na * nb and nested(-a) == -na
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_division_gcd_and_monic(self, seed):
+        for a, b in self.pairs(310 + seed):
+            if b.is_zero():
+                continue
+            if isinstance(b, PolyLambda):  # pseudo-division: every step exact
+                a = a.scale(b.leading() ** max(a.degree() - b.degree() + 1, 0))
+            na, nb = nested(a), nested(b)
+            assert tuple(map(nested, a.divmod_poly(b))) == na.divmod_poly(nb)
+            assert nested(hp_gcd(a, b)) == nested_gcd(na, nb)
+            assert nested(a.monic()) == na.monic() and nested(b.monic()) == nb.monic()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_quotient_canonical_form(self, seed):
+        for a, b in self.pairs(320 + seed):
+            if b.is_zero():
+                continue
+            q = (HbarRat if isinstance(a, HbarPoly) else RatLambda)(a, b)
+            assert (nested(q.num), nested(q.den)) == nested_quotient(nested(a), nested(b))
+
+    def test_classical_limit(self):
+        rng = random.Random(330)
+        for _ in range(20):
+            a = random_weyl(rng, max_deg=4, terms=5, max_hbar=2)
+            assert classical_limit(a).terms == terms_classical_limit(a)
+            assert classical_limit(a * a).terms == terms_classical_limit(a * a)

@@ -31,6 +31,7 @@ from weylmin.weyl import (
     LAM_STAR,
     ONE,
     U,
+    UV_TABLE_CAP,
     V,
     ZERO,
     Direction,
@@ -265,7 +266,7 @@ class TestReader:
             assert list(h_free.items()) == [
                 (pq, [t for t in c if not t[0]]) for pq, c in uv.items() if not c[0][0]
             ]
-            assert h_free == {pq: [(0, g.re, g.im)] for pq, g in terms_classical_limit(x).terms}
+            assert h_free == {pq: [(0, g.re, g.im)] for pq, g in terms_classical_limit(x)}
 
     def test_pinned(self):
         x = HBAR.scale(Fraction(-3, 2)) * U + LAM_STAR.scale(GaussRational(Fraction(1, 3), 2))
@@ -314,6 +315,13 @@ class TestGrading:
         for k in range(7):
             for l in range(7):
                 assert {p + q + 2 * d for p, q, d, _, _ in uv_table(k, l)} == {k + l}
+
+    def test_uv_table_cap(self):
+        # L^300 keeps its U,V order; past the cap no table is built
+        assert UV_TABLE_CAP >= 300
+        for k, l in ((UV_TABLE_CAP + 1, 0), (0, UV_TABLE_CAP + 1), (UV_TABLE_CAP, 1), (10**9, 0)):
+            with pytest.raises(ValueError, match=f"capped at total degree {UV_TABLE_CAP} "):
+                uv_table(k, l)
 
 
 class TestStar:
