@@ -12,6 +12,17 @@ holomorphic elements.  Exactness is preserved end to end: the verifier
 checks hermiticity, ``lap X^i = 0``, ``E = G`` and ``F = 0`` as algebra
 identities, not numerically.
 
+Conformality is checked in the complex directions.  The form
+``<x, y> = (1/2) sum (x y + y x)`` is bilinear and symmetric for any
+components, hermitian or not, and ``X_u = dX + dbarX``,
+``X_v = i(dX - dbarX)``, so
+
+    E - G = 2(<dX, dX> + <dbarX, dbarX>),    F = i(<dX, dX> - <dbarX, dbarX>).
+
+Both squares are needed: a non-hermitian triple such as (L, iL, Ls) has
+``<dX, dX> = 0`` but ``E - G = 2``.  For X = Re P, dX is holomorphic and
+dbarX antiholomorphic, so neither square has a reordering term.
+
 Three generating conventions are supported and kept mutually consistent:
 
 * ``surface_from_fg(f, g)`` integrates Phi as is.
@@ -45,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .scalars import Frozen, GaussRational, HbarPoly
+from .scalars import GR_I, Frozen, GaussRational, HbarPoly
 from .holomorphic import (
     NotIntegrableError,
     PolyLambda,
@@ -145,14 +156,7 @@ def _offsets_tuple(n: int, offsets: Union[Sequence[Union[int, Fraction]], None])
 
 
 def bilinear(xs: Sequence[WeylElement], ys: Sequence[WeylElement]) -> WeylElement:
-    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i).
-
-    When every component of both vectors is hermitian, Y^i X^i is the
-    adjoint of X^i Y^i, so <X, Y> = Re P with P = sum X^i Y^i and only P's
-    products are formed.  Hermiticity is tested at run time, since the
-    verifier must not assume what it checks; if any component fails the
-    test, the products Y^i X^i are formed as well.
-    """
+    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i)."""
     if len(xs) != len(ys):
         raise ValueError("vectors must have equal length")
     return symmetric_product_sum(xs, ys)
@@ -171,7 +175,13 @@ def first_fundamental(s: Surface) -> FirstFundamental:
 
 
 def verify_minimal(s: Surface) -> VerificationReport:
-    """Exact hermiticity, harmonicity and conformality checks."""
+    """Exact hermiticity, harmonicity and conformality checks.
+
+    E - G and F come from the squares of dX and dbarX (see the module
+    docstring): ``E - G = 2(<dX, dX> + <dbarX, dbarX>)`` and
+    ``F = i(<dX, dX> - <dbarX, dbarX>)``, the same elements as
+    :func:`first_fundamental` gives, for any components.
+    """
     hermitian = []
     harmonic = []
     witnesses: list[tuple[str, WeylElement]] = []
@@ -184,13 +194,16 @@ def verify_minimal(s: Surface) -> VerificationReport:
         harmonic.append(lap.is_zero())
         if not lap.is_zero():
             witnesses.append((f"harmonic:X{idx}", lap))
-    ff = first_fundamental(s)
-    eg = ff.E - ff.G
-    conformal = eg.is_zero() and ff.F.is_zero()
+    d = _partials(s, Direction.D)
+    dbar = _partials(s, Direction.DBAR)
+    dd, bb = bilinear(d, d), bilinear(dbar, dbar)
+    eg = (dd + bb).scale(2)
+    f = (dd - bb).scale(GR_I)
+    conformal = eg.is_zero() and f.is_zero()
     if not eg.is_zero():
         witnesses.append(("conformal:E-G", eg))
-    if not ff.F.is_zero():
-        witnesses.append(("conformal:F", ff.F))
+    if not f.is_zero():
+        witnesses.append(("conformal:F", f))
     return VerificationReport(
         hermitian=tuple(hermitian),
         harmonic=tuple(harmonic),

@@ -154,11 +154,6 @@ def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
     return acc
 
 
-def _is_hermitian(rows: Iterable[Row]) -> bool:
-    # (L^k Ls^l)* = L^l Ls^k with the conjugate coefficient.
-    return set(rows) == {(l, k, d, re, -im) for k, l, d, re, im in rows}
-
-
 def _real(acc: dict, den: int) -> "WeylElement":
     """Re P of the accumulator P over ``den``: P plus its adjoint, whose
     ``(l, k, d)`` entry is ``conj P[k, l, d]``, over ``2 den``.  The
@@ -225,7 +220,8 @@ class WeylElement(Flat):
         return WeylElement._new({(l, k, d): (re, -im) for k, l, d, re, im in self.rows}, self.den)
 
     def is_hermitian(self) -> bool:
-        return _is_hermitian(self.rows)
+        # (L^k Ls^l)* = L^l Ls^k with the conjugate coefficient.
+        return set(self.rows) == {(l, k, d, re, -im) for k, l, d, re, im in self.rows}
 
     def real_part(self) -> "WeylElement":
         """Re A = (A + A*)/2, always hermitian."""
@@ -324,21 +320,10 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 def symmetric_product_sum(
     xs: Sequence[WeylElement], ys: Sequence[WeylElement]
 ) -> WeylElement:
-    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator.
-
-    When every operand is hermitian, y x = (x y)*, so the sum is Re P for
-    P = sum_i x_i y_i: one product per pair, with Re P read off the flat
-    form as (P[k, l, d] + conj P[l, k, d]) / 2 over the keys of both.
-    Hermiticity is tested here, not assumed; otherwise the products
-    y_i x_i are added to the same accumulator.
-    """
+    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator."""
     rx, dx = _common(xs)
     ry, dy = _common(ys)
     acc: dict = {}
-    if all(map(_is_hermitian, rx + ry)):
-        for a, b in zip(rx, ry):
-            _products(acc, a, b)
-        return _real(acc, dx * dy)
     for a, b in zip(rx + ry, ry + rx):
         _products(acc, a, b)
     return WeylElement._new(acc, 2 * dx * dy)

@@ -17,7 +17,7 @@ from weylmin.holomorphic import RatLambda
 from weylmin.parse import parse_weyl
 from weylmin.serialize import surface_from_obj, surface_to_obj
 from weylmin.surfaces import enneper
-from weylmin.weyl import UV_TABLE_CAP, Direction
+from weylmin.weyl import UV_TABLE_CAP, Direction, U, V
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -166,6 +166,16 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["passes"] is False
         assert rep["witnesses"]
+
+    def test_verify_failing_golden(self, capsys):
+        # enneper(1), raw, with X1 + U*V and X2 + U*U: fails all three checks
+        path = GOLDENS / "enneper_broken.json"
+        s = enneper(1)
+        want = (s.components[0] + U * V, s.components[1] + U * U, s.components[2])
+        assert surface_from_obj(json.loads(path.read_text())).components == want
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+        assert code == 1
+        assert out == (GOLDENS / "enneper_broken_report.json").read_text()
 
     def test_verify_garbage_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -242,7 +242,7 @@ class TestBilinear:
             assert not xs[1].is_hermitian()
             want = bilinear_literal(xs, ys)
             assert bilinear(xs, ys) == want
-            # the hermitian shortcut Re(sum x y) would give another answer
+            # Re(sum x y), which equals the form only on hermitian operands, differs
             p = sum((x * y for x, y in zip(xs, ys)), ZERO)
             assert p.real_part() != want
 
@@ -254,10 +254,10 @@ class TestBilinear:
         ys = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).real_part().scale(Fraction(1, p))
               for p in (107, 109)]
         assert [e.den % p for e, p in zip(xs + ys, (101, 103, 107, 109))] == [0] * 4
-        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # the hermitian branch
+        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # hermitian operands
         xs[1] = random_weyl(rng, max_deg=3, terms=4, max_hbar=2).scale(Fraction(1, 103))
         assert not xs[1].is_hermitian() and xs[1].den % 103 == 0
-        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # both products
+        assert bilinear(xs, ys) == bilinear_literal(xs, ys)  # a non-hermitian operand
 
     @pytest.mark.parametrize("hermitian", [True, False])
     def test_every_item_cancels(self, hermitian):
@@ -278,6 +278,66 @@ class TestBilinear:
         xv = tuple(c.derive(Direction.V) for c in s.components)
         assert bilinear(xu, xv) == bilinear_literal(xu, xv)
         assert bilinear(xu, xu) == bilinear_literal(xu, xu)
+
+
+def _conformal_witnesses(s: Surface) -> list:
+    return [(n, w) for n, w in verify_minimal(s).witnesses if n.startswith("conformal:")]
+
+
+def _nonzero(eg: WeylElement, f: WeylElement) -> list:
+    return [(n, w) for n, w in (("conformal:E-G", eg), ("conformal:F", f)) if not w.is_zero()]
+
+
+def _raw(components) -> Surface:
+    return Surface(tuple(components), (Fraction(0),) * len(components), Provenance("raw"))
+
+
+class TestConformalIdentity:
+    """verify_minimal forms E - G and F from the squares of dX and dbarX.
+    Its conformal witnesses must be E - G and F of the real directions, as
+    first_fundamental and the swap oracle form them, for any components."""
+
+    def witnesses_match_references(self, s: Surface) -> list:
+        got = _conformal_witnesses(s)
+        ff = first_fundamental(s)
+        assert got == _nonzero(ff.E - ff.G, ff.F)
+        xu, xv = (tuple(c.derive(d) for c in s.components) for d in (Direction.U, Direction.V))
+        assert got == _nonzero(bilinear_literal(xu, xu) - bilinear_literal(xv, xv),
+                               bilinear_literal(xu, xv))
+        return got
+
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_components(self, seed, hermitian):
+        rng = random.Random(400 + 10 * seed + hermitian)
+        for n in (1, 2, 3, 4):
+            comps = [random_weyl(rng, max_deg=3, terms=4, max_hbar=2).scale(Fraction(1, p))
+                     for p in (101, 103, 107, 101)[:n]]
+            if hermitian:
+                comps = [c.real_part() for c in comps]
+            assert all(c.is_hermitian() for c in comps) == hermitian
+            assert self.witnesses_match_references(_raw(comps))
+
+    @pytest.mark.parametrize("build", [
+        lambda: enneper(1),
+        lambda: enneper(2),
+        lambda: surface_from_F(R("1+L^3")),
+        lambda: surface_from_Ftilde(P("L^5")),
+        lambda: surface_from_pair(P("L^3 + h*L"), P("L^2")),
+        lambda: surface_from_fg(R("h*(L-1-h)^2"), R("(L+2)/(L-1-h)")),
+    ], ids=["enneper1", "enneper2", "F", "Ftilde", "pair", "fg-hbar"])
+    def test_constructors_and_conjugates(self, build):
+        s = build()
+        for t in (s, conjugate_surface(s)):
+            assert self.witnesses_match_references(t) == []
+
+    def test_both_squares_are_needed(self):
+        # (L, iL, Ls): the squares of dX sum to 1 + i^2 = 0, yet E - G = 2, F = -i
+        s = _raw((W("L"), W("i*L"), W("Ls")))
+        d = tuple(c.derive(Direction.D) for c in s.components)
+        assert bilinear(d, d) == ZERO
+        assert self.witnesses_match_references(s) == [
+            ("conformal:E-G", W("2")), ("conformal:F", W("-i"))]
 
 
 class TestConjugate:
