@@ -116,12 +116,13 @@ class RatLambda(Quotient):
 
     def scale(self, c: HbarLike) -> "RatLambda":
         """The product with the h-polynomial ``c``.  A nonzero constant is a
-        unit: the quotient stays reduced, so it is not reduced again."""
-        c = HbarPoly.coerce(c)
-        if c.degree() != 0:
-            return RatLambda(self.num.scale(c), self.den)
+        unit: the quotient stays reduced, so it is not reduced again.  A
+        Gaussian scalar goes straight to :meth:`PolyLambda.scale`'s row map."""
+        num = self.num.scale(c)
+        if num.is_zero() or isinstance(c, HbarPoly) and c.degree() > 0:
+            return RatLambda(num, self.den)
         out = object.__new__(RatLambda)
-        out._init_fields(self.num.scale(c), self.den)
+        out._init_fields(num, self.den)
         return out
 
     def derivative(self) -> "RatLambda":

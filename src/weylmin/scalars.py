@@ -260,6 +260,22 @@ GR_I = GaussRational(0, 1)
 Row = tuple
 
 
+def _gauss(c) -> Optional[tuple[int, int, int]]:
+    """A Gaussian scalar (an int, Fraction or GaussRational) as ``(a, b, q)``
+    with ``c = (a + b*i)/q`` and ``q > 0``; None for anything else."""
+    if isinstance(c, GaussRational):
+        q = lcm(c.re.denominator, c.im.denominator)
+        return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, 0, c.denominator
+    return None
+
+
+def _key_length(cls) -> int:
+    """The row key length of ``cls``: its monomial and its coefficient's key."""
+    return 0 if cls is GaussRational else cls.OUTER + _key_length(cls.COEFF)
+
+
 def _accumulate(acc: dict, items: Iterable[tuple[tuple, int, int]]) -> dict:
     """Add each ``(key, re, im)`` into ``acc``, a dict of numerator pairs."""
     for key, re, im in items:
@@ -340,8 +356,8 @@ class Flat(Ring):
             c = self.COEFF.coerce(c)
             key = key if type(key) is tuple else (key,)
             if isinstance(c, GaussRational):
-                d = lcm(c.re.denominator, c.im.denominator)
-                parts.append(([(key, int(c.re * d), int(c.im * d))], d))
+                re, im, d = _gauss(c)
+                parts.append(([(key, re, im)], d))
             else:
                 parts.append(([(key + r[:-2], r[-2], r[-1]) for r in c.rows], c.den))
         den = lcm(*(d for _, d in parts))
@@ -381,7 +397,13 @@ class Flat(Ring):
 
     @classmethod
     def _lift(cls, x):
-        return cls((((0,) * cls.OUTER, x),))
+        """The constant ``x``; a Gaussian scalar (a + b*i)/q is the one row
+        ``(0, ..., 0, a, b)`` over q, built directly."""
+        g = _gauss(x)
+        if g is None:
+            return cls((((0,) * cls.OUTER, x),))
+        a, b, q = g
+        return cls._wrap([(0,) * _key_length(cls) + (a, b)] if a or b else [], q)
 
     def __eq__(self, o):
         if o.__class__ is not self.__class__:
@@ -418,8 +440,16 @@ class Flat(Ring):
         return self._new(_convolve(self.rows, o.rows), self.den * o.den)
 
     def scale(self, c):
-        """The product with the coefficient ``c``."""
-        return self._mul(self._lift(c))
+        """The product with the coefficient ``c``.  A Gaussian scalar (an int,
+        Fraction or GaussRational) (a + b*i)/q is a row map: each numerator
+        times a + b*i, over ``den * q``; the keys stay, so the rows stay
+        sorted and nonzero.  Any other ``c`` is lifted and multiplied."""
+        g = _gauss(c)
+        if g is None:
+            return self._mul(self._lift(c))
+        a, b, q = g
+        return self._wrap([r[:-2] + (a * r[-2] - b * r[-1], a * r[-1] + b * r[-2])
+                           for r in self.rows] if a or b else [], self.den * q)
 
 
 class Poly(Flat):

@@ -20,7 +20,10 @@ components, hermitian or not, and ``X_u = dX + dbarX``,
     E - G = 2(<dX, dX> + <dbarX, dbarX>),    F = i(<dX, dX> - <dbarX, dbarX>).
 
 Both squares are needed: a non-hermitian triple such as (L, iL, Ls) has
-``<dX, dX> = 0`` but ``E - G = 2``.  For X = Re P, dX is holomorphic and
+``<dX, dX> = 0`` but ``E - G = 2``.  For hermitian components the second
+is the star of the first: the star is antilinear and antimultiplicative,
+and ``(dA)* = dbar(A*)``, so ``dbarX = (dX)*`` and
+``<dbarX, dbarX> = <dX, dX>*``.  For X = Re P, dX is holomorphic and
 dbarX antiholomorphic, so neither square has a reordering term.
 
 Three generating conventions are supported and kept mutually consistent:
@@ -156,7 +159,8 @@ def _offsets_tuple(n: int, offsets: Union[Sequence[Union[int, Fraction]], None])
 
 
 def bilinear(xs: Sequence[WeylElement], ys: Sequence[WeylElement]) -> WeylElement:
-    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i)."""
+    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i); a square,
+    ``bilinear(xs, xs)`` with one object twice, is sum X^i X^i, one product each."""
     if len(xs) != len(ys):
         raise ValueError("vectors must have equal length")
     return symmetric_product_sum(xs, ys)
@@ -180,7 +184,9 @@ def verify_minimal(s: Surface) -> VerificationReport:
     E - G and F come from the squares of dX and dbarX (see the module
     docstring): ``E - G = 2(<dX, dX> + <dbarX, dbarX>)`` and
     ``F = i(<dX, dX> - <dbarX, dbarX>)``, the same elements as
-    :func:`first_fundamental` gives, for any components.
+    :func:`first_fundamental` gives, for any components.  When every
+    component is hermitian, ``<dbarX, dbarX> = <dX, dX>*`` and the star
+    replaces the second square.
     """
     hermitian = []
     harmonic = []
@@ -195,8 +201,8 @@ def verify_minimal(s: Surface) -> VerificationReport:
         if not lap.is_zero():
             witnesses.append((f"harmonic:X{idx}", lap))
     d = _partials(s, Direction.D)
-    dbar = _partials(s, Direction.DBAR)
-    dd, bb = bilinear(d, d), bilinear(dbar, dbar)
+    dd = bilinear(d, d)
+    bb = dd.star() if all(hermitian) else bilinear(dbar := _partials(s, Direction.DBAR), dbar)
     eg = (dd + bb).scale(2)
     f = (dd - bb).scale(GR_I)
     conformal = eg.is_zero() and f.is_zero()

@@ -320,10 +320,15 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
 def symmetric_product_sum(
     xs: Sequence[WeylElement], ys: Sequence[WeylElement]
 ) -> WeylElement:
-    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator."""
+    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator;
+    a square (``xs is ys``) is sum_i x_i x_i, one product per pair."""
     rx, dx = _common(xs)
-    ry, dy = _common(ys)
     acc: dict = {}
+    if xs is ys:
+        for a in rx:
+            _products(acc, a, a)
+        return WeylElement._new(acc, dx * dx)
+    ry, dy = _common(ys)
     for a, b in zip(rx + ry, ry + rx):
         _products(acc, a, b)
     return WeylElement._new(acc, 2 * dx * dy)

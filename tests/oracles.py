@@ -553,6 +553,20 @@ def repeated_power(x, n: int, one):
     return out
 
 
+# -- scalars as constants ------------------------------------------------------
+
+
+def lift_by_constructor(cls, c):
+    """The constant ``c`` of the flat type ``cls``, built by its constructor
+    from one ``(monomial 0, c)`` pair."""
+    return cls((((0,) * cls.OUTER, c),))
+
+
+def scale_by_lift(x, c):
+    """``x`` times the scalar ``c``, as the product with its lifted constant."""
+    return x._mul(lift_by_constructor(type(x), c))
+
+
 # -- closed-form Fock matrix entries -----------------------------------------
 
 

@@ -177,6 +177,16 @@ class TestVerifyCommand:
         assert code == 1
         assert out == (GOLDENS / "enneper_broken_report.json").read_text()
 
+    def test_verify_unconformal_golden(self, capsys):
+        # enneper(1), raw, with X1 doubled: hermitian and harmonic, not conformal
+        path = GOLDENS / "enneper_unconformal.json"
+        s = enneper(1)
+        want = (s.components[0].scale(2), s.components[1], s.components[2])
+        assert surface_from_obj(json.loads(path.read_text())).components == want
+        code, out, _ = run(capsys, "verify", "--in", str(path))
+        assert code == 1
+        assert out == (GOLDENS / "enneper_unconformal_report.json").read_text()
+
     def test_verify_garbage_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

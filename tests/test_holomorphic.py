@@ -12,6 +12,7 @@ from oracles import (
     random_rat,
     rat_derivative_matches,
     rat_equal_crossmul,
+    scale_by_lift,
 )
 from weylmin.holomorphic import (
     NotIntegrableError,
@@ -123,6 +124,28 @@ class TestRatLambdaCanonical:
             assert RatLambda(n.scale(h1), h1).den == PolyLambda.const(1)
             r = RatLambda(n, h1 * 2)
             assert (r.num, r.den) == (n.scale(Fraction(1, 2)), PolyLambda.const(h1))
+
+    def test_scale(self, monkeypatch):
+        # A Gaussian scalar maps the numerator's rows, with no product and no
+        # new reduction; zero gives 0/1, and an h-polynomial reduces again.
+        rng = random.Random(14)
+        h1 = HbarPoly({0: 1, 1: 1})
+        rats = [random_rat(rng) for _ in range(4)]
+        rats += [RatLambda(1, h1), RatLambda(PolyLambda({1: 1}), h1)]
+        mul, init = PolyLambda._mul, RatLambda.__init__
+        calls = []
+        for r in rats:
+            for c in (1, -1, GaussRational(0, 1), Fraction(-3, 7), GaussRational(Fraction(1, 2), 3)):
+                monkeypatch.setattr(PolyLambda, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+                monkeypatch.setattr(RatLambda, "__init__", lambda *a: calls.append(1) or init(*a))
+                got = r.scale(c)
+                assert not calls
+                monkeypatch.undo()
+                assert got == RatLambda(scale_by_lift(r.num, c), r.den)
+                assert got.num == scale_by_lift(r.num, c) and got.den == r.den
+            assert r.scale(0).num == PolyLambda() and r.scale(0).den == PolyLambda.const(1)
+            assert r.scale(h1) == RatLambda(scale_by_lift(r.num, h1), r.den)
+        assert RatLambda(1, h1).scale(h1).den == PolyLambda.const(1)
 
 
 class TestDerivative:

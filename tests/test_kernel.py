@@ -12,6 +12,7 @@ from oracles import (
     bidegree_order,
     canon,
     euclid_gcd,
+    lift_by_constructor,
     nested,
     nested_gcd,
     nested_quotient,
@@ -20,11 +21,13 @@ from oracles import (
     random_poly_lambda,
     random_weyl,
     repeated_power,
+    scale_by_lift,
     terms_classical_limit,
 )
 from weylmin.classical import UVPoly, classical_limit
 from weylmin.holomorphic import PolyLambda, RatLambda
 from weylmin.scalars import (
+    GR_I,
     GaussRational,
     HbarPoly,
     HbarRat,
@@ -32,7 +35,7 @@ from weylmin.scalars import (
     hp_exact_div,
     hp_gcd,
 )
-from weylmin.weyl import LAM, ONE
+from weylmin.weyl import LAM, ONE, WeylElement
 
 # The values of st.fractions(-6, 6, max_denominator=4), drawn from a list:
 # the list is several times cheaper to draw from, and 0 comes first to
@@ -315,3 +318,67 @@ class TestAgainstNestedKernel:
             a = random_weyl(rng, max_deg=4, terms=5, max_hbar=2)
             assert classical_limit(a).terms == terms_classical_limit(a)
             assert classical_limit(a * a).terms == terms_classical_limit(a * a)
+
+
+# Gaussian scalars, each of the forms a constant can take, and one h-polynomial.
+SCALARS = (0, 1, -1, True, GR_I, -GR_I, Fraction(-3, 7),
+           GaussRational(Fraction(1, 2), Fraction(-2, 3)))
+WITH_HBAR = HbarPoly({0: GaussRational(1, -2), 1: Fraction(3, 5)})
+
+
+def _flat_values(seed):
+    """Zero and seeded values of each flat type, with h in the coefficients
+    where the type has it."""
+    rng = random.Random(seed)
+    out = [HbarPoly(), PolyLambda(), UVPoly(), WeylElement()]
+    for _ in range(3):
+        out += [random_hbar_poly(rng, 3, 3), random_poly_lambda(rng, 3, 3, max_hbar=2),
+                classical_limit(random_weyl(rng, max_deg=3, terms=4)),
+                random_weyl(rng, max_deg=3, terms=4, max_hbar=2)]
+    return out
+
+
+class TestScalarRowMap:
+    """A Gaussian scalar scales and lifts as a row map; the result must be
+    the lift-and-multiply route's (``oracles.scale_by_lift``), rows and
+    denominator exactly."""
+
+    @staticmethod
+    def same(a, b):
+        assert type(a) is type(b) and (a.rows, a.den) == (b.rows, b.den)
+        assert all(type(v) is int for r in a.rows for v in r)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gaussian_scalars(self, seed, monkeypatch):
+        values = _flat_values(340 + seed)
+        assert sum(x.den > 1 for x in values) >= 10
+        for x in values:
+            cls = type(x)
+            calls = []
+            mul = cls._mul
+            for c in SCALARS:
+                lift, want = lift_by_constructor(cls, c), scale_by_lift(x, c)
+                monkeypatch.setattr(cls, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+                self.same(x.scale(c), want)
+                assert not calls, (cls.__name__, c)
+                monkeypatch.undo()
+                self.same(c * x, want)
+                self.same(x + c, x._add(lift))
+                self.same(x - c, x._add(-lift))
+                self.same(cls.coerce(c), lift)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_hbar_scalar_takes_the_product(self, seed, monkeypatch):
+        for x in _flat_values(350 + seed):
+            cls = type(x)
+            if HbarPoly not in cls.LIFTS:
+                continue
+            calls = []
+            mul = cls._mul
+            want = scale_by_lift(x, WITH_HBAR)
+            monkeypatch.setattr(cls, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+            self.same(x.scale(WITH_HBAR), want)
+            assert len(calls) == 1
+            monkeypatch.undo()
+            self.same(WITH_HBAR * x, want)
+            self.same(x + WITH_HBAR, x._add(lift_by_constructor(cls, WITH_HBAR)))

@@ -37,6 +37,7 @@ from weylmin.surfaces import (
     surface_from_pair,
     verify_minimal,
 )
+from weylmin import weyl
 from weylmin.weyl import Direction, U, V, WeylElement, ZERO
 
 R = parse_rat
@@ -272,6 +273,26 @@ class TestBilinear:
                 assert not x.is_hermitian()
             assert bilinear((x, y), (y, -x)) == bilinear_literal((x, y), (y, -x)) == ZERO
 
+    @pytest.mark.parametrize("hermitian", [True, False])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_square_matches_literal_form(self, seed, hermitian, monkeypatch):
+        # bilinear(xs, xs) takes one product per component; a copy of xs
+        # takes the general loop, two per component, to the same element
+        rng = random.Random(330 + 10 * seed + hermitian)
+        calls = []
+        products = weyl._products
+        monkeypatch.setattr(weyl, "_products", lambda *a: calls.append(1) or products(*a))
+        for n in range(5):
+            xs = tuple(random_weyl(rng, max_deg=3, terms=4, max_hbar=2).scale(Fraction(1, p))
+                       for p in (101, 103, 107, 101)[:n])
+            if hermitian:
+                xs = tuple(x.real_part() for x in xs)
+            calls.clear()
+            got = bilinear(xs, xs)
+            assert len(calls) == n
+            assert got == bilinear(xs, list(xs)) == bilinear_literal(xs, xs)
+            assert len(calls) == 3 * n
+
     def test_surface_partials_match_literal_form(self):
         s = surface_from_pair(P("L^3 + h*L"), P("L^2"))
         xu = tuple(c.derive(Direction.U) for c in s.components)
@@ -330,6 +351,16 @@ class TestConformalIdentity:
         s = build()
         for t in (s, conjugate_surface(s)):
             assert self.witnesses_match_references(t) == []
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_hermitian_dbar_square_is_the_star(self, seed):
+        # dbarX = (dX)* for hermitian X, so <dbarX, dbarX> = <dX, dX>*
+        rng = random.Random(420 + seed)
+        for n in range(5):
+            comps = [random_weyl(rng, max_deg=4, terms=4, max_hbar=2).real_part().scale(
+                Fraction(1, p)) for p in (101, 103, 107, 101)[:n]]
+            d, dbar = (tuple(c.derive(x) for c in comps) for x in (Direction.D, Direction.DBAR))
+            assert bilinear(dbar, dbar) == bilinear(d, d).star() == bilinear_literal(dbar, dbar)
 
     def test_both_squares_are_needed(self):
         # (L, iL, Ls): the squares of dX sum to 1 + i^2 = 0, yet E - G = 2, F = -i
