@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Union
 
 from .scalars import (
+    GR_I,
     GaussRational,
     HP_ONE,
     HbarLike,
@@ -244,7 +245,7 @@ def fg_from_phi(phi: PhiTriple) -> tuple[RatLambda, RatLambda]:
     if not isotropy_check(phi):
         raise ValueError("triple is not isotropic")
     c1, c2, c3 = phi.components
-    f = c1 - c2 * GaussRational(0, 1)
+    f = c1 - c2.scale(GR_I)
     if f.is_zero():
         raise ZeroDivisionError("phi1 - i*phi2 is zero; f is not recoverable")
     return f, c3 / f

@@ -8,21 +8,23 @@ Every exact type of the package is assembled from three pieces here:
   own type (plus ``inverse`` for a field).  The mixin supplies
   ``coerce``, the binary and reflected operators, ``/`` for fields, and
   ``**`` by repeated squaring.
-* :class:`Flat` -- the one stored form of every polynomial type: rows
-  ``(*key, re, im)`` of Gaussian-integer numerators over one positive
-  denominator, with one canonicaliser, one sum and the commutative
-  product.  HbarPoly (key: the h-degree), PolyLambda (L-degree,
-  h-degree), UVPoly (u-degree, v-degree) and WeylElement (L-degree,
-  Ls-degree, h-degree) differ only in key length and product.  Their
-  coefficients (GaussRational or HbarPoly) are views built on access.
+* :class:`Flat` -- the one stored form of every exact scalar and
+  polynomial type: rows ``(*key, re, im)`` of Gaussian-integer numerators
+  over one positive denominator, with one canonicaliser, one sum and the
+  commutative product.  GaussRational (the empty key), HbarPoly (key: the
+  h-degree), PolyLambda (L-degree, h-degree), UVPoly (u-degree, v-degree)
+  and WeylElement (L-degree, Ls-degree, h-degree) differ only in key
+  length and product.  Their coefficients (GaussRational or HbarPoly) are
+  views built on access.
 * :class:`Poly` -- univariate polynomials over either coefficient type,
   with the one derivative and division, and the one gcd, :func:`hp_gcd`,
   over a coefficient field or over HbarPoly.
 
-On top of them sit the three scalar layers, all exact:
+The scalars of the package, all exact, are three of these types:
 
 * :class:`GaussRational` -- complex numbers a + b*i with rational parts,
-  the public scalar and the coefficient view of HbarPoly and UVPoly.
+  the Flat of at most one row ``(a, b)`` over its denominator; the public
+  scalar and the coefficient view of HbarPoly and UVPoly.
 * :class:`HbarPoly` -- polynomials in the central hermitian parameter ``h``
   over GaussRational.  ``h`` is formal, so identities proved here hold for
   every numerical value of the parameter.
@@ -57,8 +59,9 @@ class Frozen:
     or ``object.__setattr__``; afterwards they are read-only.  Two records are
     equal when they have the same class and equal field tuples, the hash is
     the hash of the field tuple, and the repr lists the fields.  The flat
-    polynomial types override ``__eq__`` with their stored form, which is
-    canonical.
+    types (:class:`Flat`) override ``__eq__`` with their stored form, which
+    is canonical; their ``_fields`` name views read off that form (the
+    ``coeffs`` of a Poly, the ``re`` and ``im`` of a GaussRational).
     """
 
     __slots__ = ()
@@ -183,79 +186,6 @@ class Field(Ring):
         return NotImplemented if o is None else o._mul(self.inverse())
 
 
-def _frac(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-class GaussRational(Field):
-    """Exact complex number ``re + im*i`` with rational components.
-
-    Fractions keep themselves in lowest terms with positive denominators,
-    so instances are always canonical.
-    """
-
-    __slots__ = _fields = ("re", "im")
-    re: Fraction
-    im: Fraction
-    LIFTS = (int, Fraction)
-
-    def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def is_zero(self) -> bool:
-        return not self.re and not self.im
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def _add(self, o: "GaussRational") -> "GaussRational":
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    def __neg__(self) -> "GaussRational":
-        return GaussRational(-self.re, -self.im)
-
-    def _mul(self, o: "GaussRational") -> "GaussRational":
-        # A factor on an axis (a rational, or i times one) costs two
-        # Fraction products instead of four and two sums.
-        if not o.im:
-            return GaussRational(self.re * o.re, self.im * o.re)
-        if not o.re:
-            return GaussRational(-self.im * o.im, self.re * o.im)
-        return GaussRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    def inverse(self) -> "GaussRational":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero GaussRational")
-        return GaussRational(self.re / n, -self.im / n)
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-    def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im >= 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
-
-
-GaussLike = Union[GaussRational, int, Fraction]
-
-GR_ZERO = GaussRational(0)
-GR_ONE = GaussRational(1)
-GR_I = GaussRational(0, 1)
-
-
 # The flat form: rows (*key, re, im) of Gaussian-integer numerators over one denominator.
 Row = tuple
 
@@ -264,16 +194,16 @@ def _gauss(c) -> Optional[tuple[int, int, int]]:
     """A Gaussian scalar (an int, Fraction or GaussRational) as ``(a, b, q)``
     with ``c = (a + b*i)/q`` and ``q > 0``; None for anything else."""
     if isinstance(c, GaussRational):
-        q = lcm(c.re.denominator, c.im.denominator)
-        return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
+        return c.rows[0] + (c.den,) if c.rows else (0, 0, 1)
     if isinstance(c, (int, Fraction)):
         return c.numerator, 0, c.denominator
     return None
 
 
 def _key_length(cls) -> int:
-    """The row key length of ``cls``: its monomial and its coefficient's key."""
-    return 0 if cls is GaussRational else cls.OUTER + _key_length(cls.COEFF)
+    """The row key length of ``cls``: its monomial and its coefficient's key;
+    a type with no monomial (GaussRational) has no coefficient."""
+    return cls.OUTER and cls.OUTER + _key_length(cls.COEFF)
 
 
 def _accumulate(acc: dict, items: Iterable[tuple[tuple, int, int]]) -> dict:
@@ -331,11 +261,14 @@ class Flat(Ring):
 
     ``rows`` are ``(*key, re, im)``: a monomial's exponents, then those of
     its coefficient (in ``COEFF``), then the Gaussian-integer numerator,
-    over the positive ``den``.  Rows are nonzero with distinct keys, sorted
+    over the positive ``den``.  The key is ``()`` for GaussRational,
+    ``(d,)`` for HbarPoly, ``(k, d)`` for PolyLambda, ``(p, q)`` for UVPoly
+    and ``(k, l, d)`` for WeylElement.  Rows are nonzero with distinct keys, sorted
     by ``ORDER`` (default: the key), and ``den`` is reduced against every
     numerator, so ``==`` is structural.  The first ``OUTER`` key entries
     are the monomial: the constructor takes ``(monomial, coefficient)``
-    pairs, and :meth:`_view` gives them back.  Every operation builds one
+    pairs, and :meth:`_view` gives them back (GaussRational, with no
+    monomial, takes its two parts instead).  Every operation builds one
     accumulator, a dict of numerator pairs keyed by ``key``, and
     :meth:`_store` is the one canonicaliser.  The product is the
     commutative one unless a subclass overrides ``_mul``.
@@ -351,18 +284,10 @@ class Flat(Ring):
     def __init__(self, items: Union[Mapping, Iterable[tuple]] = ()) -> None:
         if isinstance(items, Mapping):
             items = items.items()
-        parts = []
-        for key, c in items:
-            c = self.COEFF.coerce(c)
-            key = key if type(key) is tuple else (key,)
-            if isinstance(c, GaussRational):
-                re, im, d = _gauss(c)
-                parts.append(([(key, re, im)], d))
-            else:
-                parts.append(([(key + r[:-2], r[-2], r[-1]) for r in c.rows], c.den))
-        den = lcm(*(d for _, d in parts))
-        self._store(_accumulate({}, ((key, re * (den // d), im * (den // d))
-                                     for rows, d in parts for key, re, im in rows)), den)
+        pairs = [(k if type(k) is tuple else (k,), self.COEFF.coerce(c)) for k, c in items]
+        rows, den = _common([c for _, c in pairs])
+        self._store(_accumulate({}, ((k + r[:-2], r[-2], r[-1])
+                                     for (k, _), rs in zip(pairs, rows) for r in rs)), den)
         if any(x < 0 for r in self.rows for x in r[:-2]):
             raise ValueError(self._NEGATIVE)
 
@@ -417,14 +342,7 @@ class Flat(Ring):
         groups: dict = {}
         for r in self.rows:
             groups.setdefault(r[:self.OUTER], []).append(r[self.OUTER:])
-        return tuple((key, self._coeff(inner)) for key, inner in groups.items())
-
-    def _coeff(self, inner: list):
-        """The coefficient of rows that share a monomial, without it."""
-        if self.COEFF is GaussRational:
-            re, im = inner[0] if inner else (0, 0)
-            return GaussRational(Fraction(re, self.den), Fraction(im, self.den))
-        return self.COEFF._wrap(inner, self.den)
+        return tuple((key, self.COEFF._wrap(inner, self.den)) for key, inner in groups.items())
 
     def is_zero(self) -> bool:
         return not self.rows
@@ -450,6 +368,63 @@ class Flat(Ring):
         a, b, q = g
         return self._wrap([r[:-2] + (a * r[-2] - b * r[-1], a * r[-1] + b * r[-2])
                            for r in self.rows] if a or b else [], self.den * q)
+
+
+class GaussRational(Flat, Field):
+    """Exact complex number ``re + im*i`` with rational components.
+
+    The Flat with the empty key: at most one row ``(a, b)`` over ``den``,
+    read as ``(a + b*i)/den``.  The sum, negation and ``scale`` are the
+    kernel's, and ``re`` and ``im`` are Fractions read off the row.
+    """
+
+    __slots__ = ()
+    _fields = ("re", "im")
+    OUTER = 0
+    LIFTS = (int, Fraction)
+
+    def __init__(self, re: Rational = 0, im: Rational = 0) -> None:
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+        q = lcm(re.denominator, im.denominator)
+        a, b = re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)
+        self._set([(a, b)] if a or b else [], q)
+
+    re = property(lambda self: Fraction(self.rows[0][0] if self.rows else 0, self.den))
+    im = property(lambda self: Fraction(self.rows[0][1] if self.rows else 0, self.den))
+
+    # The product of two Gaussian scalars is scale's row map, over den * den'.
+    _mul = Flat.scale
+
+    def inverse(self) -> "GaussRational":
+        """``d*(a - b*i)/(a^2 + b^2)`` for ``(a + b*i)/d``."""
+        if not self.rows:
+            raise ZeroDivisionError("inverse of zero GaussRational")
+        (a, b), d = self.rows[0], self.den
+        return self._wrap([(d * a, -d * b)], a * a + b * b)
+
+    def conjugate(self) -> "GaussRational":
+        return self._wrap([(a, -b) for a, b in self.rows], self.den)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self) -> str:
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return f"{im}*i"
+        sign = "+" if im >= 0 else "-"
+        return f"({re} {sign} {abs(im)}*i)"
+
+
+GaussLike = Union[GaussRational, int, Fraction]
+
+GR_ZERO = GaussRational(0)
+GR_ONE = GaussRational(1)
+GR_I = GaussRational(0, 1)
 
 
 class Poly(Flat):
@@ -478,7 +453,7 @@ class Poly(Flat):
         return self.coeff(self.degree())
 
     def coeff(self, deg: int):
-        return self._coeff([r[1:] for r in self.rows if r[0] == deg])
+        return self.COEFF._wrap([r[1:] for r in self.rows if r[0] == deg], self.den)
 
     def derivative(self):
         return self._wrap([(r[0] - 1,) + r[1:-2] + (r[0] * r[-2], r[0] * r[-1])

@@ -230,6 +230,9 @@ def surface_from_obj(obj: object) -> Surface:
         raise DeserializeError(f"bad surface document: {exc}") from exc
     if "n" in obj and _exact(obj, "n") != len(comps):
         raise DeserializeError("component count does not match n")
+    if len(prov.primitives) not in (0, len(comps)):
+        raise DeserializeError(f"provenance lists {len(prov.primitives)} primitives "
+                               f"for {len(comps)} components")
     return Surface(comps, offsets, prov)
 
 

@@ -266,7 +266,7 @@ def _gauss_map_L(kind: str, params: tuple, F: RatLambda, offsets) -> Surface:
     """Integrate phi_from_fg(2F, L) and divide by nu = (d+2)(d+3),
     d = deg F, or by 1 where that is 0."""
     d = F.num.degree() - F.den.degree()
-    return _weierstrass(kind, params, F * 2, _GAUSS_L, offsets, (d + 2) * (d + 3) or 1)
+    return _weierstrass(kind, params, F.scale(2), _GAUSS_L, offsets, (d + 2) * (d + 3) or 1)
 
 
 def surface_from_fg(

@@ -195,7 +195,7 @@ class WeylElement(Flat):
         return self.rows[-1][0] + self.rows[-1][1] if self.rows else -1
 
     def term(self, k: int, l: int) -> HbarPoly:
-        return self._coeff([r[2:] for r in self.rows if r[:2] == (k, l)])
+        return self.COEFF._wrap([r[2:] for r in self.rows if r[:2] == (k, l)], self.den)
 
     def bidegrees(self) -> tuple[Bidegree, ...]:
         return tuple(dict.fromkeys((k, l) for k, l, *_ in self.rows))

@@ -91,12 +91,86 @@ def bilinear_literal(xs, ys) -> WeylElement:
     return total.scale(Fraction(1, 2))
 
 
+# -- Gaussian rationals as a pair of Fractions ------------------------------------
+#
+# A route independent of the package's flat rows: each part is a Fraction,
+# with its own sum, product and inverse, so comparisons against it never
+# run through ``scalars.Flat``.
+
+
+def _frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+class FractionGauss(Field):
+    """Exact complex number ``re + im*i`` with rational components.
+
+    Fractions keep themselves in lowest terms with positive denominators,
+    so instances are always canonical.
+    """
+
+    __slots__ = _fields = ("re", "im")
+    re: Fraction
+    im: Fraction
+    LIFTS = (int, Fraction)
+
+    def __init__(self, re=0, im=0) -> None:
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def is_zero(self) -> bool:
+        return not self.re and not self.im
+
+    def conjugate(self) -> "FractionGauss":
+        return FractionGauss(self.re, -self.im)
+
+    def _add(self, o: "FractionGauss") -> "FractionGauss":
+        return FractionGauss(self.re + o.re, self.im + o.im)
+
+    def __neg__(self) -> "FractionGauss":
+        return FractionGauss(-self.re, -self.im)
+
+    def _mul(self, o: "FractionGauss") -> "FractionGauss":
+        # A factor on an axis (a rational, or i times one) costs two
+        # Fraction products instead of four and two sums.
+        if not o.im:
+            return FractionGauss(self.re * o.re, self.im * o.re)
+        if not o.re:
+            return FractionGauss(-self.im * o.im, self.re * o.im)
+        return FractionGauss(
+            self.re * o.re - self.im * o.im,
+            self.re * o.im + self.im * o.re,
+        )
+
+    def inverse(self) -> "FractionGauss":
+        n = self.re * self.re + self.im * self.im
+        if not n:
+            raise ZeroDivisionError("inverse of zero GaussRational")
+        return FractionGauss(self.re / n, -self.im / n)
+
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
+    def __str__(self) -> str:
+        if not self.im:
+            return str(self.re)
+        if not self.re:
+            return f"{self.im}*i"
+        sign = "+" if self.im >= 0 else "-"
+        return f"({self.re} {sign} {abs(self.im)}*i)"
+
+
 # -- the nested kernel -----------------------------------------------------------
 #
 # Polynomials as canonical tuples of (key, coefficient) pairs, summed by
-# ``canon``: an h-polynomial over GaussRational and a polynomial in L over
+# ``canon``: an h-polynomial over FractionGauss and a polynomial in L over
 # it, with the multiply, division, content and gcd that the package ran on
 # this form before it stored every polynomial as flat rows of integers.
+# No arithmetic here runs through the package's flat form.
 
 
 def canon(items, order=None, coerce=None) -> tuple:
@@ -197,7 +271,7 @@ class NestedPoly:
 
 
 class NestedHbar(NestedPoly):
-    COEFF = GaussRational
+    COEFF = FractionGauss
 
 
 class NestedLambda(NestedPoly):
@@ -207,7 +281,7 @@ class NestedLambda(NestedPoly):
 def nested(p):
     """An HbarPoly or PolyLambda as the nested reference type."""
     if isinstance(p, HbarPoly):
-        return NestedHbar(p.coeffs)
+        return NestedHbar((d, FractionGauss(c.re, c.im)) for d, c in p.coeffs)
     return NestedLambda((k, nested(c)) for k, c in p.coeffs)
 
 

@@ -282,6 +282,16 @@ class TestVerifyInputErrors:
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and "zero denominator" in err
 
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    def test_primitive_count_other_than_zero_or_n(self, tmp_path, capsys, command):
+        doc = json.loads((GOLDENS / "enneper.json").read_text())
+        del doc["provenance"]["primitives"][-1]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == "input error: provenance lists 2 primitives for 3 components\n"
+
 
 class TestConjugateCommand:
     def test_round_trip_through_files(self, tmp_path, capsys):

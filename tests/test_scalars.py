@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import FractionGauss
 from weylmin.scalars import (
     GR_I,
     GR_ONE,
@@ -69,6 +70,45 @@ class TestGaussRational:
 
     def test_foreign_operand_is_rejected(self):
         assert GaussRational(1).__add__("x") is NotImplemented
+
+
+def _same(x, fx) -> bool:
+    """A GaussRational and a FractionGauss of the same value."""
+    return type(x) is GaussRational and (x.re, x.im) == (fx.re, fx.im)
+
+
+class TestAgainstFractionGauss:
+    """GaussRational, one flat row of Gaussian-integer numerators over a
+    denominator, against the Fraction-pair form ``oracles.FractionGauss``."""
+
+    @given(rationals, rationals, rationals, rationals)
+    def test_arithmetic(self, ar, ai, br, bi):
+        a, b = GaussRational(ar, ai), GaussRational(br, bi)
+        fa, fb = FractionGauss(ar, ai), FractionGauss(br, bi)
+        assert _same(a + b, fa + fb) and _same(a - b, fa - fb) and _same(a * b, fa * fb)
+        assert _same(-a, -fa) and _same(a.conjugate(), fa.conjugate())
+        assert _same(a * br, fa * br) and _same(ar - b, ar - fb) and _same(a + 3, fa + 3)
+        if b.is_zero():
+            for f in (lambda: a / b, b.inverse, lambda: fa / fb, fb.inverse):
+                with pytest.raises(ZeroDivisionError):
+                    f()
+        else:
+            assert _same(a / b, fa / fb) and _same(b.inverse(), fb.inverse())
+            assert _same(2 / b, 2 / fb) and _same(b**-2, fb**-2)
+        assert str(a) == str(fa) and complex(a) == complex(fa)
+        assert (a == b) == (fa == fb) and hash(a) == hash(fa) == hash((ar, ai))
+
+    @given(st.one_of(st.integers(-10**30, 10**30), rationals))
+    def test_coerce(self, x):
+        assert _same(GaussRational.coerce(x), FractionGauss.coerce(x))
+        assert _same(GaussRational(x, x), FractionGauss(x, x))
+        assert GaussRational.coerce(x) == GaussRational(x) and GaussRational.coerce(x).re == x
+
+    def test_floats_are_refused(self):
+        for args in ((1.5,), (0, 0.5), (Fraction(1, 2), 1.0)):
+            for cls in (GaussRational, FractionGauss):
+                with pytest.raises(TypeError):
+                    cls(*args)
 
 
 hbar_polys = st.builds(
