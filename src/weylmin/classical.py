@@ -38,12 +38,10 @@ class UVPoly(Flat):
         return self._view()
 
     def diff(self, var: str) -> "UVPoly":
-        """Partial derivative with respect to "u" or "v"."""
+        """Partial derivative with respect to "u" or "v", an order-keeping row map."""
         if var not in ("u", "v"):
             raise ValueError(f"variable must be 'u' or 'v', got {var!r}")
-        dp, dq = (1, 0) if var == "u" else (0, 1)
-        return self._new({(p - dp, q - dq): (n * re, n * im)
-                          for p, q, re, im in self.rows if (n := p if dp else q)}, self.den)
+        return self._diff(0 if var == "u" else 1)
 
     def is_real(self) -> bool:
         return all(not im for *_, im in self.rows)

@@ -21,6 +21,7 @@ from .holomorphic import NotIntegrableError, PolyLambda
 from .parse import ParseError, parse_rat, parse_weyl
 from .render import surface_latex, surface_text, weyl_latex, weyl_text
 from .serialize import (
+    SCHEMA,
     DeserializeError,
     dumps_canonical,
     fock_report_to_obj,
@@ -56,14 +57,12 @@ def _past_digit_limit(exc: ValueError) -> bool:
     return "integer string conversion" in str(exc)
 
 
-def _parse_offsets(text: Optional[str], n: int) -> Optional[list[Fraction]]:
+def _parse_offsets(text: Optional[str]) -> Optional[list[Fraction]]:
+    """The comma-separated offsets; their count is the constructor's check."""
     if text is None:
         return None
-    parts = text.split(",")
-    if len(parts) != n:
-        raise ValueError(f"expected {n} comma-separated offsets, got {len(parts)}")
     out = []
-    for p in map(str.strip, parts):
+    for p in map(str.strip, text.split(",")):
         try:
             out.append(Fraction(p))
         except ZeroDivisionError:
@@ -166,9 +165,9 @@ _OFFSETS_HELP = {3: "three offsets a,b,c", 4: "four offsets a,b,c,d"}
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
-    _, inputs, n_offsets, build = SURFACE_COMMANDS[args.surface_command]
+    _, inputs, _, build = SURFACE_COMMANDS[args.surface_command]
     values = [_READERS[reader](getattr(args, flag[2:])) for flag, reader, _ in inputs]
-    _emit_surface(build(*values, _parse_offsets(args.offsets, n_offsets)), args.fmt, args.out)
+    _emit_surface(build(*values, _parse_offsets(args.offsets)), args.fmt, args.out)
     return EXIT_OK
 
 
@@ -224,7 +223,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.op is not None:
         elem = EVAL_OPS[args.op](elem)
     if args.fmt == "json":
-        doc = {"schema": "weylmin/1", "kind": "element", "element": weyl_to_obj(elem)}
+        doc = {"schema": SCHEMA, "kind": "element", "element": weyl_to_obj(elem)}
         _emit(dumps_canonical, doc, args.out)
     elif args.fmt == "latex":
         _emit(weyl_latex, elem, args.out)

@@ -10,12 +10,12 @@ Every exact type of the package is assembled from three pieces here:
   ``**`` by repeated squaring.
 * :class:`Flat` -- the one stored form of every exact scalar and
   polynomial type: rows ``(*key, re, im)`` of Gaussian-integer numerators
-  over one positive denominator, with one canonicaliser, one sum and the
-  commutative product.  GaussRational (the empty key), HbarPoly (key: the
-  h-degree), PolyLambda (L-degree, h-degree), UVPoly (u-degree, v-degree)
-  and WeylElement (L-degree, Ls-degree, h-degree) differ only in key
-  length and product.  Their coefficients (GaussRational or HbarPoly) are
-  views built on access.
+  over one positive denominator, with one canonicaliser, one sum, the
+  commutative product and the order-keeping row maps.  GaussRational (the
+  empty key), HbarPoly (key: the h-degree), PolyLambda (L-degree,
+  h-degree), UVPoly (u-degree, v-degree) and WeylElement (L-degree,
+  Ls-degree, h-degree) differ only in key length and product.  Their
+  coefficients (GaussRational or HbarPoly) are views built on access.
 * :class:`Poly` -- univariate polynomials over either coefficient type,
   with the one derivative and division, and the one gcd, :func:`hp_gcd`,
   over a coefficient field or over HbarPoly.
@@ -268,10 +268,12 @@ class Flat(Ring):
     numerator, so ``==`` is structural.  The first ``OUTER`` key entries
     are the monomial: the constructor takes ``(monomial, coefficient)``
     pairs, and :meth:`_view` gives them back (GaussRational, with no
-    monomial, takes its two parts instead).  Every operation builds one
-    accumulator, a dict of numerator pairs keyed by ``key``, and
+    monomial, takes its two parts instead).  The sum and the product build
+    one accumulator, a dict of numerator pairs keyed by ``key``, and
     :meth:`_store` is the one canonicaliser.  The product is the
-    commutative one unless a subclass overrides ``_mul``.
+    commutative one unless a subclass overrides ``_mul``.  The row maps
+    (:meth:`scale`, :meth:`_diff`, :meth:`_shift_hbar`) keep the row order
+    and so go through :meth:`_wrap`, with no accumulator and no sort.
     """
 
     __slots__ = ("rows", "den")
@@ -356,6 +358,22 @@ class Flat(Ring):
 
     def _mul(self, o):
         return self._new(_convolve(self.rows, o.rows), self.den * o.den)
+
+    def _diff(self, axis: int):
+        """The derivative in key entry ``axis``: a row with exponent e > 0
+        there gets e - 1 and its numerator times e, the others drop.  Every
+        kept row loses 1 at ``axis``, so the rows keep their order."""
+        return self._wrap([r[:axis] + (e - 1,) + r[axis + 1:-2] + (e * r[-2], e * r[-1])
+                           for r in self.rows if (e := r[axis])], self.den)
+
+    def _shift_hbar(self, j: int):
+        """The product with h**j (j < 0 must divide exactly): j added to the
+        last key entry, the h-degree of HbarPoly, PolyLambda and WeylElement,
+        which keeps the row order.  GaussRational and UVPoly must never call
+        it: their last key entry is not an h-degree."""
+        if any(r[-3] + j < 0 for r in self.rows):
+            raise ValueError("not divisible by the requested power of h")
+        return self._wrap([r[:-3] + (r[-3] + j,) + r[-2:] for r in self.rows], self.den)
 
     def scale(self, c):
         """The product with the coefficient ``c``.  A Gaussian scalar (an int,
@@ -456,8 +474,7 @@ class Poly(Flat):
         return self.COEFF._wrap([r[1:] for r in self.rows if r[0] == deg], self.den)
 
     def derivative(self):
-        return self._wrap([(r[0] - 1,) + r[1:-2] + (r[0] * r[-2], r[0] * r[-1])
-                           for r in self.rows if r[0]], self.den)
+        return self._diff(0)
 
     def integral(self):
         """The primitive without constant term."""
@@ -554,9 +571,7 @@ class HbarPoly(Poly):
 
     def shift(self, j: int) -> "HbarPoly":
         """Multiply by h**j (j may be negative if every degree allows it)."""
-        if self.rows and self.rows[0][0] + j < 0:
-            raise ValueError("not divisible by the requested power of h")
-        return self._wrap([(d + j, re, im) for d, re, im in self.rows], self.den)
+        return self._shift_hbar(j)
 
     def evaluate(self, hbar: float) -> complex:
         """Numerical value at a concrete hbar."""

@@ -47,9 +47,10 @@ The four derivations act on basis monomials by
     dbar : L^k Ls^l -> l L^k Ls^(l-1)
     u = d + dbar,   v = i (d - dbar)         (real directions)
 
-and agree with the inner-derivation formulas ``d_u A = (1/ih)[A, V]`` etc.,
-which :func:`derive_by_commutator` implements for cross checking.  The
-Laplacian is ``lap A = 4 d dbar A = d_u^2 A + d_v^2 A``.
+d and dbar are the kernel's derivative row map in the L- and Ls-degree, u
+and v their combinations; all four agree with ``d_u A = (1/ih)[A, V]`` etc.,
+the inner derivations of :func:`derive_by_commutator`.  The Laplacian
+``lap A = 4 d dbar A = d_u^2 A + d_v^2 A`` is one order-keeping row map.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ class Direction(Enum):
     V = "v"
     D = "d"
     DBAR = "dbar"
-
-
-# The weights (re, im) of d and dbar in each direction: u = d + dbar, v = i(d - dbar).
-_DERIVE_WEIGHTS = {
-    Direction.D: ((1, 0), (0, 0)),
-    Direction.DBAR: ((0, 0), (1, 0)),
-    Direction.U: ((1, 0), (1, 0)),
-    Direction.V: ((0, 1), (0, -1)),
-}
 
 
 Bidegree = tuple[int, int]
@@ -234,32 +226,27 @@ class WeylElement(Flat):
     # -- calculus --------------------------------------------------------
 
     def derive(self, direction: Direction) -> "WeylElement":
-        """d takes L^k Ls^l to k L^(k-1) Ls^l and dbar to l L^k Ls^(l-1);
-        u = d + dbar and v = i(d - dbar) weight the two in one pass."""
-        try:
-            wd, wdbar = _DERIVE_WEIGHTS[direction]
-        except KeyError:
-            raise ValueError(f"unknown direction {direction!r}") from None
-        return WeylElement._new(_accumulate({}, (
-            (key, n * (wr * re - wi * im), n * (wr * im + wi * re))
-            for k, l, d, re, im in self.rows
-            for key, n, (wr, wi) in (((k - 1, l, d), k, wd), ((k, l - 1, d), l, wdbar))
-            if n
-        )), self.den)
+        """d takes L^k Ls^l to k L^(k-1) Ls^l and dbar to l L^k Ls^(l-1), each
+        a row map; u = d + dbar and v = i(d - dbar) are formed from them."""
+        if direction is Direction.D:
+            return self._diff(0)
+        if direction is Direction.DBAR:
+            return self._diff(1)
+        if direction is Direction.U:
+            return self._diff(0) + self._diff(1)
+        if direction is Direction.V:
+            return (self._diff(0) - self._diff(1)).scale(GR_I)
+        raise ValueError(f"unknown direction {direction!r}")
 
     def laplace(self) -> "WeylElement":
-        """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2."""
-        return WeylElement._new({
-            (k - 1, l - 1, d): (4 * k * l * re, 4 * k * l * im)
-            for k, l, d, re, im in self.rows
-            if k and l
-        }, self.den)
+        """The flat Laplacian lap = 4 d dbar = d_u^2 + d_v^2: one row map,
+        L^k Ls^l to 4kl L^(k-1) Ls^(l-1), which keeps the row order."""
+        return self._wrap([(k - 1, l - 1, d, 4 * k * l * re, 4 * k * l * im)
+                           for k, l, d, re, im in self.rows if k and l], self.den)
 
     def shift_hbar(self, j: int) -> "WeylElement":
         """Multiply every coefficient by h**j (j < 0 must divide exactly)."""
-        if any(d + j < 0 for _, _, d, _, _ in self.rows):
-            raise ValueError("not divisible by the requested power of h")
-        return WeylElement._new({(k, l, d + j): (re, im) for k, l, d, re, im in self.rows}, self.den)
+        return self._shift_hbar(j)
 
     def __str__(self) -> str:
         from .render import weyl_text

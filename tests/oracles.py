@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Tuple
 import numpy as np
 
 from weylmin.fock import _TERM_CUTOFF, exp_lambda
-from weylmin.scalars import GR_I, Field, GaussRational, HbarPoly
+from weylmin.scalars import GR_I, Field, GaussRational, HbarPoly, _accumulate
 from weylmin.weyl import Direction, WeylElement, uv_table
 
 Word = Tuple[str, ...]
@@ -639,6 +639,61 @@ def lift_by_constructor(cls, c):
 def scale_by_lift(x, c):
     """``x`` times the scalar ``c``, as the product with its lifted constant."""
     return x._mul(lift_by_constructor(type(x), c))
+
+
+# -- the derivations through an accumulator --------------------------------------
+#
+# The flat types form d, dbar, u, v, the Laplacian, the h-shift and the
+# partial derivatives as row maps that keep the row order.  These are the
+# same maps as keyed accumulators that ``_new`` canonicalises and sorts, so
+# they hold whatever order the map leaves.
+
+# The weights (re, im) of d and dbar in each direction: u = d + dbar, v = i(d - dbar).
+_DERIVE_WEIGHTS = {
+    Direction.D: ((1, 0), (0, 0)),
+    Direction.DBAR: ((0, 0), (1, 0)),
+    Direction.U: ((1, 0), (1, 0)),
+    Direction.V: ((0, 1), (0, -1)),
+}
+
+
+def derive_weighted(a: WeylElement, direction: Direction) -> WeylElement:
+    """d and dbar of every row, weighted by the direction, in one accumulator."""
+    wd, wdbar = _DERIVE_WEIGHTS[direction]
+    return WeylElement._new(_accumulate({}, (
+        (key, n * (wr * re - wi * im), n * (wr * im + wi * re))
+        for k, l, d, re, im in a.rows
+        for key, n, (wr, wi) in (((k - 1, l, d), k, wd), ((k, l - 1, d), l, wdbar))
+        if n
+    )), a.den)
+
+
+def laplace_accumulated(a: WeylElement) -> WeylElement:
+    return WeylElement._new({
+        (k - 1, l - 1, d): (4 * k * l * re, 4 * k * l * im)
+        for k, l, d, re, im in a.rows
+        if k and l
+    }, a.den)
+
+
+def shift_hbar_accumulated(x, j: int):
+    """``x`` times h**j for a flat type whose last key entry is the h-degree."""
+    if any(r[-3] + j < 0 for r in x.rows):
+        raise ValueError("not divisible by the requested power of h")
+    return type(x)._new({r[:-3] + (r[-3] + j,): r[-2:] for r in x.rows}, x.den)
+
+
+def diff_accumulated(x, axis: int):
+    """The derivative of a flat value in the key entry ``axis``."""
+    return type(x)._new({r[:axis] + (n - 1,) + r[axis + 1:-2]: (n * r[-2], n * r[-1])
+                         for r in x.rows if (n := r[axis])}, x.den)
+
+
+def recanonical(x):
+    """``x`` with its rows put through ``_new`` again: equal to ``x``, rows
+    and den, exactly when the rows were sorted, distinct, nonzero and
+    reduced against den, as ``_wrap`` needs them."""
+    return type(x)._new({r[:-2]: r[-2:] for r in x.rows}, x.den)
 
 
 # -- closed-form Fock matrix entries -----------------------------------------

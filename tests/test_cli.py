@@ -87,6 +87,8 @@ class TestSurfaceCommands:
         code, _, err = run(capsys, "surface", "enneper", "--n", "1", "--offsets", "1,2")
         assert code == 2
         assert "offsets" in err
+        code, _, err = run(capsys, "surface", "pair", "--f", "L", "--g", "L^2", "--offsets", "1,2,3")
+        assert (code, err) == (2, "error: expected 4 offsets, got 3\n")
 
     def test_zero_denominator_offset(self, capsys):
         code, _, err = run(capsys, "surface", "enneper", "--offsets", "1,2,1/0")

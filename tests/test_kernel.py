@@ -11,7 +11,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     bidegree_order,
     canon,
+    derive_weighted,
+    diff_accumulated,
     euclid_gcd,
+    laplace_accumulated,
     lift_by_constructor,
     nested,
     nested_gcd,
@@ -20,14 +23,17 @@ from oracles import (
     random_hbar_poly,
     random_poly_lambda,
     random_weyl,
+    recanonical,
     repeated_power,
     scale_by_lift,
+    shift_hbar_accumulated,
     terms_classical_limit,
 )
 from weylmin.classical import UVPoly, classical_limit
 from weylmin.holomorphic import PolyLambda, RatLambda
 from weylmin.scalars import (
     GR_I,
+    Flat,
     GaussRational,
     HbarPoly,
     HbarRat,
@@ -35,7 +41,7 @@ from weylmin.scalars import (
     hp_exact_div,
     hp_gcd,
 )
-from weylmin.weyl import LAM, ONE, WeylElement
+from weylmin.weyl import LAM, ONE, Direction, WeylElement
 
 # The values of st.fractions(-6, 6, max_denominator=4), drawn from a list:
 # the list is several times cheaper to draw from, and 0 comes first to
@@ -382,3 +388,73 @@ class TestScalarRowMap:
             monkeypatch.undo()
             self.same(WITH_HBAR * x, want)
             self.same(x + WITH_HBAR, x._add(lift_by_constructor(cls, WITH_HBAR)))
+
+
+class TestDerivationRowMaps:
+    """d, dbar, the Laplacian, the h-shift and the partial derivatives are
+    row maps that keep the row order and skip the canonicaliser.  Each must
+    equal its accumulator form in ``oracles`` (which ``_new`` sorts), rows
+    and denominator exactly, and leave rows that ``_new`` would not change:
+    a map that broke the order would fail here."""
+
+    @staticmethod
+    def same(got, want):
+        assert type(got) is type(want) and (got.rows, got.den) == (want.rows, want.den)
+        again = recanonical(got)
+        assert (again.rows, again.den) == (got.rows, got.den)
+
+    def shifts(self, x, shift):
+        for j in (-2, -1, 0, 1, 2):
+            try:
+                want = shift_hbar_accumulated(x, j)
+            except ValueError:
+                with pytest.raises(ValueError, match="not divisible by the requested power of h"):
+                    shift(x, j)
+                continue
+            self.same(shift(x, j), want)
+        self.same(shift(shift(x, 2), -2), x)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_the_accumulator_forms(self, seed):
+        rng = random.Random(360 + seed)
+        values = _flat_values(370 + seed) + [
+            random_weyl(rng, max_deg=6, terms=6, max_hbar=2) for _ in range(4)]
+        assert sum(x.den > 1 for x in values) >= 10
+        for x in values:
+            if isinstance(x, WeylElement):
+                for d in Direction:
+                    self.same(x.derive(d), derive_weighted(x, d))
+                self.same(x.laplace(), laplace_accumulated(x))
+                self.shifts(x, WeylElement.shift_hbar)
+            elif isinstance(x, UVPoly):
+                self.same(x.diff("u"), diff_accumulated(x, 0))
+                self.same(x.diff("v"), diff_accumulated(x, 1))
+            else:
+                self.same(x.derivative(), diff_accumulated(x, 0))
+                self.shifts(x, HbarPoly.shift if isinstance(x, HbarPoly) else PolyLambda._shift_hbar)
+
+    def test_row_maps_never_canonicalise(self, monkeypatch):
+        values = _flat_values(380)
+
+        def store(*_):
+            raise AssertionError("a row map went through the canonicaliser")
+
+        monkeypatch.setattr(Flat, "_store", store)
+        for x in values:
+            if isinstance(x, WeylElement):
+                x.derive(Direction.D), x.derive(Direction.DBAR), x.laplace()
+                x.shift_hbar(1)
+            elif isinstance(x, UVPoly):
+                x.diff("u"), x.diff("v")
+            else:
+                x.derivative(), x._shift_hbar(1)
+                if isinstance(x, HbarPoly):
+                    x.shift(1)
+
+    def test_unknown_direction_or_variable(self):
+        x = random_weyl(random.Random(391), max_hbar=2)
+        for bad in ("u", "d", None, 0):
+            with pytest.raises(ValueError, match="unknown direction"):
+                x.derive(bad)
+        with pytest.raises(ValueError, match="variable must be 'u' or 'v'"):
+            classical_limit(x).diff("w")

@@ -161,10 +161,16 @@ class TestFlatStorage:
     def test_operations_against_per_term_references(self, seed):
         # non-integral coefficients, h-degree up to 2
         rng = random.Random(200 + seed)
+        cases = []
         for _ in range(5):
             a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
             b = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
             c = HbarPoly({0: random_gauss(rng), 2: random_gauss(rng)})
+            cases.append((a, b, c))
+        # the zero element, and integral coefficients with h up to degree 2
+        cases += [(ZERO, a, c), (b, ZERO, c), (ZERO, ZERO, c),
+                  ((LAM + LAM_STAR + HBAR) ** 3, HBAR * HBAR * LAM ** 2 * LAM_STAR - 3, c)]
+        for a, b, c in cases:
             assert (a + b).terms == terms_sum(a, b)
             assert (a - a).terms == terms_sum(a, -a) == ()
             assert (-b).terms == terms_scale(b, -1)
