@@ -57,11 +57,14 @@ def classical_limit(a: WeylElement) -> UVPoly:
 
 
 def classical_limit_fraction(a: WeylElement) -> dict[tuple[int, int], Fraction]:
-    """Real classical limit as a plain dict, for hermitian elements.
+    """Real classical limit as a plain dict ``{(p, q): Fraction}``, for
+    hermitian elements, keys by total degree and then ``(p, q)`` as in
+    :func:`classical_limit`, read off the h-free U,V accumulation directly.
 
-    Raises if any surviving coefficient has an imaginary part.
+    Raises ValueError if any surviving coefficient has an imaginary part.
     """
-    p = classical_limit(a)
-    if not p.is_real():
+    rows = sorted((p + q, p, q, re, im) for (p, q, _), (re, im) in _uv_acc(a, h_free=True).items()
+                  if re or im)
+    if any(r[4] for r in rows):
         raise ValueError("classical limit is not real")
-    return {(u, v): Fraction(re, p.den) for u, v, re, _ in p.rows}
+    return {(p, q): Fraction(re, a.den) for _, p, q, re, _ in rows}

@@ -122,9 +122,7 @@ class RatLambda(Quotient):
         num = self.num.scale(c)
         if num.is_zero() or isinstance(c, HbarPoly) and c.degree() > 0:
             return RatLambda(num, self.den)
-        out = object.__new__(RatLambda)
-        out._init_fields(num, self.den)
-        return out
+        return self._reduced(num, self.den)
 
     def derivative(self) -> "RatLambda":
         return RatLambda(

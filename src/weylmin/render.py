@@ -9,14 +9,15 @@ LaTeX output presents elements in U,V-ordered form (every monomial
 ``U^p V^q`` with all U factors to the left), which tends to match how
 hermitian surface components are written down.  Text reads elements
 through :func:`weylmin.weyl.coefficients` and LaTeX through its U,V twin
-:func:`weylmin.weyl.uv_coefficients`, as ``(h-degree, re, im)`` triples,
-not through HbarPoly; this module knows no commutation rule.
+:func:`weylmin.weyl.uv_coefficients`, as ``(h-degree, re_num, re_den,
+im_num, im_den)`` integer records, not through HbarPoly; this module knows
+no commutation rule.  One formatter, :func:`_gauss_fmt`, writes a Gaussian
+coefficient from those integers in either notation.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .scalars import Coeff, grouped
@@ -31,26 +32,41 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # -- coefficient formatting --------------------------------------------------
 
 
-def _gauss_text(re: Fraction, im: Fraction) -> str:
-    if not im:
-        return str(re)
-    if not re:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{im}*i"
-    sign = "+" if im > 0 else "-"
-    im = abs(im)
-    im_s = "i" if im == 1 else f"{im}*i"
-    return f"({re} {sign} {im_s})"
+# The notations differ only in (fraction, factor before i, left bracket,
+# right bracket); the sign and unit rules are shared.
+_TEXT = ("{}/{}", "*", "(", ")")
+_LATEX = ("\\frac{{{}}}{{{}}}", "", "\\left(", "\\right)")
+_SUP = "{}^{{{}}}"  # a LaTeX power; text writes x^n
 
 
-def _hbar_monomial_text(deg: int, re: Fraction, im: Fraction) -> str:
-    cs = _gauss_text(re, im)
+def _power(x: str, n: int, fmt: str = "{}^{}") -> str:
+    """``x`` to the power ``n``: empty for 0, ``x`` for 1."""
+    return "" if not n else x if n == 1 else fmt.format(x, n)
+
+
+def _frac(fmt: str, n: int, d: int) -> str:
+    if d == 1:
+        return f"{n}"
+    return "-" + fmt.format(-n, d) if n < 0 else fmt.format(n, d)
+
+
+def _gauss_fmt(style: tuple, a: int, p: int, b: int, q: int) -> str:
+    """The Gaussian scalar a/p + (b/q)*i, both parts in lowest terms with
+    positive denominators, in the notation ``style``."""
+    frac, times, left, right = style
+    if not b:
+        return _frac(frac, a, p)
+    im = "i" if q == 1 and b in (1, -1) else _frac(frac, abs(b), q) + times + "i"
+    if not a:
+        return "-" + im if b < 0 else im
+    return f"{left}{_frac(frac, a, p)} {'+' if b > 0 else '-'} {im}{right}"
+
+
+def _hbar_monomial_text(deg: int, a: int, p: int, b: int, q: int) -> str:
+    cs = _gauss_fmt(_TEXT, a, p, b, q)
     if deg == 0:
         return cs
-    h = "h" if deg == 1 else f"h^{deg}"
+    h = _power("h", deg)
     if cs == "1":
         return h
     if cs == "-1":
@@ -73,8 +89,8 @@ def _join_terms(parts: list[str]) -> str:
 
 
 def _term_text(coeffs: Coeff, monomial: str) -> str:
-    """``coeff*monomial`` for a coefficient given as ``(h-degree, re, im)``
-    triples; a sum of several h-powers is parenthesised."""
+    """``coeff*monomial`` for a coefficient given as integer records; a sum
+    of several h-powers is parenthesised."""
     parts = [_hbar_monomial_text(*c) for c in coeffs] or ["0"]
     text = parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"
     if not monomial:
@@ -90,12 +106,7 @@ def _term_text(coeffs: Coeff, monomial: str) -> str:
 
 
 def _lam_monomial(k: int, l: int) -> str:
-    parts = []
-    if k:
-        parts.append("L" if k == 1 else f"L^{k}")
-    if l:
-        parts.append("Ls" if l == 1 else f"Ls^{l}")
-    return "*".join(parts)
+    return "*".join(filter(None, (_power("L", k), _power("Ls", l))))
 
 
 def weyl_text(a: "WeylElement") -> str:
@@ -106,44 +117,15 @@ def weyl_text(a: "WeylElement") -> str:
 
 def weyl_latex(a: "WeylElement") -> str:
     """LaTeX in U,V-ordered form."""
-    parts = []
-    for (p, q), c in uv_coefficients(a).items():
-        mono = ""
-        if p:
-            mono += "U" if p == 1 else f"U^{{{p}}}"
-        if q:
-            mono += "V" if q == 1 else f"V^{{{q}}}"
-        parts.append(_latex_term(c, mono))
-    return _join_terms(parts)
-
-
-def _latex_frac(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    if x < 0:
-        return f"-\\frac{{{-x.numerator}}}{{{x.denominator}}}"
-    return f"\\frac{{{x.numerator}}}{{{x.denominator}}}"
-
-
-def _latex_gauss(re: Fraction, im: Fraction, *, bare: bool) -> str:
-    """LaTeX scalar ``re + im i``; with bare=False a trailing factor follows."""
-    if not im:
-        return _latex_frac(re)
-    if not re:
-        if im == 1:
-            return "i"
-        if im == -1:
-            return "-i"
-        return f"{_latex_frac(im)}i"
-    inner = f"{_latex_frac(re)} {'+' if im > 0 else '-'} {_latex_gauss(0, abs(im), bare=True)}"
-    return inner if bare else f"\\left({inner}\\right)"
+    return _join_terms([_latex_term(c, _power("U", p, _SUP) + _power("V", q, _SUP))
+                        for (p, q), c in uv_coefficients(a).items()])
 
 
 def _latex_term(coeffs: Coeff, mono: str) -> str:
     parts = []
-    for d, re, im in coeffs:
-        h = "" if d == 0 else ("\\hbar" if d == 1 else f"\\hbar^{{{d}}}")
-        gs = _latex_gauss(re, im, bare=False)
+    for d, a, p, b, q in coeffs:
+        h = _power("\\hbar", d, _SUP)
+        gs = _gauss_fmt(_LATEX, a, p, b, q)
         if h and gs == "1":
             gs = ""
         elif h and gs == "-1":
@@ -166,11 +148,8 @@ def _latex_term(coeffs: Coeff, mono: str) -> str:
 
 
 def poly_lambda_text(p: "PolyLambda") -> str:
-    parts = []
-    for (d,), c in grouped(p.rows, p.den, 1).items():
-        mono = "" if d == 0 else ("L" if d == 1 else f"L^{d}")
-        parts.append(_term_text(c, mono))
-    return _join_terms(parts)
+    return _join_terms([_term_text(c, _power("L", d))
+                        for (d,), c in grouped(p.rows, p.den, 1).items()])
 
 
 _ATOM = re.compile(r"^(?:[0-9]+|[A-Za-z]+(?:\^[0-9]+)?)$")
@@ -192,14 +171,9 @@ def rat_text(r: "RatLambda") -> str:
 
 
 def surface_text(s: "Surface") -> str:
-    lines = []
-    for idx, c in enumerate(s.components, start=1):
-        lines.append(f"X{idx} = {weyl_text(c)}")
-    return "\n".join(lines)
+    return "\n".join(f"X{idx} = {weyl_text(c)}" for idx, c in enumerate(s.components, start=1))
 
 
 def surface_latex(s: "Surface") -> str:
-    lines = []
-    for idx, c in enumerate(s.components, start=1):
-        lines.append(f"X^{{{idx}}} &= {weyl_latex(c)} \\\\")
-    return "\n".join(lines)
+    return "\n".join(f"X^{{{idx}}} &= {weyl_latex(c)} \\\\"
+                     for idx, c in enumerate(s.components, start=1))

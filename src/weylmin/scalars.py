@@ -241,15 +241,21 @@ def _convolve(a: Sequence[Row], b: Sequence[Row]) -> dict:
 
 def grouped(rows: Iterable[Row], den: int, n: int) -> dict[tuple, "Coeff"]:
     """Rows ``(*monomial, h-degree, re, im)`` over ``den`` grouped by their
-    first ``n`` entries, the monomial, in row order."""
+    first ``n`` entries, the monomial, in row order, as :data:`Coeff`
+    records: each part re/den and im/den in lowest terms, one gcd each
+    (none when ``den`` is 1), a zero part ``(0, 1)``."""
     out: dict = {}
     for r in rows:
-        out.setdefault(r[:n], []).append((r[n], Fraction(r[n + 1], den), Fraction(r[n + 2], den)))
+        a, b = r[n + 1], r[n + 2]
+        g, h = (1, 1) if den == 1 else (gcd(a, den), gcd(b, den))
+        out.setdefault(r[:n], []).append((r[n], a // g, den // g, b // h, den // h))
     return out
 
 
-# A coefficient as the writers read it: (h-degree, re, im) with Fraction parts.
-Coeff = list[tuple[int, Fraction, Fraction]]
+# A coefficient as the writers read it: records (h-degree, re_num, re_den,
+# im_num, im_den) of integers, each part in lowest terms with a positive
+# denominator.
+Coeff = list[tuple[int, int, int, int, int]]
 
 
 def _by_total_degree(row: Row) -> tuple:
@@ -392,8 +398,9 @@ class GaussRational(Flat, Field):
     """Exact complex number ``re + im*i`` with rational components.
 
     The Flat with the empty key: at most one row ``(a, b)`` over ``den``,
-    read as ``(a + b*i)/den``.  The sum, negation and ``scale`` are the
-    kernel's, and ``re`` and ``im`` are Fractions read off the row.
+    read as ``(a + b*i)/den``.  Negation and ``scale`` are the kernel's,
+    the sum adds the one row directly, and ``re`` and ``im`` are Fractions
+    read off the row.
     """
 
     __slots__ = ()
@@ -411,6 +418,16 @@ class GaussRational(Flat, Field):
 
     re = property(lambda self: Fraction(self.rows[0][0] if self.rows else 0, self.den))
     im = property(lambda self: Fraction(self.rows[0][1] if self.rows else 0, self.den))
+
+    def _add(self, o) -> "GaussRational":
+        """The one-row sum over the shared or the product denominator,
+        reduced once by ``_wrap``."""
+        if not (self.rows and o.rows):
+            return self if self.rows else o
+        (a, b), (c, d), p, q = self.rows[0], o.rows[0], self.den, o.den
+        if p != q:
+            a, b, c, d, p = a * q, b * q, c * p, d * p, p * q
+        return self._wrap([(a + c, b + d)] if a + c or b + d else [], p)
 
     # The product of two Gaussian scalars is scale's row map, over den * den'.
     _mul = Flat.scale
@@ -642,16 +659,25 @@ class Quotient(Field):
     def _add(self, o):
         return type(self)(self.num * o.den + o.num * self.den, self.den * o.den)
 
+    def _reduced(self, num, den):
+        """The quotient of a pair already in canonical form, built as is."""
+        out = object.__new__(type(self))
+        out._init_fields(num, den)
+        return out
+
     def __neg__(self):
-        return type(self)(-self.num, self.den)
+        return self._reduced(-self.num, self.den)
 
     def _mul(self, o):
         return type(self)(self.num * o.num, self.den * o.den)
 
     def inverse(self):
+        """The swapped pair, coprime already: only its joint content is
+        divided out, which leaves the new denominator in normal form."""
         if self.is_zero():
             raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
-        return type(self)(self.den, self.num)
+        c = content(self.num, self.den)
+        return self._reduced(cancel(self.den, c), cancel(self.num, c))
 
 
 class HbarRat(Quotient):

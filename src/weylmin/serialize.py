@@ -12,8 +12,9 @@ sort_keys=True, allow_nan=False)``, written by one small recursive writer
 instead of the standard library's pure-Python encoder (its C encoder runs
 only without ``indent``).  Elements are read through
 :func:`weylmin.weyl.coefficients` and Lambda-polynomials through the
-kernel's :func:`~weylmin.scalars.grouped`, which it calls; one function
-writes the coefficient records of both.
+kernel's :func:`~weylmin.scalars.grouped`, which it calls; both give each
+part as an integer numerator and denominator in lowest terms, and one
+function writes the coefficient records of both from those integers.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ def _write(x: object, nl: str, out: list[str]) -> None:
 
 
 def _coeff_to_obj(coeffs: Coeff) -> list[dict]:
-    """The one coefficient record writer, for ``(h-degree, re, im)`` triples."""
-    return [{"hbar_deg": d, "re_num": re.numerator, "re_den": re.denominator,
-             "im_num": im.numerator, "im_den": im.denominator} for d, re, im in coeffs]
+    """The one coefficient record writer, for the integer records of
+    :func:`~weylmin.scalars.grouped`."""
+    return [{"hbar_deg": d, "re_num": a, "re_den": p, "im_num": b, "im_den": q}
+            for d, a, p, b, q in coeffs]
 
 
 def _field(rec: object, name: str) -> object:
@@ -127,14 +129,6 @@ def _coeff_from_obj(obj: object) -> HbarPoly:
          GaussRational(_rational(rec, "re_num", "re_den"), _rational(rec, "im_num", "im_den")))
         for rec in obj
     )
-
-
-def _fraction_to_obj(x: Fraction) -> dict:
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _fraction_from_obj(obj: object) -> Fraction:
-    return _rational(obj, "num", "den")
 
 
 # -- algebra elements --------------------------------------------------------
@@ -198,7 +192,7 @@ def surface_to_obj(s: Surface) -> dict:
         "schema": SCHEMA,
         "kind": "surface",
         "n": s.n,
-        "offsets": [_fraction_to_obj(x) for x in s.offsets],
+        "offsets": [{"num": x.numerator, "den": x.denominator} for x in s.offsets],
         "components": [weyl_to_obj(c) for c in s.components],
         "provenance": {
             "kind": s.provenance.kind,
@@ -219,7 +213,7 @@ def surface_from_obj(obj: object) -> Surface:
         raise DeserializeError("document is not a surface")
     try:
         comps = tuple(weyl_from_obj(c) for c in obj["components"])
-        offsets = tuple(_fraction_from_obj(x) for x in obj["offsets"])
+        offsets = tuple(_rational(x, "num", "den") for x in obj["offsets"])
         prov_obj = obj["provenance"]
         prov = Provenance(
             kind=_exact(prov_obj, "kind", str),

@@ -37,9 +37,10 @@ loop (:func:`_products`), and :func:`symmetric_product_sum` (the surface
 layer's bilinear form) puts all its products into one.  The writers read
 the rows through :func:`coefficients` or its U,V-ordered twin
 :func:`uv_coefficients`, one integer accumulation of the rows times their
-:func:`uv_table` rows; both give ``{(k, l): [(h-degree, re, im), ...]}``
-with Fraction parts.  Text and JSON read the first and LaTeX the second;
-the classical limit is the h-free part of the accumulation behind it.
+:func:`uv_table` rows; both give ``{(k, l): [(h-degree, re_num, re_den,
+im_num, im_den), ...]}``, each part an integer fraction in lowest terms.
+Text and JSON read the first and LaTeX the second; the classical limit is
+the h-free part of the accumulation behind it.
 
 The four derivations act on basis monomials by
 
@@ -273,8 +274,9 @@ V = WeylElement(
 
 
 def coefficients(a: WeylElement) -> dict[Bidegree, Coeff]:
-    """The flat form as ``{(k, l): [(h-degree, re, im), ...]}`` with Fraction
-    parts, bidegrees by ``(k + l, k)`` and h-degrees ascending."""
+    """The flat form as ``{(k, l): [(h-degree, re_num, re_den, im_num,
+    im_den), ...]}`` (:func:`~weylmin.scalars.grouped`'s integer records),
+    bidegrees by ``(k + l, k)`` and h-degrees ascending."""
     return grouped(a.rows, a.den, 2)
 
 
@@ -293,8 +295,8 @@ def _uv_acc(a: WeylElement, h_free: bool = False) -> dict:
 
 
 def uv_coefficients(a: WeylElement, h_free: bool = False) -> dict[Bidegree, Coeff]:
-    """The element in U,V order (:func:`_uv_acc`), grouped as
-    :func:`coefficients` groups it with ``(p, q)`` by ``(p + q, -p)``."""
+    """The element in U,V order (:func:`_uv_acc`), as the integer records
+    of :func:`coefficients` with ``(p, q)`` by ``(p + q, -p)``."""
     rows = sorted(((p, q, d, re, im) for (p, q, d), (re, im) in _uv_acc(a, h_free).items()
                    if re or im), key=lambda r: (r[0] + r[1], -r[0], r[2]))
     return grouped(rows, a.den, 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from collections import defaultdict
 from typing import Dict, Iterable, Tuple
@@ -410,6 +411,186 @@ def grouped(terms: Iterable) -> list:
     """``((k, l), HbarPoly)`` pairs as the items of the flat-form readers'
     ``{(k, l): [(h-degree, re, im), ...]}``, in the given order."""
     return [(kl, [(d, g.re, g.im) for d, g in p.coeffs]) for kl, p in terms]
+
+
+# -- the writers on Fraction parts ---------------------------------------------
+#
+# The flat-form reader and the writers as they were before they read integer
+# records: every part a Fraction, with text and LaTeX each formatted by its
+# own rules.  The writers take their coefficients from ``grouped`` of the
+# HbarPoly view, so they never run through ``scalars.grouped``.
+
+
+def grouped_fractions(rows: Iterable, den: int, n: int) -> dict:
+    """``scalars.grouped`` with Fraction parts: rows ``(*monomial, h-degree,
+    re, im)`` over ``den`` as ``{monomial: [(h-degree, re, im), ...]}``."""
+    out: dict = {}
+    for r in rows:
+        out.setdefault(r[:n], []).append((r[n], Fraction(r[n + 1], den), Fraction(r[n + 2], den)))
+    return out
+
+
+def as_fractions(table: dict) -> dict:
+    """Integer records ``(h-degree, re_num, re_den, im_num, im_den)`` as
+    ``(h-degree, re, im)`` with Fraction parts, keys and order kept."""
+    return {key: [(d, Fraction(a, p), Fraction(b, q)) for d, a, p, b, q in c]
+            for key, c in table.items()}
+
+
+def _poly_items(p) -> list:
+    """A PolyLambda as ``((L-degree,), [(h-degree, re, im), ...])`` items."""
+    return grouped(((d,), c) for d, c in p.coeffs)
+
+
+def _coeff_obj(coeffs) -> list:
+    return [{"hbar_deg": d, "re_num": re.numerator, "re_den": re.denominator,
+             "im_num": im.numerator, "im_den": im.denominator} for d, re, im in coeffs]
+
+
+def weyl_to_obj_fractions(a: WeylElement) -> list:
+    return [{"k": k, "l": l, "coeff": _coeff_obj(c)} for (k, l), c in grouped(a.terms)]
+
+
+def poly_to_obj_fractions(p) -> list:
+    return [{"deg": d, "coeff": _coeff_obj(c)} for (d,), c in _poly_items(p)]
+
+
+def _gauss_text(re: Fraction, im: Fraction) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{im}*i"
+    sign = "+" if im > 0 else "-"
+    im = abs(im)
+    im_s = "i" if im == 1 else f"{im}*i"
+    return f"({re} {sign} {im_s})"
+
+
+def _hbar_monomial_text(deg: int, re: Fraction, im: Fraction) -> str:
+    cs = _gauss_text(re, im)
+    if deg == 0:
+        return cs
+    h = "h" if deg == 1 else f"h^{deg}"
+    if cs == "1":
+        return h
+    if cs == "-1":
+        return f"-{h}"
+    if cs.startswith("(") or "*" not in cs:
+        return f"{cs}*{h}"
+    return f"({cs})*{h}"
+
+
+def _join_terms(parts: list) -> str:
+    if not parts:
+        return "0"
+    out = parts[0]
+    for part in parts[1:]:
+        if part.startswith("-") and not part.startswith("-("):
+            out += " - " + part[1:]
+        else:
+            out += " + " + part
+    return out
+
+
+def _term_text(coeffs, monomial: str) -> str:
+    parts = [_hbar_monomial_text(*c) for c in coeffs] or ["0"]
+    text = parts[0] if len(parts) == 1 else f"({' + '.join(parts)})"
+    if not monomial:
+        return text
+    if text == "1":
+        return monomial
+    if text == "-1":
+        return f"-{monomial}"
+    return f"{text}*{monomial}"
+
+
+def _lam_monomial(k: int, l: int) -> str:
+    parts = []
+    if k:
+        parts.append("L" if k == 1 else f"L^{k}")
+    if l:
+        parts.append("Ls" if l == 1 else f"Ls^{l}")
+    return "*".join(parts)
+
+
+def weyl_text_fractions(a: WeylElement) -> str:
+    return _join_terms([_term_text(c, _lam_monomial(k, l)) for (k, l), c in grouped(a.terms)])
+
+
+def _latex_frac(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    if x < 0:
+        return f"-\\frac{{{-x.numerator}}}{{{x.denominator}}}"
+    return f"\\frac{{{x.numerator}}}{{{x.denominator}}}"
+
+
+def _latex_gauss(re: Fraction, im: Fraction, *, bare: bool) -> str:
+    if not im:
+        return _latex_frac(re)
+    if not re:
+        if im == 1:
+            return "i"
+        if im == -1:
+            return "-i"
+        return f"{_latex_frac(im)}i"
+    inner = f"{_latex_frac(re)} {'+' if im > 0 else '-'} {_latex_gauss(0, abs(im), bare=True)}"
+    return inner if bare else f"\\left({inner}\\right)"
+
+
+def _latex_term(coeffs, mono: str) -> str:
+    parts = []
+    for d, re, im in coeffs:
+        h = "" if d == 0 else ("\\hbar" if d == 1 else f"\\hbar^{{{d}}}")
+        gs = _latex_gauss(re, im, bare=False)
+        if h and gs == "1":
+            gs = ""
+        elif h and gs == "-1":
+            gs = "-"
+        parts.append(gs + h)
+    coeff = parts[0] if len(parts) == 1 else f"\\left({_join_terms(parts)}\\right)"
+    if not mono:
+        return coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return f"-{mono}"
+    if coeff and coeff[-1].isalpha():
+        return f"{coeff} {mono}"
+    return f"{coeff}{mono}"
+
+
+def weyl_latex_fractions(a: WeylElement) -> str:
+    parts = []
+    for (p, q), c in grouped(terms_uv_ordered(a)):
+        mono = ""
+        if p:
+            mono += "U" if p == 1 else f"U^{{{p}}}"
+        if q:
+            mono += "V" if q == 1 else f"V^{{{q}}}"
+        parts.append(_latex_term(c, mono))
+    return _join_terms(parts)
+
+
+def poly_lambda_text_fractions(p) -> str:
+    return _join_terms([_term_text(c, "" if d == 0 else ("L" if d == 1 else f"L^{d}"))
+                        for (d,), c in _poly_items(p)])
+
+
+def rat_text_fractions(r) -> str:
+    if r.is_polynomial():
+        return poly_lambda_text_fractions(r.num)
+    num = poly_lambda_text_fractions(r.num)
+    den = poly_lambda_text_fractions(r.den)
+    if " + " in num or " - " in num:
+        num = f"({num})"
+    if not re.match(r"^(?:[0-9]+|[A-Za-z]+(?:\^[0-9]+)?)$", den):
+        den = f"({den})"
+    return f"{num}/{den}"
 
 
 def terms_classical_limit(a: WeylElement) -> tuple:

@@ -37,6 +37,22 @@ class TestLimit:
                 assert want.im == 0
                 assert uv_dict_point(lim, u, v) == want.re
 
+    def test_fraction_dict_against_uvpoly(self):
+        # values and key order (total degree, then (p, q)) of the UVPoly, and
+        # ValueError exactly when its limit is not real
+        rng = random.Random(33)
+        for _ in range(30):
+            a = random_weyl(rng, max_deg=5, terms=5, max_hbar=2)
+            for x in (a, a.real_part()):
+                p = classical_limit(x)
+                if p.is_real():
+                    assert list(classical_limit_fraction(x).items()) == [
+                        (pq, g.re) for pq, g in p.terms
+                    ]
+                else:
+                    with pytest.raises(ValueError, match="^classical limit is not real$"):
+                        classical_limit_fraction(x)
+
     def test_against_per_term_reference(self):
         rng = random.Random(32)
         for _ in range(30):

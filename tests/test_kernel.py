@@ -251,6 +251,22 @@ class TestQuotient:
             lhs, rhs = (x + y) * z, x * z + y * z
             assert lhs == rhs and _cross_equal(lhs, rhs)
 
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_results_are_reduced_pairs(self, name):
+        # +, -, *, inverse and negation skip reductions they know to be
+        # redundant; each result is the pair reduced from scratch
+        cls, ring = QUOTIENTS[name]
+        for *_, xyz in itertools.islice(quotient_draws(ring, random.Random(77)), 8):
+            x, y, _ = (cls(*nd) for nd in xyz)
+            assert x + y == cls(x.num * y.den + y.num * x.den, x.den * y.den)
+            assert x - y == cls(x.num * y.den - y.num * x.den, x.den * y.den)
+            assert x * y == cls(x.num * y.num, x.den * y.den)
+            assert -x == cls(-x.num, x.den)
+            if not x.is_zero():
+                assert x.inverse() == cls(x.den, x.num)
+            for q in (x + y, -x, *([] if x.is_zero() else [x.inverse()])):
+                assert q == cls(q.num, q.den)
+
     def test_lambda_degree_2(self):
         # The sixth draw at L-degree 2, with h in the coefficients: the
         # content gcds of this product stay fast only if every remainder is

@@ -1,5 +1,7 @@
 """Scalar layer: Gaussian rationals and polynomials/fractions in h."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,22 @@ class TestAgainstFractionGauss:
             assert _same(2 / b, 2 / fb) and _same(b**-2, fb**-2)
         assert str(a) == str(fa) and complex(a) == complex(fa)
         assert (a == b) == (fa == fb) and hash(a) == hash(fa) == hash((ar, ai))
+
+    def test_one_row_sum(self):
+        # seeded pairs, shared and coprime denominators, sums that cancel in
+        # one part or both, and zero on either side
+        rng = random.Random(2104)
+        pairs = [((0, 0), (0, 0)), ((0, 0), (Fraction(3, 7), -2)), ((Fraction(-5, 6), 0), (0, 0)),
+                 ((Fraction(3, 7), Fraction(-2, 5)), (Fraction(5, 9), 4))]
+        for _ in range(200):
+            a = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12))) for _ in "ab")
+            b = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12))) for _ in "ab")
+            pairs += [(a, b), (a, (-a[0], -a[1])), (a, (-a[0], b[1])), (a, (b[0], -a[1]))]
+        for a, b in pairs:
+            got = GaussRational(*a) + GaussRational(*b)
+            assert _same(got, FractionGauss(*a) + FractionGauss(*b))
+            assert got == GaussRational(a[0] + b[0], a[1] + b[1])
+            assert math.gcd(got.den, *(got.rows[0] if got.rows else ())) == 1
 
     @given(st.one_of(st.integers(-10**30, 10**30), rationals))
     def test_coerce(self, x):

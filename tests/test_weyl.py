@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from oracles import (
+    as_fractions,
     grouped,
     imag_part_by_star,
     lambda_word_normal_order,
@@ -242,7 +243,9 @@ class TestFlatStorage:
 
 class TestReader:
     """``coefficients`` and its U,V twin ``uv_coefficients`` against
-    ``.terms`` and the per-term U,V reference, key order included."""
+    ``.terms`` and the per-term U,V reference, key order included, through
+    ``oracles.as_fractions``: integer records in lowest terms read as
+    Fraction parts."""
 
     @staticmethod
     def cases():
@@ -259,7 +262,12 @@ class TestReader:
 
     def test_against_terms_and_uv_reference(self):
         for x in self.cases():
-            got, uv = coefficients(x), uv_coefficients(x)
+            records = (coefficients(x), uv_coefficients(x), uv_coefficients(x, h_free=True))
+            for table in records:
+                for c in table.values():
+                    for d, a, p, b, q in c:
+                        assert p > 0 and q > 0 and gcd(a, p) == gcd(b, q) == 1
+            got, uv = as_fractions(records[0]), as_fractions(records[1])
             assert list(got.items()) == grouped(x.terms)
             assert list(uv.items()) == grouped(terms_uv_ordered(x))
             for table in (got, uv):
@@ -268,7 +276,7 @@ class TestReader:
                     assert all(type(re) is type(im) is Fraction for _, re, im in c)
                     assert [d for d, *_ in c] == sorted({d for d, *_ in c})
             # the h-free twin is the h-degree-0 part of the full one
-            h_free = uv_coefficients(x, h_free=True)
+            h_free = as_fractions(records[2])
             assert list(h_free.items()) == [
                 (pq, [t for t in c if not t[0]]) for pq, c in uv.items() if not c[0][0]
             ]
@@ -276,12 +284,18 @@ class TestReader:
 
     def test_pinned(self):
         x = HBAR.scale(Fraction(-3, 2)) * U + LAM_STAR.scale(GaussRational(Fraction(1, 3), 2))
-        assert list(coefficients(x).items()) == [
+        assert coefficients(x) == {
+            (0, 1): [(0, 1, 3, 2, 1), (1, -3, 4, 0, 1)], (1, 0): [(1, -3, 4, 0, 1)],
+        }
+        assert list(as_fractions(coefficients(x)).items()) == [
             ((0, 1), [(0, Fraction(1, 3), Fraction(2)), (1, Fraction(-3, 4), Fraction(0))]),
             ((1, 0), [(1, Fraction(-3, 4), Fraction(0))]),
         ]
         assert coefficients(ZERO) == uv_coefficients(ZERO) == uv_coefficients(ZERO, True) == {}
-        assert uv_coefficients(U * V - V * U) == {(0, 0): [(1, Fraction(0), Fraction(1))]}
+        assert uv_coefficients(U * V - V * U) == {(0, 0): [(1, 0, 1, 1, 1)]}
+        assert as_fractions(uv_coefficients(U * V - V * U)) == {
+            (0, 0): [(1, Fraction(0), Fraction(1))],
+        }
         assert uv_coefficients(U * V - V * U, h_free=True) == {}
 
 
