@@ -5,7 +5,8 @@ verifier, conjugation, the Fock catenoid residual check, and a one-shot
 expression evaluator.  Exit codes: 0 success / verification passed,
 1 verification failure, or a Fock residual or tail bound not below the
 tolerance, 2 parse or input error, 3 non-integrable Weierstrass data,
-4 non-polynomial primitive (out of the supported scope).
+4 non-polynomial primitive (out of the supported scope).  Each handler
+imports the layers it runs, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -15,33 +16,11 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .holomorphic import NotIntegrableError, PolyLambda
-from .parse import ParseError, parse_rat, parse_weyl
-from .render import surface_latex, surface_text, weyl_latex, weyl_text
-from .serialize import (
-    SCHEMA,
-    DeserializeError,
-    dumps_canonical,
-    fock_report_to_obj,
-    report_to_obj,
-    surface_from_obj,
-    surface_to_obj,
-    weyl_to_obj,
-)
-from .surfaces import (
-    NonPolynomialPrimitiveError,
-    Surface,
-    conjugate_surface,
-    enneper,
-    surface_from_F,
-    surface_from_Ftilde,
-    surface_from_fg,
-    surface_from_pair,
-    verify_minimal,
-)
-from .weyl import Direction
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .holomorphic import PolyLambda
+    from .surfaces import Surface
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -50,11 +29,12 @@ EXIT_INTEGRABILITY = 3
 EXIT_SCOPE = 4
 
 
-def _past_digit_limit(exc: ValueError) -> bool:
-    """Whether ``exc`` is Python refusing to turn an int of more digits than
-    its limit (4300 by default) into text or back; its message advises a
-    call that a CLI user cannot make, so callers name the limit instead."""
-    return "integer string conversion" in str(exc)
+def _digit_limit(exc: ValueError, kind: str) -> Optional[str]:
+    """Words naming the limit if ``exc`` is Python refusing to turn an int of
+    more digits than its limit (4300 by default) into text or back; its own
+    message advises a call that a CLI user cannot make."""
+    if "integer string conversion" in str(exc):
+        return f"an integer longer than the {sys.get_int_max_str_digits()}-digit {kind} limit"
 
 
 def _parse_offsets(text: Optional[str]) -> Optional[list[Fraction]]:
@@ -68,13 +48,14 @@ def _parse_offsets(text: Optional[str]) -> Optional[list[Fraction]]:
         except ZeroDivisionError:
             raise ValueError(f"bad offset value {p!r}: zero denominator") from None
         except ValueError as exc:
-            why = (f"an integer longer than the {sys.get_int_max_str_digits()}-digit input limit"
-                   if _past_digit_limit(exc) else exc)
+            why = _digit_limit(exc, "input") or exc
             raise ValueError(f"bad offset value: {why}") from exc
     return out
 
 
 def _parse_poly_arg(expr: str) -> PolyLambda:
+    from .parse import ParseError, parse_rat
+
     value = parse_rat(expr)
     if not value.is_polynomial():
         raise ParseError("expected a polynomial in L", 0)
@@ -86,10 +67,9 @@ def _emit(write: Callable[..., str], value: object, out: Optional[str]) -> None:
     try:
         text = write(value)
     except ValueError as exc:
-        if not _past_digit_limit(exc):
+        if not (why := _digit_limit(exc, "output")):
             raise
-        raise ValueError(f"the result has an integer longer than the "
-                         f"{sys.get_int_max_str_digits()}-digit output limit") from None
+        raise ValueError(f"the result has {why}") from None
     if out is None or out == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -101,14 +81,18 @@ def _emit(write: Callable[..., str], value: object, out: Optional[str]) -> None:
 
 def _emit_surface(s: Surface, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
+        from .serialize import dumps_canonical, surface_to_obj
+
         _emit(dumps_canonical, surface_to_obj(s), out)
-    elif fmt == "latex":
-        _emit(surface_latex, s, out)
     else:
-        _emit(surface_text, s, out)
+        from . import render
+
+        _emit(render.surface_latex if fmt == "latex" else render.surface_text, s, out)
 
 
 def _read_surface(path: str) -> Surface:
+    from .serialize import DeserializeError, surface_from_obj
+
     if path == "-":
         raw = sys.stdin.read()
     else:
@@ -121,10 +105,9 @@ def _read_surface(path: str) -> Surface:
     except RecursionError as exc:
         raise DeserializeError("invalid JSON: nested too deeply") from exc
     except ValueError as exc:
-        if not _past_digit_limit(exc):
+        if not (why := _digit_limit(exc, "input")):
             raise
-        raise DeserializeError(f"invalid JSON: an integer longer than the "
-                               f"{sys.get_int_max_str_digits()}-digit input limit") from None
+        raise DeserializeError(f"invalid JSON: {why}") from None
     return surface_from_obj(obj)
 
 
@@ -132,53 +115,64 @@ def _read_surface(path: str) -> Surface:
 
 
 # Each surface subcommand: its help, its inputs as (flag, reader, help), its
-# number of offsets and its constructor.  A reader is "rat" (a parse_rat
-# expression), "poly" (one that must be a polynomial) or "int" (a whole
-# number, default 1).  The lambdas look readers and constructors up when a
-# command runs, so a module-level name rebound later (bench/tracer.py wraps
-# parse_rat and the constructors that way) is the one called.
+# number of offsets and its constructor's name in weylmin.surfaces.  A reader
+# is "rat" (a parse_rat expression), "poly" (one that must be a polynomial)
+# or "int" (a whole number, default 1).  Readers and constructors are looked
+# up in their modules when a command runs, so a name rebound there later
+# (bench/tracer.py wraps parse_rat and the constructors) is the one called.
 SURFACE_COMMANDS = {
     "from-fg": ("integrate the (f, g) representation",
                 (("--f", "rat", "expression for f (mode rat)"),
                  ("--g", "rat", "expression for g (mode rat)")),
-                3, lambda *a: surface_from_fg(*a)),
+                3, "surface_from_fg"),
     "from-F": ("Gauss-map-L family from a single F",
                (("--F", "rat", "expression for F (mode rat)"),),
-               3, lambda *a: surface_from_F(*a)),
+               3, "surface_from_F"),
     "from-Ftilde": ("integrated-by-parts polynomial form",
                     (("--Ft", "poly", "polynomial expression (mode rat)"),),
-                    3, lambda *a: surface_from_Ftilde(*a)),
+                    3, "surface_from_Ftilde"),
     "pair": ("four-component surface from two polynomials",
              (("--f", "poly", "first polynomial (mode rat)"),
               ("--g", "poly", "second polynomial (mode rat)")),
-             4, lambda *a: surface_from_pair(*a)),
+             4, "surface_from_pair"),
     "enneper": ("higher-order Enneper: f = 2, g = L^n",
                 (("--n", "int", "order (default 1)"),),
-                3, lambda *a: enneper(*a)),
-}
-_READERS = {
-    "rat": lambda text: parse_rat(text),
-    "poly": lambda text: _parse_poly_arg(text),
-    "int": lambda n: n,
+                3, "enneper"),
 }
 _OFFSETS_HELP = {3: "three offsets a,b,c", 4: "four offsets a,b,c,d"}
 
 
+def _read_input(reader: str, value):
+    """One input of a surface command, read by its reader."""
+    if reader == "int":
+        return value
+    from . import parse
+
+    return _parse_poly_arg(value) if reader == "poly" else parse.parse_rat(value)
+
+
 def _cmd_surface(args: argparse.Namespace) -> int:
-    _, inputs, _, build = SURFACE_COMMANDS[args.surface_command]
-    values = [_READERS[reader](getattr(args, flag[2:])) for flag, reader, _ in inputs]
-    _emit_surface(build(*values, _parse_offsets(args.offsets)), args.fmt, args.out)
+    from . import surfaces
+
+    _, inputs, _, constructor = SURFACE_COMMANDS[args.surface_command]
+    values = [_read_input(reader, getattr(args, flag[2:])) for flag, reader, _ in inputs]
+    s = getattr(surfaces, constructor)(*values, _parse_offsets(args.offsets))
+    _emit_surface(s, args.fmt, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    s = _read_surface(getattr(args, "in"))
-    rep = verify_minimal(s)
+    from .serialize import dumps_canonical, report_to_obj
+    from .surfaces import verify_minimal
+
+    rep = verify_minimal(_read_surface(getattr(args, "in")))
     _emit(dumps_canonical, report_to_obj(rep), args.out)
     return EXIT_OK if rep.passes else EXIT_VERIFY
 
 
 def _cmd_conjugate(args: argparse.Namespace) -> int:
+    from .surfaces import conjugate_surface
+
     s = _read_surface(getattr(args, "in"))
     _emit_surface(conjugate_surface(s), args.fmt, args.out)
     return EXIT_OK
@@ -186,6 +180,7 @@ def _cmd_conjugate(args: argparse.Namespace) -> int:
 
 def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     from .fock import FockConfig, residual_report
+    from .serialize import dumps_canonical, fock_report_to_obj
 
     config = FockConfig(dim=args.dim, hbar=args.hbar, safe_rows=args.safe_rows)
     if not (math.isfinite(args.tol) and args.tol > 0):
@@ -205,30 +200,37 @@ def _cmd_fock_catenoid(args: argparse.Namespace) -> int:
     return EXIT_OK if worst < args.tol and report["tail_bound"] < args.tol else EXIT_VERIFY
 
 
-# The operations of ``eval --op``, in the order its help lists them.
+# The operations of ``eval --op``, in the order its help lists them: the
+# WeylElement method each calls, with the weyl.Direction of a derivation.
 EVAL_OPS = {
-    "d": lambda e: e.derive(Direction.D),
-    "dbar": lambda e: e.derive(Direction.DBAR),
-    "u": lambda e: e.derive(Direction.U),
-    "v": lambda e: e.derive(Direction.V),
-    "lap": lambda e: e.laplace(),
-    "re": lambda e: e.real_part(),
-    "im": lambda e: e.imag_part(),
-    "star": lambda e: e.star(),
+    "d": ("derive", "D"),
+    "dbar": ("derive", "DBAR"),
+    "u": ("derive", "U"),
+    "v": ("derive", "V"),
+    "lap": ("laplace",),
+    "re": ("real_part",),
+    "im": ("imag_part",),
+    "star": ("star",),
 }
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .parse import parse_weyl
+    from .weyl import Direction
+
     elem = parse_weyl(args.expr)
     if args.op is not None:
-        elem = EVAL_OPS[args.op](elem)
+        method, *direction = EVAL_OPS[args.op]
+        elem = getattr(elem, method)(*(Direction[d] for d in direction))
     if args.fmt == "json":
+        from .serialize import SCHEMA, dumps_canonical, weyl_to_obj
+
         doc = {"schema": SCHEMA, "kind": "element", "element": weyl_to_obj(elem)}
         _emit(dumps_canonical, doc, args.out)
-    elif args.fmt == "latex":
-        _emit(weyl_latex, elem, args.out)
     else:
-        _emit(weyl_text, elem, args.out)
+        from . import render
+
+        _emit(render.weyl_latex if args.fmt == "latex" else render.weyl_text, elem, args.out)
     return EXIT_OK
 
 
@@ -319,26 +321,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The errors main reports, first match first: (home module, class, stderr
+# prefix, exit code).  Only a loaded module's class can have been raised, so
+# main looks each up in sys.modules and loads no layer to report an error.
+_ERRORS = (
+    ("weylmin.parse", "ParseError", "parse error", EXIT_PARSE),
+    ("weylmin.holomorphic", "NotIntegrableError", "integrability error", EXIT_INTEGRABILITY),
+    ("weylmin.surfaces", "NonPolynomialPrimitiveError", "scope error", EXIT_SCOPE),
+    ("weylmin.serialize", "DeserializeError", "input error", EXIT_PARSE),
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_expr_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotIntegrableError as exc:
-        print(f"integrability error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRABILITY
-    except NonPolynomialPrimitiveError as exc:
-        print(f"scope error: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except DeserializeError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        prefix, code = next((route for module, name, *route in _ERRORS
+                             if isinstance(exc, getattr(sys.modules.get(module), name, ()))),
+                            ("error", EXIT_PARSE))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

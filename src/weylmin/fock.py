@@ -190,9 +190,9 @@ def _lap_entry(entry, m: int, n: int, dim: int, s: Fraction) -> Fraction:
     return -2 * c / (s * s)
 
 
-def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> Fraction:
+def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> tuple[int, int]:
     """Largest squared window-column norm of lap X1 (``parity`` 0) or of
-    lap X2 (``parity`` 1).
+    lap X2 (``parity`` 1), as a numerator and a denominator.
 
     e^{+-L} commute with L, and [L, Ls] = s except in the truncated corner,
     so on columns n < dim-1 the Laplacian of e^{+-L} vanishes and that of
@@ -206,13 +206,14 @@ def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> Fraction:
     exceeds each term.  Elsewhere t_{k-2}/t_k = k^2 (k-1)^2 / (s^2 (n+1)(n+2))
     falls as n grows, so along one parity the norms rise to one peak and
     fall: the walk finds it comparing small numbers, and forms one large
-    rational.
+    rational.  The corner's pair is not reduced: :func:`_root` needs no gcd,
+    which at an extreme ``hbar`` would cost more than all the rest.
     """
     top = dim - 1
     if window == top:
         # With s = p/q, the sum of C(top, k)/k! s^(k-1) over k >= 1 of the
         # parity is an integer over top! q^(top-1): Horner's rule builds the
-        # integer, and one Fraction divides at the end.  With p = m 2^u and
+        # integer, over which the pair is returned.  With p = m 2^u and
         # q = r 2^v, m and r odd (r = 1, since s is twice a float), each
         # step is a product by the small m, and shifts.
         p, q = s.numerator, s.denominator
@@ -225,14 +226,14 @@ def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> Fraction:
                 num += (math.comb(top, k) * (f // math.factorial(k)) * rk) << v * (top - k)
             rk *= r
         # times (dim/s)^2 s = dim^2 q / p
-        return Fraction(dim * dim * num * q, (f * p * (rk // r)) << v * (top - 1))
+        return dim * dim * num * q, (f * p * (rk // r)) << v * (top - 1)
     n = (top - parity) % 2  # the first column whose k has the parity
     while n + 2 <= window:
         k = top - n
         if k * k * (k - 1) * (k - 1) <= s * s * (n + 1) * (n + 2):
             break
         n += 2
-    return (dim / s / math.factorial(top - n)) ** 2 * _weight(top, n, s)
+    return ((dim / s / math.factorial(top - n)) ** 2 * _weight(top, n, s)).as_integer_ratio()
 
 
 def _u_part(dim: int, s: Fraction, window: int) -> Fraction:
@@ -281,23 +282,22 @@ def _isotropy_part(s: Fraction, window: int) -> Fraction:
     return worst
 
 
-def _root(sq: Fraction) -> float:
-    """sqrt(sq), rounded once from the exact square (taken to 220 bits), so
+def _root(n: int, d: int) -> float:
+    """sqrt(n/d), rounded once from the exact square (taken to 220 bits), so
     0.0 means underflow and OverflowError a root too large for a float."""
-    n, d = sq.numerator, sq.denominator
     shift = max(0, 220 - n.bit_length() + d.bit_length()) // 2
     return math.ldexp(float(math.isqrt((n << 2 * shift) // d)), -shift)
 
 
-def _squared_residuals(config: FockConfig) -> dict[str, Fraction]:
-    """The exact squared residuals that :func:`residual_report` rounds."""
+def _squared_residuals(config: FockConfig) -> dict[str, tuple[int, int]]:
+    """The exact squared residuals :func:`residual_report` rounds, as (num, den) pairs."""
     s = 2 * Fraction(config.hbar)
     dim, window = config.dim, config.safe_rows
     return {
         "X1": _exp_part(dim, s, window, 0),
         "X2": _exp_part(dim, s, window, 1),
-        "X3": _u_part(dim, s, window),
-        "phi_isotropy": _isotropy_part(s, window),
+        "X3": _u_part(dim, s, window).as_integer_ratio(),
+        "phi_isotropy": _isotropy_part(s, window).as_integer_ratio(),
     }
 
 
@@ -316,6 +316,6 @@ def residual_report(config: FockConfig) -> dict:
         "dim": config.dim,
         "hbar": config.hbar,
         "safe_rows": config.safe_rows,
-        "residuals": {name: _root(sq) for name, sq in _squared_residuals(config).items()},
+        "residuals": {name: _root(*sq) for name, sq in _squared_residuals(config).items()},
         "tail_bound": exp_tail_bound(config),
     }

@@ -22,8 +22,9 @@ means, and the mode the divisor of '/' is read in.
 * weyl mode produces a WeylElement.  Its divisors are read in a scalar
   mode in which L, Ls, U, V and h are errors, so only Gaussian rationals
   divide.
-* rat mode produces a RatLambda and forbids the names U, V and Ls;
-  division is unrestricted.
+* rat mode (built on the first ``parse_rat`` call, so weyl mode never
+  loads the rational layer) produces a RatLambda and forbids the names
+  U, V and Ls; division is unrestricted.
 
 Errors come in evaluation order, left operand before right: in
 ``L/(1/0*L)`` the division by zero at position 4 is reported, not the L.
@@ -39,12 +40,15 @@ the source string.
 
 from __future__ import annotations
 
-from typing import Union
+from functools import cache
+from typing import TYPE_CHECKING, Union
 
 from .scalars import GR_I, Frozen, GaussRational, HP_HBAR
-from .holomorphic import PolyLambda, RatLambda
 from . import weyl
 from .weyl import WeylElement
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .holomorphic import RatLambda
 
 
 class ParseError(ValueError):
@@ -262,10 +266,16 @@ _SCALAR = _Mode(GaussRational, {
 _WEYL = _Mode(WeylElement, {
     "L": weyl.LAM, "Ls": weyl.LAM_STAR, "U": weyl.U, "V": weyl.V, "h": weyl.HBAR, "i": GR_I,
 }, _SCALAR)
-_RAT = _Mode(RatLambda, {
-    "L": PolyLambda({1: 1}), "h": HP_HBAR, "i": GR_I,
-    **{g: f"{g} is not Lambda-rational (only L, h, i allowed)" for g in ("U", "V", "Ls")},
-})
+
+
+@cache
+def _rat_mode() -> _Mode:
+    from .holomorphic import PolyLambda, RatLambda
+
+    return _Mode(RatLambda, {
+        "L": PolyLambda({1: 1}), "h": HP_HBAR, "i": GR_I,
+        **{g: f"{g} is not Lambda-rational (only L, h, i allowed)" for g in ("U", "V", "Ls")},
+    })
 
 
 def _evaluate(node: Node, mode: _Mode):
@@ -301,4 +311,4 @@ def parse_weyl(src: str) -> WeylElement:
 
 def parse_rat(src: str) -> RatLambda:
     """Parse a Lambda-rational expression (mode rat)."""
-    return _evaluate(parse_ast(src), _RAT)
+    return _evaluate(parse_ast(src), _rat_mode())

@@ -11,10 +11,11 @@ newline.  Its bytes are those of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)``, written by one small recursive writer
 instead of the standard library's pure-Python encoder (its C encoder runs
 only without ``indent``).  Elements are read through
-:func:`weylmin.weyl.coefficients` and Lambda-polynomials through the
-kernel's :func:`~weylmin.scalars.grouped`, which it calls; both give each
-part as an integer numerator and denominator in lowest terms, and one
-function writes the coefficient records of both from those integers.
+:func:`weylmin.weyl.coefficients` and Lambda-polynomials through
+:func:`~weylmin.scalars.grouped`, which it calls: both give each part as
+integers in lowest terms, and one function writes the records of both.
+Only the functions that build or test rational or surface types import
+those layers, so writing an element or a Fock report loads neither.
 """
 
 from __future__ import annotations
@@ -22,11 +23,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import TYPE_CHECKING
 
 from .scalars import Coeff, GaussRational, HbarPoly, grouped
-from .holomorphic import PolyLambda, RatLambda
-from .surfaces import Provenance, Surface, VerificationReport
 from .weyl import WeylElement, coefficients
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .holomorphic import PolyLambda, RatLambda
+    from .surfaces import Surface, VerificationReport
 
 SCHEMA = "weylmin/1"
 
@@ -151,6 +155,8 @@ def poly_to_obj(p: PolyLambda) -> list[dict]:
 
 
 def poly_from_obj(obj: object) -> PolyLambda:
+    from .holomorphic import PolyLambda
+
     if not isinstance(obj, list):
         raise DeserializeError("polynomial must be a list of records")
     return PolyLambda((_exact(rec, "deg"), _coeff_from_obj(_field(rec, "coeff"))) for rec in obj)
@@ -161,6 +167,8 @@ def rat_to_obj(r: RatLambda) -> dict:
 
 
 def rat_from_obj(obj: object) -> RatLambda:
+    from .holomorphic import RatLambda
+
     num, den = poly_from_obj(_field(obj, "num")), poly_from_obj(_field(obj, "den"))
     if den.is_zero():
         raise DeserializeError("rational function has a zero denominator")
@@ -171,6 +179,8 @@ def rat_from_obj(obj: object) -> RatLambda:
 
 
 def _param_to_obj(name: str, value) -> dict:
+    from .holomorphic import PolyLambda, RatLambda
+
     if isinstance(value, RatLambda):
         return {"name": name, "type": "rat", "value": rat_to_obj(value)}
     if isinstance(value, PolyLambda):
@@ -203,6 +213,8 @@ def surface_to_obj(s: Surface) -> dict:
 
 
 def surface_from_obj(obj: object) -> Surface:
+    from .surfaces import Provenance, Surface
+
     if not isinstance(obj, dict):
         raise DeserializeError("surface document must be an object")
     if obj.get("schema") != SCHEMA:
@@ -243,6 +255,4 @@ def report_to_obj(rep: VerificationReport) -> dict:
 
 
 def fock_report_to_obj(report: dict) -> dict:
-    out = {"schema": SCHEMA, "kind": "fock-residuals"}
-    out.update(report)
-    return out
+    return {"schema": SCHEMA, "kind": "fock-residuals", **report}

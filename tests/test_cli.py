@@ -11,7 +11,7 @@ import time
 import pytest
 
 from oracles import quotient_draws, random_poly_lambda
-from weylmin import cli
+from weylmin import cli, parse, surfaces
 from weylmin.cli import build_parser, main
 from weylmin.holomorphic import RatLambda
 from weylmin.parse import parse_weyl
@@ -609,12 +609,14 @@ def test_cli_shape():
     ],
 )
 def test_surface_commands_look_names_up_when_they_run(monkeypatch, capsys, argv, names):
-    """A tracer rebinds module-level names; the surface table must see that."""
+    """A tracer rebinds module-level names in their home modules; the
+    surface commands must call the names bound there when they run."""
     seen = []
     for name in names:
-        original = getattr(cli, name)
+        home = cli if name == "_parse_poly_arg" else parse if name == "parse_rat" else surfaces
+        original = getattr(home, name)
         monkeypatch.setattr(
-            cli, name, lambda *a, _f=original, _n=name: seen.append(_n) or _f(*a)
+            home, name, lambda *a, _f=original, _n=name: seen.append(_n) or _f(*a)
         )
     assert run(capsys, "surface", *argv)[0] == 0
     assert sorted(set(seen)) == sorted(names)

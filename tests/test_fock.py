@@ -313,7 +313,8 @@ class TestExactResiduals:
     def test_equals_rational_oracle(self, dim, hbar, safe_rows):
         cfg = FockConfig(dim=dim, hbar=hbar, safe_rows=safe_rows)
         mats, want = exact_catenoid_residuals(cfg)
-        assert fock._squared_residuals(cfg) == want
+        got = fock._squared_residuals(cfg)
+        assert {name: Fraction(*pair) for name, pair in got.items()} == want
         assert residual_report(cfg)["residuals"] == pytest.approx(
             {name: math.sqrt(sq) for name, sq in want.items()}, rel=1e-15, abs=0
         )
@@ -343,17 +344,29 @@ class TestExactResiduals:
         for dim in range(2, 65):
             for parity in (0, 1):
                 want = corner_column_norm(dim, s, parity)
-                assert fock._exp_part(dim, s, dim - 1, parity) == want, (dim, parity)
+                assert Fraction(*fock._exp_part(dim, s, dim - 1, parity)) == want, (dim, parity)
         # s need not be dyadic: the odd part of its denominator is carried too
         for s in (Fraction(2, 3), Fraction(10, 7), Fraction(9, 20)):
             for dim in (2, 5, 17):
-                assert fock._exp_part(dim, s, dim - 1, 1) == corner_column_norm(dim, s, 1)
+                assert Fraction(*fock._exp_part(dim, s, dim - 1, 1)) == corner_column_norm(dim, s, 1)
 
     def test_extreme_hbar(self):
         tiny = residual_report(FockConfig(dim=64, hbar=1e-300))["residuals"]
         assert tiny == {"X1": 0.0, "X2": 0.0, "X3": 0.0, "phi_isotropy": 0.0}
         with pytest.raises(OverflowError):
             residual_report(FockConfig(dim=64, hbar=1e300))
+
+    def test_full_window_at_the_largest_dim(self):
+        # The corner column's pair reaches about a million bits at hbar =
+        # 1e-300 and is rounded unreduced; the floats are pinned.
+        for hbar, want in (
+            (1e-300, {"X1": 523519.9374083092, "X2": 2.3159158533936417e154,
+                      "X3": 2.3159158533936417e154, "phi_isotropy": 0.0}),
+            (1.0, {"X1": 2.013337170368762e21, "X2": 2.013337170368762e21,
+                   "X3": 23159.158533936417, "phi_isotropy": 0.0}),
+        ):
+            got = residual_report(FockConfig(dim=1024, hbar=hbar, safe_rows=1023))["residuals"]
+            assert got == want, hbar
 
     def test_verdict_passes_at_every_dim(self):
         for dim in (64, 128, 256, 512, 1024):

@@ -111,25 +111,57 @@ def test_unknown_attribute_still_raises():
         weylmin.no_such_name
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--expr", "(L+Ls)^3 - h", "--fmt", "json"],
-    ["surface", "from-Ftilde", "--Ft", "L^3"],
-    ["verify", "--in", str(GOLDENS / "quartic.json")],
-    ["conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "latex"],
-    ["fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"],
-])
+_SURFACE = "cli holomorphic scalars surfaces weyl"
+_BUILD = f"{_SURFACE} parse"
+
+# Each command, by its argv: the exact set of weylmin submodules it may
+# load, its exit code and the start of its stderr.  Written out here, not
+# read from the CLI's own tables, so a command that starts loading a layer
+# it does not run fails.
+COMMAND_LOADS = {
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "json"): ("cli parse scalars serialize weyl", 0, ""),
+    ("surface", "from-Ftilde", "--Ft", "L^3"): (f"{_BUILD} serialize", 0, ""),
+    ("verify", "--in", str(GOLDENS / "quartic.json")): (f"{_SURFACE} serialize", 0, ""),
+    ("conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "latex"):
+        (f"{_SURFACE} render serialize", 0, ""),
+    ("fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"):
+        ("cli fock scalars serialize weyl", 0, ""),
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "text"): ("cli parse render scalars weyl", 0, ""),
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "latex"): ("cli parse render scalars weyl", 0, ""),
+    **{("surface", *argv, "--fmt", fmt): (f"{modules} {writer}", 0, "")
+       for argv, modules in ((("from-fg", "--f", "2", "--g", "L"), _BUILD),
+                             (("from-F", "--F", "1+L^3"), _BUILD),
+                             (("from-Ftilde", "--Ft", "L^3"), _BUILD),
+                             (("pair", "--f", "L", "--g", "L^2"), _BUILD),
+                             (("enneper", "--n", "2"), _SURFACE))
+       for fmt, writer in (("json", "serialize"), ("text", "render"))},
+    ("conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "text"):
+        (f"{_SURFACE} render serialize", 0, ""),
+    ("--help",): ("cli", 0, ""),
+    ("eval", "--expr", "L/"): ("cli parse scalars weyl", 2, "parse error: "),
+    ("verify", "--in", "missing.json"): (f"{_SURFACE} serialize", 2, "error: "),
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in COMMAND_LOADS])
 def test_commands_leave_heavy_modules_unloaded(argv):
+    modules, code, prefix = COMMAND_LOADS[tuple(argv)]
     proc = _python(
         "import runpy, sys\n"
         f"sys.argv = ['weylmin', *{argv!r}]\n"
         "try:\n"
         "    runpy.run_module('weylmin', run_name='__main__', alter_sys=True)\n"
         "finally:\n"
-        "    sys.stderr.write(repr([m for m in ('dataclasses', 'inspect', 'weylmin.classical')"
+        "    sys.stderr.write('\\n' + repr([m for m in ('dataclasses', 'inspect', 'weylmin.classical')"
         " if m in sys.modules]))\n"
+        "    sys.stderr.write('\\n' + ' '.join(sorted(m[len('weylmin.'):] for m in sys.modules"
+        " if m.startswith('weylmin.'))))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.endswith("[]"), proc.stderr
+    stderr, heavy, loaded = proc.stderr.rsplit("\n", 2)
+    assert proc.returncode == code, proc.stderr
+    assert stderr.startswith(prefix) and bool(stderr) == bool(prefix), proc.stderr
+    assert heavy == "[]", proc.stderr
+    assert loaded.split() == sorted(modules.split()), argv
 
 
 def test_import_loads_no_submodule():
