@@ -271,53 +271,60 @@ def _add_output_args(p: argparse.ArgumentParser, default_fmt: str = "json") -> N
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """Every command with its help, so top-level help and errors never change,
+    and the options of ``command`` alone, or of every command if it names none."""
     parser = argparse.ArgumentParser(
         prog="weylmin",
         description="Exact noncommutative minimal-surface calculator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
     surface = sub.add_parser("surface", help="build surfaces from Weierstrass data")
-    ssub = surface.add_subparsers(dest="surface_command", required=True)
-
-    for name, (text, inputs, n_offsets, _) in SURFACE_COMMANDS.items():
-        p = ssub.add_parser(name, help=text)
-        for flag, reader, help_text in inputs:
-            if reader == "int":
-                p.add_argument(flag, type=int, default=1, help=help_text)
-            else:
-                p.add_argument(flag, required=True, help=help_text)
-        p.add_argument("--offsets", default=None, help=_OFFSETS_HELP[n_offsets])
-        _add_output_args(p)
-        p.set_defaults(func=_cmd_surface)
-
-    p = sub.add_parser("verify", help="run the exact minimality checks")
-    p.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
-    p.add_argument("--out", default=None, help="report output file (default stdout)")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("conjugate", help="conjugate surface from recorded primitives")
-    p.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
-    _add_output_args(p)
-    p.set_defaults(func=_cmd_conjugate)
-
+    verify = sub.add_parser("verify", help="run the exact minimality checks")
+    conjugate = sub.add_parser("conjugate", help="conjugate surface from recorded primitives")
     fock = sub.add_parser("fock", help="truncated Fock-space checks")
-    fsub = fock.add_subparsers(dest="fock_command", required=True)
-    p = fsub.add_parser("catenoid", help="catenoid residual report")
-    p.add_argument("--hbar", type=float, default=1.0, help="hbar value (default 1)")
-    p.add_argument("--dim", type=int, required=True, help="truncation dimension")
-    p.add_argument("--safe-rows", type=int, default=None, help="safe window (default dim//3)")
-    p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
-    p.add_argument("--out", default=None, help="report output file (default stdout)")
-    p.set_defaults(func=_cmd_fock_catenoid)
+    evaluate = sub.add_parser("eval", help="evaluate an algebra expression")
+    every = command not in sub.choices
 
-    p = sub.add_parser("eval", help="evaluate an algebra expression")
-    p.add_argument("--expr", required=True, help="expression (mode weyl)")
-    p.add_argument("--op", choices=tuple(EVAL_OPS), default=None, help="optional operation to apply")
-    _add_output_args(p, default_fmt="text")
-    p.set_defaults(func=_cmd_eval)
+    if every or command == "surface":
+        ssub = surface.add_subparsers(dest="surface_command", required=True)
+        for name, (text, inputs, n_offsets, _) in SURFACE_COMMANDS.items():
+            p = ssub.add_parser(name, help=text)
+            for flag, reader, help_text in inputs:
+                if reader == "int":
+                    p.add_argument(flag, type=int, default=1, help=help_text)
+                else:
+                    p.add_argument(flag, required=True, help=help_text)
+            p.add_argument("--offsets", default=None, help=_OFFSETS_HELP[n_offsets])
+            _add_output_args(p)
+            p.set_defaults(func=_cmd_surface)
 
+    if every or command == "verify":
+        verify.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
+        verify.add_argument("--out", default=None, help="report output file (default stdout)")
+        verify.set_defaults(func=_cmd_verify)
+
+    if every or command == "conjugate":
+        conjugate.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
+        _add_output_args(conjugate)
+        conjugate.set_defaults(func=_cmd_conjugate)
+
+    if every or command == "fock":
+        fsub = fock.add_subparsers(dest="fock_command", required=True)
+        p = fsub.add_parser("catenoid", help="catenoid residual report")
+        p.add_argument("--hbar", type=float, default=1.0, help="hbar value (default 1)")
+        p.add_argument("--dim", type=int, required=True, help="truncation dimension")
+        p.add_argument("--safe-rows", type=int, default=None, help="safe window (default dim//3)")
+        p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
+        p.add_argument("--out", default=None, help="report output file (default stdout)")
+        p.set_defaults(func=_cmd_fock_catenoid)
+
+    if every or command == "eval":
+        evaluate.add_argument("--expr", required=True, help="expression (mode weyl)")
+        evaluate.add_argument("--op", choices=tuple(EVAL_OPS), default=None,
+                              help="optional operation to apply")
+        _add_output_args(evaluate, default_fmt="text")
+        evaluate.set_defaults(func=_cmd_eval)
     return parser
 
 
@@ -333,8 +340,8 @@ _ERRORS = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_expr_values(sys.argv[1:] if argv is None else argv))
+    argv = _join_expr_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -111,10 +111,6 @@ class RatLambda(Quotient):
     def __init__(self, num: "PolyLike" = PL_ZERO, den: "PolyLike" = PL_ONE) -> None:
         super().__init__(num, den)
 
-    @staticmethod
-    def from_poly(p: "PolyLike") -> "RatLambda":
-        return RatLambda(p)
-
     def scale(self, c: HbarLike) -> "RatLambda":
         """The product with the h-polynomial ``c``.  A nonzero constant is a
         unit: the quotient stays reduced, so it is not reduced again.  A
@@ -140,11 +136,8 @@ class RatLambda(Quotient):
         num, den = self.num, self.den
         # lead * num = quo * den + rem; the polynomial part quo / lead is
         # integrated term by term.
-        if den == PL_ONE:
-            lead, quo, rem = PL_ONE, num, PL_ZERO
-        else:
-            lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
-            quo, rem = num.scale(lead).divmod_poly(den)
+        lead = den.leading() ** max(num.degree() - den.degree() + 1, 0)
+        quo, rem = num.scale(lead).divmod_poly(den)
         prim = RatLambda(quo.integral(), lead)
         if rem.is_zero():
             return prim, rem, PL_ONE
@@ -169,8 +162,10 @@ class RatLambda(Quotient):
 
         Raises NotIntegrableError when a logarithmic part obstructs; the
         message names the reduced denominator of that part, whose roots
-        are exactly the poles with a nonzero residue.
+        are exactly the poles with a nonzero residue.  A polynomial's is its integral.
         """
+        if self.is_polynomial():
+            return self._reduced(self.num.integral(), PL_ONE)
         prim, log_num, log_den = self._hermite()
         if not log_num.is_zero():
             poles = RatLambda(log_num, log_den).den.monic()
@@ -266,6 +261,23 @@ def poly_to_weyl(p: PolyLambda) -> WeylElement:
     """Embed a polynomial in L as the holomorphic element sum c_k L^k: its
     rows ``(k, d, re, im)`` re-keyed as ``(k, 0, d, re, im)``."""
     return WeylElement._wrap([(k, 0, d, re, im) for k, d, re, im in p.rows], p.den)
+
+
+def poly_real_part(p: PolyLambda) -> WeylElement:
+    """``poly_to_weyl(p).real_part()`` over ``2 den``: c L^k gives ``(0, k, d, re, -im)``
+    and ``(k, 0, d, re, im)``, a constant ``(0, 0, d, 2 re, 0)`` if re is nonzero.  Degree
+    by degree, (0, k) rows before (k, 0) rows, is the element's order: it needs no sort."""
+    rows, own = [], []
+    for k, d, re, im in p.rows:
+        if own and own[0][0] != k:
+            rows += own
+            own = []
+        if k:
+            rows.append((0, k, d, re, -im))
+            own.append((k, 0, d, re, im))
+        elif re:
+            rows.append((0, 0, d, 2 * re, 0))
+    return WeylElement._wrap(rows + own, 2 * p.den)
 
 
 def weyl_to_poly(a: WeylElement) -> PolyLambda:

@@ -657,6 +657,9 @@ class Quotient(Field):
         return self.num
 
     def _add(self, o):
+        """The sum; of two polynomials, a canonical ``(num, ONE)`` pair built as is."""
+        if self.den == self.ONE == o.den:
+            return self._reduced(self.num + o.num, self.ONE)
         return type(self)(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def _reduced(self, num, den):
@@ -669,6 +672,9 @@ class Quotient(Field):
         return self._reduced(-self.num, self.den)
 
     def _mul(self, o):
+        """The product; of two polynomials, a canonical ``(num, ONE)`` pair built as is."""
+        if self.den == self.ONE == o.den:
+            return self._reduced(self.num * o.num, self.ONE)
         return type(self)(self.num * o.num, self.den * o.den)
 
     def inverse(self):

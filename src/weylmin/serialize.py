@@ -10,12 +10,13 @@ integers, floats by ``repr``, NaN and infinities refused, and a trailing
 newline.  Its bytes are those of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)``, written by one small recursive writer
 instead of the standard library's pure-Python encoder (its C encoder runs
-only without ``indent``).  Elements are read through
-:func:`weylmin.weyl.coefficients` and Lambda-polynomials through
-:func:`~weylmin.scalars.grouped`, which it calls: both give each part as
-integers in lowest terms, and one function writes the records of both.
-Only the functions that build or test rational or surface types import
-those layers, so writing an element or a Fock report loads neither.
+only without ``indent``), which recurses only into containers.
+Elements are read through :func:`weylmin.weyl.coefficients` and
+Lambda-polynomials through :func:`~weylmin.scalars.grouped`, which it
+calls: both give each part as integers in lowest terms, and one function
+writes the records of both.  Beyond the kernel (:mod:`weylmin.scalars`),
+which every command loads, each function imports the layers it uses, so
+writing a Fock report loads no algebra layer.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING
 
 from .scalars import Coeff, GaussRational, HbarPoly, grouped
-from .weyl import WeylElement, coefficients
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .holomorphic import PolyLambda, RatLambda
     from .surfaces import Surface, VerificationReport
+    from .weyl import WeylElement
 
 SCHEMA = "weylmin/1"
 
@@ -59,32 +60,35 @@ def _key(k: object) -> str:
 
 
 def _write(x: object, nl: str, out: list[str]) -> None:
-    """Append ``x`` to ``out`` in the canonical layout; ``nl`` is a newline
-    and the indent of the line ``x`` starts on.  Strings and integers are
-    written here, every other scalar by ``json.dumps``."""
+    """Append ``x`` to ``out`` in the canonical layout; ``nl`` is the newline and indent
+    ``x`` starts on.  Strings and integers are written here, a dict's in its own loop, by
+    sorted keys (no two are equal: sorted items), every other scalar by ``json.dumps``."""
     if type(x) is str:
         out.append(_quote(x))
     elif type(x) is int:
         out.append(f"{x}")
     elif isinstance(x, dict):
         inner = nl + "  "
-        sep = "{" + inner
-        for k, v in sorted(x.items()):
+        sep, comma = "{" + inner, "," + inner
+        for k in sorted(x):
+            v = x[k]
             k = _quote(k) if type(k) is str else _key(k)
             if type(v) is int:
                 out.append(f"{sep}{k}: {v}")
+            elif type(v) is str:
+                out.append(f"{sep}{k}: {_quote(v)}")
             else:
                 out.append(f"{sep}{k}: ")
                 _write(v, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "}" if x else "{}")
     elif isinstance(x, (list, tuple)):
         inner = nl + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for v in x:
             out.append(sep)
             _write(v, inner, out)
-            sep = "," + inner
+            sep = comma
         out.append(nl + "]" if x else "[]")
     else:
         out.append(json.dumps(x, allow_nan=False))
@@ -139,10 +143,14 @@ def _coeff_from_obj(obj: object) -> HbarPoly:
 
 
 def weyl_to_obj(a: WeylElement) -> list[dict]:
+    from .weyl import coefficients
+
     return [{"k": k, "l": l, "coeff": _coeff_to_obj(c)} for (k, l), c in coefficients(a).items()]
 
 
 def weyl_from_obj(obj: object) -> WeylElement:
+    from .weyl import WeylElement
+
     if not isinstance(obj, list):
         raise DeserializeError("element must be a list of term records")
     return WeylElement(

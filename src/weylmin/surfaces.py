@@ -65,7 +65,7 @@ from .holomorphic import (
     PolyLambda,
     RatLambda,
     phi_from_fg,
-    poly_to_weyl,
+    poly_real_part,
 )
 from .weyl import Direction, WeylElement, symmetric_product_sum
 
@@ -233,11 +233,10 @@ def _surface_from_primitives(
     offsets: tuple[Fraction, ...],
     provenance: Provenance,
 ) -> Surface:
-    comps = []
-    for off, p in zip(offsets, prims):
-        re = poly_to_weyl(p).real_part()
-        comps.append(WeylElement.coerce(off) + re if off else re)
-    return Surface(tuple(comps), offsets, provenance)
+    """X^i = offset_i + Re(P_i), Re by the row map :func:`~weylmin.holomorphic.poly_real_part`."""
+    comps = (poly_real_part(p) for p in prims)
+    comps = tuple(re + off if off else re for re, off in zip(comps, offsets))
+    return Surface(comps, offsets, provenance)
 
 
 def _weierstrass(kind: str, params: tuple, f: RatLambda, g: RatLambda, offsets, nu: int = 1) -> Surface:
@@ -322,11 +321,7 @@ def enneper(
     """The degree-n Enneper surface, surface_from_fg(2, L^n)."""
     if n < 1:
         raise ValueError("enneper requires n >= 1")
-    return surface_from_fg(
-        RatLambda.from_poly(PolyLambda.const(2)),
-        RatLambda.from_poly(PolyLambda({n: 1})),
-        offsets,
-    )
+    return surface_from_fg(RatLambda(2), RatLambda(PolyLambda({n: 1})), offsets)
 
 
 def conjugate_surface(s: Surface) -> Surface:

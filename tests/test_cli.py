@@ -598,6 +598,52 @@ def test_cli_shape():
     assert list(shape) == list(CLI_SHAPE)
 
 
+# Arguments each leaf command parses without error.
+_VALID = {"surface from-fg": ("--f", "1", "--g", "L"), "surface from-F": ("--F", "1"),
+          "surface from-Ftilde": ("--Ft", "L^3"), "surface pair": ("--f", "L", "--g", "L"),
+          "surface enneper": (), "verify": ("--in", "x.json"), "conjugate": ("--in", "x.json"),
+          "fock catenoid": ("--dim", "8"), "eval": ("--expr", "L")}
+
+
+def _parser_cases():
+    """For the top level and each command and subcommand: its help, a
+    missing argument (a subcommand, a required option, or an option's
+    value) and an unrecognized argument."""
+    yield ["--help"]
+    yield []
+    yield ["nosuch"]
+    yield ["--bogus"]
+    yield ["--bogus", "eval", "--expr", "L"]  # not a command first: the full parser
+    for path, _ in CLI_SHAPE:
+        path = path.split()
+        yield [*path, "--help"]
+        if path[-1] != "enneper":
+            yield path
+        if " ".join(path) in _VALID:
+            yield [*path, "--out"]
+            yield [*path, *_VALID[" ".join(path)], "--bogus"]
+        else:
+            yield [*path, "--bogus"]
+
+
+@pytest.mark.parametrize("argv", list(_parser_cases()), ids=" ".join)
+def test_one_command_parser_writes_the_full_parsers_bytes(capsys, monkeypatch, argv):
+    # main builds only the invoked command's options and subcommands; its
+    # help and usage errors are the full parser's, byte for byte
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build_parser(*a))
+    one = outcome(lambda: main(argv))
+    full = outcome(lambda: build_parser().parse_args(argv))
+    assert one == full and full[1 if "--help" in argv else 2]
+    assert built == [(argv[0] if argv else None,)]
+
+
 @pytest.mark.parametrize(
     "argv,names",
     [

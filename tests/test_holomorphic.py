@@ -22,6 +22,7 @@ from weylmin.holomorphic import (
     fg_from_phi,
     isotropy_check,
     phi_from_fg,
+    poly_real_part,
     poly_to_weyl,
     weyl_to_poly,
 )
@@ -260,14 +261,18 @@ class TestWeierstrassData:
         calls = []
         init = RatLambda.__init__
         monkeypatch.setattr(RatLambda, "__init__", lambda *args: calls.append(1) or init(*args))
-        for f, g in ((R("2"), R("L")), (R("(L+h)^2/(L-1)"), R("L/(1+h)"))):
+        # Polynomial data: sums and products of polynomials build no
+        # quotient, so only the products route's lifts of 1/2 and i/2 call
+        # __init__.  Rational data: each of 1/2 and i/2 was a lift and a
+        # reduced product.
+        for f, g, counts in ((R("2"), R("L"), (0, 2)),
+                             (R("(L+h)^2/(L-1)"), R("L/(1+h)"), (6, 10))):
             calls.clear()
             phi_from_fg(f, g)
             scaled = len(calls)
             calls.clear()
             phi_from_fg_products(f, g)
-            # each of 1/2 and i/2 was a lift and a reduced product
-            assert scaled == len(calls) - 4
+            assert (scaled, len(calls)) == counts
 
     def test_fg_round_trip(self):
         f, g = R("2"), R("L")
@@ -289,6 +294,34 @@ class TestWeierstrassData:
 
 
 class TestWeylBridge:
+    def test_real_part_row_map_against_element_real_part(self):
+        # poly_real_part keeps the element's order without a sort; the
+        # general real_part and imag_part, which sort, are its oracle.
+        # Seeded polynomials with h-degree up to 3 over den 1 and den > 1,
+        # their constant terms replaced by a purely real, a purely
+        # imaginary, a general or a zero h-polynomial, and the zero one.
+        rng = random.Random(83)
+        constants = {
+            "real": HbarPoly({0: Fraction(3, 2), 2: -4}),
+            "imaginary": HbarPoly({1: GaussRational(0, Fraction(-5, 3))}),
+            "general": HbarPoly({0: GaussRational(2, 7), 3: GaussRational(-1, Fraction(1, 2))}),
+            "zero": HbarPoly(),
+        }
+        minus_i = GaussRational(0, -1)
+        seen = set()
+        for n in range(48):
+            p = random_poly_lambda(rng, 4, 3, max_hbar=3)
+            kind = sorted(constants)[n % 4]
+            p = PolyLambda([(k, c) for k, c in p.coeffs if k] + [(0, constants[kind])])
+            if n % 3 == 0:
+                p = p.scale(p.den)
+            for q in (p, PolyLambda()) if n == 0 else (p,):
+                seen |= {kind, ("den 1", q.den == 1),
+                         ("h-degree", max((r[1] for r in q.rows), default=0))}
+                assert poly_real_part(q) == poly_to_weyl(q).real_part()
+                assert poly_real_part(q.scale(minus_i)) == poly_to_weyl(q).imag_part()
+        assert seen >= {*constants, ("den 1", True), ("den 1", False), ("h-degree", 3)}
+
     def test_poly_to_weyl_derivation_compatibility(self):
         # d/dL on polynomials matches the holomorphic derivation on elements
         rng = random.Random(25)

@@ -125,7 +125,7 @@ COMMAND_LOADS = {
     ("conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "latex"):
         (f"{_SURFACE} render serialize", 0, ""),
     ("fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"):
-        ("cli fock scalars serialize weyl", 0, ""),
+        ("cli fock scalars serialize", 0, ""),
     ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "text"): ("cli parse render scalars weyl", 0, ""),
     ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "latex"): ("cli parse render scalars weyl", 0, ""),
     **{("surface", *argv, "--fmt", fmt): (f"{modules} {writer}", 0, "")

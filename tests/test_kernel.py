@@ -254,18 +254,27 @@ class TestQuotient:
     @pytest.mark.parametrize("name", sorted(QUOTIENTS))
     def test_results_are_reduced_pairs(self, name):
         # +, -, *, inverse and negation skip reductions they know to be
-        # redundant; each result is the pair reduced from scratch
+        # redundant, and + and * of two polynomials (denominator ONE) skip
+        # it altogether; each result is the pair reduced from scratch, also
+        # with polynomials on both sides, on one side, and the zero one
         cls, ring = QUOTIENTS[name]
+        zero = cls(0)
         for *_, xyz in itertools.islice(quotient_draws(ring, random.Random(77)), 8):
             x, y, _ = (cls(*nd) for nd in xyz)
-            assert x + y == cls(x.num * y.den + y.num * x.den, x.den * y.den)
-            assert x - y == cls(x.num * y.den - y.num * x.den, x.den * y.den)
-            assert x * y == cls(x.num * y.num, x.den * y.den)
-            assert -x == cls(-x.num, x.den)
-            if not x.is_zero():
-                assert x.inverse() == cls(x.den, x.num)
-            for q in (x + y, -x, *([] if x.is_zero() else [x.inverse()])):
-                assert q == cls(q.num, q.den)
+            px, py = cls(x.num), cls(y.num)
+            pairs = [(x, y), (px, py), (px, y), (x, py), (zero, py), (px, zero), (zero, zero),
+                     (px, -px)]
+            for a, b in pairs:
+                assert a + b == cls(a.num * b.den + b.num * a.den, a.den * b.den)
+                assert a - b == cls(a.num * b.den - b.num * a.den, a.den * b.den)
+                assert a * b == cls(a.num * b.num, a.den * b.den)
+                assert -a == cls(-a.num, a.den)
+                if not a.is_zero():
+                    assert a.inverse() == cls(a.den, a.num)
+                for q in (a + b, a - b, a * b, -a, *([] if a.is_zero() else [a.inverse()])):
+                    assert q == cls(q.num, q.den)
+            for q in (px + py, px - py, px * py, px * zero, px + (-px)):
+                assert q.den == cls.ONE and q == cls(q.num)
 
     def test_lambda_degree_2(self):
         # The sixth draw at L-degree 2, with h in the coefficients: the

@@ -17,7 +17,7 @@ from oracles import (
 from weylmin.holomorphic import NotIntegrableError, PolyLambda
 from weylmin.parse import parse_rat, parse_weyl
 from weylmin.render import surface_text
-from weylmin.scalars import GaussRational, HbarPoly
+from weylmin.scalars import Flat, GaussRational, HbarPoly
 from weylmin.serialize import dumps_canonical, surface_to_obj
 from weylmin.surfaces import (
     NonPolynomialPrimitiveError,
@@ -36,6 +36,7 @@ from weylmin.surfaces import (
     surface_from_fg,
     surface_from_pair,
     verify_minimal,
+    _surface_from_primitives,
 )
 from weylmin import weyl
 from weylmin.weyl import Direction, U, V, WeylElement, ZERO
@@ -372,6 +373,26 @@ class TestConformalIdentity:
 
 
 class TestConjugate:
+    def test_components_never_canonicalise(self, monkeypatch):
+        # Re P_i of every constructor's primitives and of the conjugate's is
+        # a row map that keeps the order: the canonicaliser never runs
+        rng = random.Random(12)
+        surfaces = (surface_from_fg(R("h*(L-1-h)^2"), R("(L+2)/(L-1-h)")),
+                    surface_from_F(R("1/3*L^2 - h*L + 2")),
+                    surface_from_Ftilde(hbar_poly_lambda(rng, 6)),
+                    surface_from_pair(hbar_poly_lambda(rng, 3), hbar_poly_lambda(rng, 4)),
+                    enneper(3))
+        expected = [(s.components, conjugate_surface(s).components) for s in surfaces]
+
+        def store(*_):
+            raise AssertionError("a surface component went through the canonicaliser")
+
+        monkeypatch.setattr(Flat, "_store", store)
+        for s, (comps, conj) in zip(surfaces, expected):
+            rebuilt = _surface_from_primitives(s.provenance.primitives, s.offsets, s.provenance)
+            assert rebuilt.components == comps
+            assert conjugate_surface(s).components == conj
+
     def test_cauchy_riemann(self):
         for s in (enneper(1), surface_from_F(R("1+L^3"))):
             t = conjugate_surface(s)
