@@ -19,12 +19,14 @@ components, hermitian or not, and ``X_u = dX + dbarX``,
 
     E - G = 2(<dX, dX> + <dbarX, dbarX>),    F = i(<dX, dX> - <dbarX, dbarX>).
 
-Both squares are needed: a non-hermitian triple such as (L, iL, Ls) has
-``<dX, dX> = 0`` but ``E - G = 2``.  For hermitian components the second
-is the star of the first: the star is antilinear and antimultiplicative,
-and ``(dA)* = dbar(A*)``, so ``dbarX = (dX)*`` and
-``<dbarX, dbarX> = <dX, dX>*``.  For X = Re P, dX is holomorphic and
-dbarX antiholomorphic, so neither square has a reordering term.
+So X is conformal exactly when both squares vanish, and E - G and F are
+formed only as witnesses of a failure.  Both squares are needed: a
+non-hermitian triple such as (L, iL, Ls) has ``<dX, dX> = 0`` but
+``E - G = 2``.  For hermitian components the second is the star of the
+first (the star is antilinear and antimultiplicative, and ``(dA)* =
+dbar(A*)``, so ``dbarX = (dX)*``), and the first alone decides.  For
+X = Re P, dX is holomorphic and dbarX antiholomorphic, so neither square
+has a reordering term.
 
 Three generating conventions are supported and kept mutually consistent:
 
@@ -181,12 +183,12 @@ def first_fundamental(s: Surface) -> FirstFundamental:
 def verify_minimal(s: Surface) -> VerificationReport:
     """Exact hermiticity, harmonicity and conformality checks.
 
-    E - G and F come from the squares of dX and dbarX (see the module
-    docstring): ``E - G = 2(<dX, dX> + <dbarX, dbarX>)`` and
-    ``F = i(<dX, dX> - <dbarX, dbarX>)``, the same elements as
-    :func:`first_fundamental` gives, for any components.  When every
-    component is hermitian, ``<dbarX, dbarX> = <dX, dX>*`` and the star
-    replaces the second square.
+    Conformal means ``<dX, dX> = <dbarX, dbarX> = 0``, that is E - G = F
+    = 0 (see the module docstring); when every component is hermitian,
+    ``<dbarX, dbarX> = <dX, dX>*`` and the first square alone decides.
+    Only a failure forms ``E - G = 2(<dX, dX> + <dbarX, dbarX>)`` and
+    ``F = i(<dX, dX> - <dbarX, dbarX>)``, as witnesses: the same elements
+    as :func:`first_fundamental` gives, for any components.
     """
     hermitian = []
     harmonic = []
@@ -202,14 +204,13 @@ def verify_minimal(s: Surface) -> VerificationReport:
             witnesses.append((f"harmonic:X{idx}", lap))
     d = _partials(s, Direction.D)
     dd = bilinear(d, d)
-    bb = dd.star() if all(hermitian) else bilinear(dbar := _partials(s, Direction.DBAR), dbar)
-    eg = (dd + bb).scale(2)
-    f = (dd - bb).scale(GR_I)
-    conformal = eg.is_zero() and f.is_zero()
-    if not eg.is_zero():
-        witnesses.append(("conformal:E-G", eg))
-    if not f.is_zero():
-        witnesses.append(("conformal:F", f))
+    bb = None if all(hermitian) else bilinear(dbar := _partials(s, Direction.DBAR), dbar)
+    conformal = dd.is_zero() and (bb is None or bb.is_zero())
+    if not conformal:
+        bb = dd.star() if bb is None else bb
+        for name, w in (("conformal:E-G", (dd + bb).scale(2)), ("conformal:F", (dd - bb).scale(GR_I))):
+            if not w.is_zero():
+                witnesses.append((name, w))
     return VerificationReport(
         hermitian=tuple(hermitian),
         harmonic=tuple(harmonic),

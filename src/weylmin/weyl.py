@@ -33,9 +33,11 @@ An element is stored in the kernel's flat form
 (:class:`~weylmin.scalars.Flat`): rows ``(k, l, h-degree, re, im)`` of
 Gaussian-integer numerators over one denominator, with the product here.
 It adds each (row pair, reordering term) into one accumulator in a plain
-loop (:func:`_products`), and :func:`symmetric_product_sum` (the surface
-layer's bilinear form) puts all its products into one.  The writers read
-the rows through :func:`coefficients` or its U,V-ordered twin
+loop (:func:`_products`); a left row without Ls, such as every row of dX
+for X = Re P, needs no reordering and its pairs go straight in.
+:func:`symmetric_product_sum` (the surface layer's bilinear form) puts
+all its products into one accumulator.  The writers read the rows
+through :func:`coefficients` or its U,V-ordered twin
 :func:`uv_coefficients`, one integer accumulation of the rows times their
 :func:`uv_table` rows; both give ``{(k, l): [(h-degree, re_num, re_den,
 im_num, im_den), ...]}``, each part an integer fraction in lowest terms.
@@ -91,13 +93,20 @@ class Direction(Enum):
 Bidegree = tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+# _reorder stores terms only for l, m <= REORDER_MEMO_CAP, at most 33^2 entries and under
+# 2 MB by sys.getsizeof; others are computed per call ((3000, 3000) alone would be 8 MB).
+REORDER_MEMO_CAP = 32
+_REORDER_MEMO: dict = {}
+
+
 def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
     # Ls^l L^m = sum_j coef_j h^j L^(m-j) Ls^(l-j) with integer coef_j.
-    return tuple(
-        (j, factorial(j) * comb(l, j) * comb(m, j) * (-2) ** j)
-        for j in range(min(l, m) + 1)
-    )
+    if (terms := _REORDER_MEMO.get((l, m))) is None:
+        terms = tuple((j, factorial(j) * comb(l, j) * comb(m, j) * (-2) ** j)
+                      for j in range(min(l, m) + 1))
+        if max(l, m) <= REORDER_MEMO_CAP:
+            _REORDER_MEMO[l, m] = terms
+    return terms
 
 
 # The largest k + l of a U,V table.  uv_table(k, l) takes O((k + l)^3)
@@ -134,9 +143,16 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
 
 def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
     """Add the normal-ordered product of two row lists, over the product of
-    their denominators, into the accumulator ``acc``."""
+    their denominators, into the accumulator ``acc``; L^k1 times L^k2
+    Ls^l2, a left row without Ls, is normal ordered already."""
     get = acc.get
     for k1, l1, d1, ar, ai in a:
+        if not l1:
+            for k2, l2, d2, br, bi in b:
+                key, re, im = (k1 + k2, l2, d1 + d2), ar * br - ai * bi, ar * bi + ai * br
+                cur = get(key)
+                acc[key] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
+            continue
         for k2, l2, d2, br, bi in b:
             re, im = ar * br - ai * bi, ar * bi + ai * br
             k, l, d = k1 + k2, l1 + l2, d1 + d2

@@ -775,6 +775,41 @@ def imag_part_by_star(a: WeylElement) -> WeylElement:
     return (a - a.star()).scale(GaussRational(0, Fraction(-1, 2)))
 
 
+def verify_minimal_always_witnessed(s):
+    """The verifier that always forms E - G = 2(<dX, dX> + <dbarX, dbarX>)
+    and F = i(<dX, dX> - <dbarX, dbarX>) and decides conformality from
+    them; for hermitian components <dbarX, dbarX> is <dX, dX>*."""
+    from weylmin.surfaces import VerificationReport, bilinear
+
+    hermitian = []
+    harmonic = []
+    witnesses = []
+    for idx, c in enumerate(s.components, start=1):
+        h = c.is_hermitian()
+        hermitian.append(h)
+        if not h:
+            witnesses.append((f"hermitian:X{idx}", c - c.star()))
+        lap = c.laplace()
+        harmonic.append(lap.is_zero())
+        if not lap.is_zero():
+            witnesses.append((f"harmonic:X{idx}", lap))
+    d = tuple(c.derive(Direction.D) for c in s.components)
+    dd = bilinear(d, d)
+    if all(hermitian):
+        bb = dd.star()
+    else:
+        dbar = tuple(c.derive(Direction.DBAR) for c in s.components)
+        bb = bilinear(dbar, dbar)
+    eg = (dd + bb).scale(2)
+    f = (dd - bb).scale(GR_I)
+    conformal = eg.is_zero() and f.is_zero()
+    if not eg.is_zero():
+        witnesses.append(("conformal:E-G", eg))
+    if not f.is_zero():
+        witnesses.append(("conformal:F", f))
+    return VerificationReport(tuple(hermitian), tuple(harmonic), conformal, tuple(witnesses))
+
+
 def phi_from_fg_products(f, g):
     """The isotropic triple (f(1 - g^2)/2, i f(1 + g^2)/2, f g), with 1/2 and
     i/2 applied as Lambda-rational products."""

@@ -13,6 +13,7 @@ from oracles import (
     random_poly_lambda,
     random_weyl,
     real_part_components,
+    verify_minimal_always_witnessed,
 )
 from weylmin.holomorphic import NotIntegrableError, PolyLambda
 from weylmin.parse import parse_rat, parse_weyl
@@ -150,47 +151,59 @@ class TestConstructors:
             surface_from_fg(R("2/L^2"), R("L^2"))
 
 
+def _catalogue() -> tuple:
+    return (
+        enneper(1),
+        enneper(2),
+        surface_from_F(R("6")),
+        surface_from_F(R("24*L")),
+        surface_from_F(R("1+L^3")),
+        surface_from_Ftilde(P("L^5")),
+        surface_from_pair(P("1+L"), P("L^3")),
+    )
+
+
+def _broken() -> dict:
+    """enneper(1) broken in each property the verifier checks."""
+    s = enneper(1)
+    x1, x2, x3 = s.components
+    return {
+        kind: Surface(comps, s.offsets, s.provenance)
+        for kind, comps in (
+            ("hermitian", (x1 + U * V, x2, x3)),
+            ("harmonic", (x1 + U * U, x2, x3)),
+            ("conformal", (U, V, x3)),
+        )
+    }
+
+
 class TestVerify:
     def test_passes_on_catalogue(self):
-        for s in (
-            enneper(1),
-            enneper(2),
-            surface_from_F(R("6")),
-            surface_from_F(R("24*L")),
-            surface_from_F(R("1+L^3")),
-            surface_from_Ftilde(P("L^5")),
-            surface_from_pair(P("1+L"), P("L^3")),
-        ):
+        for s in _catalogue():
             rep = verify_minimal(s)
             assert rep.passes
             assert all(rep.hermitian) and all(rep.harmonic) and rep.conformal
             assert rep.witnesses == ()
 
     def test_broken_hermiticity_is_witnessed(self):
-        s = enneper(1)
-        bad = Surface(
-            (s.components[0] + U * V, *s.components[1:]), s.offsets, s.provenance
-        )
-        rep = verify_minimal(bad)
+        rep = verify_minimal(_broken()["hermitian"])
         assert not rep.passes
         names = [name for name, _ in rep.witnesses]
         assert "hermitian:X1" in names
 
     def test_broken_harmonicity_is_witnessed(self):
-        s = enneper(1)
-        bad = Surface(
-            (s.components[0] + U * U, *s.components[1:]), s.offsets, s.provenance
-        )
-        rep = verify_minimal(bad)
+        rep = verify_minimal(_broken()["harmonic"])
         assert not rep.passes
         assert any(name.startswith("harmonic:") for name, _ in rep.witnesses)
 
     def test_broken_conformality_is_witnessed(self):
-        s = enneper(1)
-        bad = Surface((U, V, s.components[2]), s.offsets, s.provenance)
-        rep = verify_minimal(bad)
+        # (U, V, Re L^2): dX = (1/2, -i/2, L), so <dX, dX> = L^2 and, the
+        # components being hermitian, <dbarX, dbarX> = Ls^2
+        rep = verify_minimal(_broken()["conformal"])
         assert not rep.passes
-        assert any(name.startswith("conformal:") for name, _ in rep.witnesses)
+        assert rep.hermitian == rep.harmonic == (True,) * 3 and not rep.conformal
+        assert rep.witnesses == (("conformal:E-G", W("2*L^2 + 2*Ls^2")),
+                                 ("conformal:F", W("i*L^2 - i*Ls^2")))
 
     def test_phi_identity(self):
         # <Phi, Phi> = E - G - 2iF, exactly
@@ -317,9 +330,11 @@ def _raw(components) -> Surface:
 class TestConformalIdentity:
     """verify_minimal forms E - G and F from the squares of dX and dbarX.
     Its conformal witnesses must be E - G and F of the real directions, as
-    first_fundamental and the swap oracle form them, for any components."""
+    first_fundamental and the swap oracle form them, for any components,
+    and the whole report that of the verifier that always forms them."""
 
     def witnesses_match_references(self, s: Surface) -> list:
+        assert verify_minimal(s) == verify_minimal_always_witnessed(s)
         got = _conformal_witnesses(s)
         ff = first_fundamental(s)
         assert got == _nonzero(ff.E - ff.G, ff.F)
@@ -370,6 +385,48 @@ class TestConformalIdentity:
         assert bilinear(d, d) == ZERO
         assert self.witnesses_match_references(s) == [
             ("conformal:E-G", W("2")), ("conformal:F", W("-i"))]
+
+
+class TestVerifierOracle:
+    """verify_minimal decides conformality from the squares of dX and dbarX
+    and forms E - G and F only as witnesses of a failure.  Its reports must
+    equal those of the verifier that always forms them (random and
+    (L, iL, Ls) components: TestConformalIdentity)."""
+
+    @staticmethod
+    def report(s: Surface):
+        rep = verify_minimal(s)
+        assert rep == verify_minimal_always_witnessed(s)
+        return rep
+
+    def test_catalogue_and_conjugates(self):
+        for s in _catalogue():
+            for t in (s, conjugate_surface(s)):
+                assert self.report(t).passes
+
+    def test_broken_surfaces(self):
+        for kind, s in _broken().items():
+            rep = self.report(s)
+            assert not rep.passes
+            assert any(name.startswith(kind + ":") for name, _ in rep.witnesses)
+
+    def test_conformal_but_not_hermitian(self):
+        # (L, iL, 0): both squares vanish though L and iL are not hermitian
+        rep = self.report(_raw((W("L"), W("i*L"), ZERO)))
+        assert rep.conformal and rep.harmonic == (True,) * 3
+        assert rep.hermitian == (False, False, True) and not rep.passes
+        assert [n for n, _ in rep.witnesses] == ["hermitian:X1", "hermitian:X2"]
+
+    def test_pass_path_forms_no_witness(self, monkeypatch):
+        # a hermitian surface that passes takes no star and no sum
+        surfaces = [t for s in _catalogue() for t in (s, conjugate_surface(s))]
+
+        def refuse(*_):
+            raise AssertionError("a passing surface formed a witness")
+
+        monkeypatch.setattr(WeylElement, "star", refuse)
+        monkeypatch.setattr(Flat, "_add", refuse)
+        assert all(verify_minimal(s).passes for s in surfaces)
 
 
 class TestConjugate:

@@ -1,13 +1,15 @@
 """Normal-ordered algebra: products, derivations, star, Laplacian."""
 
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, factorial, gcd
 
 import pytest
 
 from oracles import (
     as_fractions,
+    bilinear_literal,
     grouped,
     imag_part_by_star,
     lambda_word_normal_order,
@@ -25,12 +27,14 @@ from oracles import (
     uv_word_normal_order,
     weyl_product_by_swaps,
 )
+from weylmin import weyl
 from weylmin.scalars import GaussRational, HbarPoly
 from weylmin.weyl import (
     HBAR,
     LAM,
     LAM_STAR,
     ONE,
+    REORDER_MEMO_CAP,
     U,
     UV_TABLE_CAP,
     V,
@@ -42,6 +46,7 @@ from weylmin.weyl import (
     derive_by_commutator,
     from_uv,
     sym,
+    symmetric_product_sum,
     uv_coefficients,
     uv_table,
 )
@@ -152,6 +157,97 @@ class TestFlatProduct:
             a, b = x + y, x - y
             assert a * b == weyl_product_by_swaps(a, b) == weyl_product_by_swaps(x, x) - (
                 weyl_product_by_swaps(y, y))
+
+
+def random_holomorphic(rng, den: int) -> WeylElement:
+    """A polynomial in L with h-degrees up to 2, over a multiple of ``den``."""
+    terms = {(k, 0): HbarPoly({d: random_gauss(rng) for d in range(rng.randint(1, 3))})
+             for k in rng.sample(range(6), 3)}
+    return WeylElement(terms).scale(Fraction(1, den))
+
+
+class TestHolomorphicLeftFactor:
+    """A left row without Ls is added to the product with no reordering;
+    products and squares must still equal the one-swap oracle's, and the
+    reordering terms must be looked up only for left rows with Ls."""
+
+    @pytest.fixture
+    def reorders(self, monkeypatch):
+        calls = []
+        reorder = weyl._reorder
+        monkeypatch.setattr(weyl, "_reorder", lambda l, m: calls.append((l, m)) or reorder(l, m))
+        return calls
+
+    @staticmethod
+    def operands(seed):
+        rng = random.Random(160 + seed)
+        for _ in range(3):
+            a, b = random_holomorphic(rng, 101), random_holomorphic(rng, 103)
+            x, y = (random_weyl(rng, max_deg=4, terms=5, max_hbar=2).scale(Fraction(1, 107))
+                    + WeylElement.basis(1, 2) for _ in range(2))
+            assert a.is_holomorphic() and b.is_holomorphic()
+            assert a.den % 101 == 0 and b.den % 103 == 0 and any(r[2] for r in a.rows)
+            assert not x.is_holomorphic() and not y.is_holomorphic()
+            yield a, b, x, y
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_against_swaps(self, seed, reorders):
+        for a, b, x, y in self.operands(seed):
+            for left, right in ((a, b), (a, x), (x, a), (x, y)):
+                assert left * right == weyl_product_by_swaps(left, right)
+        assert reorders and all(l for l, _ in reorders)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_holomorphic_squares(self, seed, reorders):
+        for a, b, x, y in self.operands(seed):
+            for xs in ((a,), (a, b), (a, x, b)):
+                assert symmetric_product_sum(xs, xs) == bilinear_literal(xs, xs)
+        assert reorders and all(l for l, _ in reorders)
+
+
+def reorder_formula(l, m):
+    return tuple((j, factorial(j) * comb(l, j) * comb(m, j) * (-2) ** j)
+                 for j in range(min(l, m) + 1))
+
+
+def memo_bytes(memo: dict) -> int:
+    """Keys, term tuples and their integers, by sys.getsizeof."""
+    return sys.getsizeof(memo) + sum(
+        sys.getsizeof(key) + sum(map(sys.getsizeof, key)) + sys.getsizeof(terms)
+        + sum(sys.getsizeof(t) + sys.getsizeof(t[0]) + sys.getsizeof(t[1]) for t in terms)
+        for key, terms in memo.items())
+
+
+class TestReorderMemo:
+    def test_coefficients_match_formula(self, monkeypatch):
+        monkeypatch.setattr(weyl, "_REORDER_MEMO", {})
+        for l in range(13):
+            for m in range(13):
+                want = reorder_formula(l, m)
+                assert weyl._reorder(l, m) == want == weyl._reorder(l, m)
+        assert len(weyl._REORDER_MEMO) == 13 * 13
+        for l, m in ((1, 1), (3, 2), (2, 4)):
+            assert WeylElement({(m - j, l - j): HbarPoly({j: c}) for j, c in reorder_formula(l, m)}) \
+                == LAM_STAR**l * LAM**m
+
+    def test_products_past_the_cap_are_not_stored(self, monkeypatch):
+        monkeypatch.setattr(weyl, "_REORDER_MEMO", {})
+        n = REORDER_MEMO_CAP + 8
+        ls_n, l_n = WeylElement.basis(0, n), WeylElement.basis(n, 0)
+        nn = WeylElement({(n - j, n - j): HbarPoly({j: c}) for j, c in reorder_formula(n, n)})
+        assert ls_n * l_n == nn
+        assert weyl._REORDER_MEMO == {}
+        # (Ls^n + Ls)(L^n + L) looks up (n, n), (n, 1), (1, n) and (1, 1)
+        got = (ls_n + LAM_STAR) * (l_n + LAM)
+        assert got == nn + weyl_product_by_swaps(ls_n + LAM_STAR, LAM) + weyl_product_by_swaps(
+            LAM_STAR, l_n)
+        assert list(weyl._REORDER_MEMO) == [(1, 1)]
+        # the memo filled to its cap stays under the documented 2 MB
+        for l in range(n + 1):
+            for m in range(n + 1):
+                weyl._reorder(l, m)
+        assert len(weyl._REORDER_MEMO) == (REORDER_MEMO_CAP + 1) ** 2
+        assert memo_bytes(weyl._REORDER_MEMO) < 2_000_000
 
 
 class TestFlatStorage:
