@@ -33,7 +33,9 @@ The scalars of the package, all exact, are three of these types:
   works fraction-free over HbarPoly and never builds one.
 
 Both fields of fractions of the package, HbarRat and the Lambda-rationals
-of :mod:`weylmin.holomorphic`, are one :class:`Quotient` over their ring.
+of :mod:`weylmin.holomorphic`, are one :class:`Quotient` over their ring,
+which reduces sums and products by cross gcds, as Henrici does for
+rationals (J. ACM 3 (1956); Knuth, TAOCP vol. 2, 4.5.1; cited only).
 
 Everything is immutable and hashable; equality is equality of canonical
 forms.  :class:`Frozen`, the base of every value type of the package,
@@ -503,21 +505,33 @@ class Poly(Flat):
         """Euclidean division: ``(q, r)`` with self = q*other + r, deg r < deg other.
 
         Each step subtracts a monomial multiple of ``other`` in the flat
-        form.  Over a coefficient ring that is not a field (PolyLambda's
-        HbarPoly) each quotient coefficient is an exact division, which
-        succeeds whenever q lies in the ring: when ``other`` divides
-        ``self`` and is primitive, or when ``self`` is premultiplied by a
-        power of the leading coefficient (pseudo-division).  Otherwise
-        ValueError.
+        form.  Over a field (HbarPoly) a step is a row map: for the leading
+        numerators z of the remainder and u of ``other``, the remainder's rows
+        times |u|^2 less ``other``'s, shifted, times z*conj(u).  Over a
+        coefficient ring that is not a field (PolyLambda's HbarPoly) each
+        quotient coefficient is an exact division, which succeeds whenever q
+        lies in the ring: when ``other`` divides ``self`` and is primitive,
+        or when ``self`` is premultiplied by a power of the leading
+        coefficient (pseudo-division).  Otherwise ValueError.
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         db, lb = other.degree(), other.leading()
-        quo, rem = type(self)(), self
+        quo, rem = self._wrap([], 1), self
+        if isinstance(lb, Field):
+            (_, br, bi), terms = other.rows[-1], []
+            while rem.rows and rem.rows[-1][0] >= db:
+                (top, re, im), n = rem.rows[-1], br * br + bi * bi
+                gap, wr, wi = top - db, re * br + im * bi, im * br - re * bi
+                terms.append((gap, wr * other.den, wi * other.den, rem.den * n))
+                rem = self._new(_accumulate({(d,): (x * n, y * n) for d, x, y in rem.rows[:-1]}, (
+                    ((d + gap,), wi * y - wr * x, -wr * y - wi * x) for d, x, y in other.rows[:-1]
+                )), rem.den * n)
+            m = lcm(*(q for *_, q in terms))
+            return self._wrap([(g, a * m // q, b * m // q) for g, a, b, q in terms[::-1]], m), rem
         while rem.degree() >= db:
-            top = rem.leading()
-            step = type(self)({rem.degree() - db: top / lb if isinstance(lb, Field)
-                               else hp_exact_div(top, lb)})
+            c = hp_exact_div(rem.leading(), lb)
+            step = self._wrap([(rem.degree() - db,) + r for r in c.rows], c.den)
             quo, rem = quo + step, rem - step * other
         return quo, rem
 
@@ -555,6 +569,8 @@ def hp_gcd(a: Poly, b: Poly) -> Poly:
     the primitive remainder sequence (Collins 1967; Brown 1971): each
     pseudo-remainder is divided by its content.  Over a field that is
     Euclid with monic remainders."""
+    if not a.degree():
+        return a._lift(1)
     while not b.is_zero():
         if not b.degree():
             return b._lift(1)
@@ -569,6 +585,11 @@ def hp_exact_div(a: Poly, b: Poly) -> Poly:
     if not r.is_zero():
         raise ValueError("inexact polynomial division")
     return q
+
+
+def _divide_out(p: Poly, g: Poly) -> Poly:
+    """``p / g`` for a gcd ``g`` of ``p``; a constant gcd is one and leaves ``p``."""
+    return hp_exact_div(p, g) if g.degree() > 0 else p
 
 
 class HbarPoly(Poly):
@@ -622,7 +643,9 @@ class Quotient(Field):
     The canonical form divides out :func:`hp_gcd` of ``num`` and ``den``,
     then their joint :func:`content`, which leaves ``den`` in normal form
     (:meth:`Poly.monic`).  Zero is ``ZERO / ONE``, and ``(num, ONE)`` is
-    canonical: polynomials have denominator ``ONE``.
+    canonical: polynomials have denominator ``ONE``.  The constructor
+    reduces from scratch; ``+`` and ``*`` reduce by cross gcds of the coprime
+    operands (Henrici, J. ACM 3 (1956); Knuth, TAOCP 2, 4.5.1; cited only).
     """
 
     __slots__ = _fields = ("num", "den")
@@ -630,19 +653,20 @@ class Quotient(Field):
     den: Poly
 
     def __init__(self, num, den) -> None:
-        n = self.POLY.coerce(num)
-        d = self.POLY.coerce(den)
+        n, d = self.POLY.coerce(num), self.POLY.coerce(den)
         if d.is_zero():
             raise ZeroDivisionError(f"zero denominator in {type(self).__name__}")
+        g = self.ONE if n.is_zero() or d == self.ONE else hp_gcd(n, d)
+        self._init_fields(*self._canonical(_divide_out(n, g), _divide_out(d, g)))
+
+    def _canonical(self, n, d) -> tuple:
+        """The coprime pair ``(n, d)`` without its joint :func:`content`; zero as ZERO/ONE."""
         if n.is_zero():
-            n, d = self.ZERO, self.ONE
-        elif d != self.ONE:
-            g = hp_gcd(n, d)
-            if g.degree() > 0:
-                n, d = hp_exact_div(n, g), hp_exact_div(d, g)
-            c = content(d, n)
-            n, d = cancel(n, c), cancel(d, c)
-        self._init_fields(n, d)
+            return self.ZERO, self.ONE
+        if d == self.ONE:
+            return n, d
+        c = content(d, n)
+        return cancel(n, c), cancel(d, c)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -657,10 +681,16 @@ class Quotient(Field):
         return self.num
 
     def _add(self, o):
-        """The sum; of two polynomials, a canonical ``(num, ONE)`` pair built as is."""
-        if self.den == self.ONE == o.den:
-            return self._reduced(self.num + o.num, self.ONE)
-        return type(self)(self.num * o.den + o.num * self.den, self.den * o.den)
+        """a/b + c/d: for g = gcd(b, d), t = a(d/g) + c(b/g) and g2 = gcd(t, g),
+        t/g2 over (b/g)(d/g2) is coprime."""
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if b == self.ONE == d:
+            return self._reduced(a + c, self.ONE)
+        g = hp_gcd(b, d)
+        bg = _divide_out(b, g)
+        t = a * _divide_out(d, g) + c * bg
+        g2 = hp_gcd(t, g)
+        return self._reduced(*self._canonical(_divide_out(t, g2), bg * _divide_out(d, g2)))
 
     def _reduced(self, num, den):
         """The quotient of a pair already in canonical form, built as is."""
@@ -672,10 +702,13 @@ class Quotient(Field):
         return self._reduced(-self.num, self.den)
 
     def _mul(self, o):
-        """The product; of two polynomials, a canonical ``(num, ONE)`` pair built as is."""
-        if self.den == self.ONE == o.den:
-            return self._reduced(self.num * o.num, self.ONE)
-        return type(self)(self.num * o.num, self.den * o.den)
+        """(a/b)(c/d): of coprime pairs only gcd(a, d) and gcd(c, b) cancel."""
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if b == self.ONE == d:
+            return self._reduced(a * c, self.ONE)
+        g, h = hp_gcd(a, d), hp_gcd(c, b)
+        return self._reduced(*self._canonical(_divide_out(a, g) * _divide_out(c, h),
+                                              _divide_out(b, h) * _divide_out(d, g)))
 
     def inverse(self):
         """The swapped pair, coprime already: only its joint content is

@@ -857,6 +857,23 @@ def scale_by_lift(x, c):
     return x._mul(lift_by_constructor(type(x), c))
 
 
+def divmod_by_steps(a, b):
+    """Euclidean division with each quotient term built by the constructor
+    and subtracted as a full product with ``b``, over a field or not."""
+    from weylmin.scalars import hp_exact_div
+
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    db, lb = b.degree(), b.leading()
+    quo, rem = type(a)(), a
+    while rem.degree() >= db:
+        top = rem.leading()
+        step = type(a)({rem.degree() - db: top / lb if isinstance(lb, Field)
+                        else hp_exact_div(top, lb)})
+        quo, rem = quo + step, rem - step * b
+    return quo, rem
+
+
 # -- the derivations through an accumulator --------------------------------------
 #
 # The flat types form d, dbar, u, v, the Laplacian, the h-shift and the

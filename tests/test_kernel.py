@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from oracles import (
     canon,
     derive_weighted,
     diff_accumulated,
+    divmod_by_steps,
     euclid_gcd,
     laplace_accumulated,
     lift_by_constructor,
@@ -29,6 +31,7 @@ from oracles import (
     shift_hbar_accumulated,
     terms_classical_limit,
 )
+from weylmin import scalars
 from weylmin.classical import UVPoly, classical_limit
 from weylmin.holomorphic import PolyLambda, RatLambda
 from weylmin.scalars import (
@@ -214,6 +217,25 @@ class TestPrimitivePRS:
         with pytest.raises(ZeroDivisionError):
             PolyLambda({1: 1}).divmod_poly(PolyLambda())
 
+    def test_field_division_matches_steps(self):
+        # Over GaussRational each division step is a row map; the oracle
+        # builds each quotient term and subtracts it as a full product.
+        # Seeded HbarPolys up to h-degree 4 with den > 1: inexact divisions,
+        # exact ones (zero remainder), and a divisor of higher degree.
+        rng = random.Random(78)
+        kinds = set()
+        for _ in range(30):
+            a, b = random_hbar_poly(rng, 4, 4), random_hbar_poly(rng, 4, 3)
+            if b.is_zero():
+                continue
+            for x, y in ((a, b), (a * b, b), (b, a * b), (a * b + a, b)):
+                if y.is_zero():
+                    continue
+                q, r = x.divmod_poly(y)
+                assert (q, r) == divmod_by_steps(x, y)
+                kinds.add((r.is_zero(), q.is_zero(), max(x.den, y.den) > 1))
+        assert {(True, False, True), (False, False, True), (False, True, True)} <= kinds
+
     def test_inexact_step_rejected(self):
         with pytest.raises(ValueError, match="inexact"):
             PolyLambda({1: 1}).divmod_poly(PolyLambda({1: HbarPoly({1: 1})}))
@@ -226,7 +248,7 @@ def _cross_equal(a, b) -> bool:
 
 # Each field of fractions with a seeded generator of its ring's elements.
 # The L-degree stays at 1 to keep the laws fast; test_lambda_degree_2
-# checks one product at L-degree 2, which takes about 0.35 s (CPU).
+# checks one product at L-degree 2.
 QUOTIENTS = {
     "HbarRat": (HbarRat, lambda rng: random_hbar_poly(rng, 2, 2)),
     "RatLambda": (RatLambda, lambda rng: random_poly_lambda(rng, 1, 2, max_hbar=1)),
@@ -275,6 +297,61 @@ class TestQuotient:
                     assert q == cls(q.num, q.den)
             for q in (px + py, px - py, px * py, px * zero, px + (-px)):
                 assert q.den == cls.ONE and q == cls(q.num)
+
+    @pytest.mark.parametrize("name", sorted(QUOTIENTS))
+    def test_cross_gcd_branches(self, name, monkeypatch):
+        # Pairs that force each branch of the cross-gcd sum and product, each
+        # result equal to the pair reduced from scratch.  The gcds that +
+        # and * take show the branch: for a/b + c/d, g = gcd(b, d) and g2 =
+        # gcd(t, g); for (a/b)(c/d), gcd(a, d) and gcd(c, b).
+        cls, _ = QUOTIENTS[name]
+        taken = []
+        gcd = scalars.hp_gcd
+
+        def recording(a, b):
+            g = gcd(a, b)
+            if sys._getframe(1).f_code.co_name in ("_add", "_mul"):
+                taken.append(g.degree())
+            return g
+
+        monkeypatch.setattr(scalars, "hp_gcd", recording)
+        x, hb = cls.POLY({1: 1}), HbarPoly({1: 1}) if cls is RatLambda else 0
+        P, Q, R = x - 3 + hb * 2, x + 1 - GR_I, x - 2 + hb
+        hc = cls.POLY.coerce(HbarPoly({0: 1, 1: 1}))
+        q = cls(x + 1, P)
+        pairs = [
+            (cls(1, P), cls(1, Q)),                          # coprime denominators
+            (cls(1, P), cls(2, P)),                          # equal, nothing cancels
+            (cls(1, P * P), cls(x - 4 + hb * 2, P * P)),     # t = P: cancels in part
+            (cls(x, P), cls(hb * 2 - 3, P)),                 # t = P: cancels in full
+            (q, -q),                                         # x + (-x) over a shared pole
+            (cls(1 - GR_I, P**2), cls(GR_I - 2, P**3)),     # repeated poles
+            (cls(R, Q), cls(Q, P)), (cls(Q, P), cls(R, Q)),  # (L-r)/(L-s) * (L-s)/(L-t)
+            (q, q.inverse()),                                # x * x^-1
+            (cls(hc, x), cls(x, hc)),                        # h-contents
+            (cls(x + hb), cls(1, P)), (cls(1, P), cls(x)),   # one polynomial operand
+            (cls(0), cls(1, P)), (cls(1, P), cls(0)),        # zero
+            (cls(x), cls(x + 1)),                            # two polynomials
+        ]
+        branches = set()
+        for a, b in pairs:
+            for op, want in (("+", cls(a.num * b.den + b.num * a.den, a.den * b.den)),
+                             ("*", cls(a.num * b.num, a.den * b.den))):
+                taken.clear()
+                got = a + b if op == "+" else a * b
+                assert got == want and got == cls(got.num, got.den)
+                if not taken:
+                    branches.add((op, "polynomials"))
+                elif op == "+":
+                    g, g2 = taken
+                    branches.add(("+", "coprime" if not g else "no cancel" if not g2
+                                  else "in part" if g2 < g else "in full"))
+                else:
+                    branches.update(("*", side) for side, g in zip(("a, d", "c, b"), taken) if g)
+                    branches.add(("*", "cross" if any(taken) else "coprime"))
+        assert branches == {("+", "polynomials"), ("+", "coprime"), ("+", "no cancel"),
+                            ("+", "in part"), ("+", "in full"), ("*", "polynomials"),
+                            ("*", "coprime"), ("*", "cross"), ("*", "a, d"), ("*", "c, b")}
 
     def test_lambda_degree_2(self):
         # The sixth draw at L-degree 2, with h in the coefficients: the
