@@ -12,7 +12,6 @@ imports the layers it runs, so importing this module loads none of them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
@@ -91,6 +90,8 @@ def _emit_surface(s: Surface, fmt: str, out: Optional[str]) -> None:
 
 
 def _read_surface(path: str) -> Surface:
+    import json
+
     from .serialize import DeserializeError, surface_from_obj
 
     if path == "-":

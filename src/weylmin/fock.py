@@ -173,23 +173,6 @@ def _weight(m: int, n: int, s: Fraction) -> Fraction:
     return s ** (m - n) * Fraction(math.factorial(m), math.factorial(n))
 
 
-def _lap_entry(entry, m: int, n: int, dim: int, s: Fraction) -> Fraction:
-    """(lap M')[m, n] from the entries ``entry(i, j)`` of M': lap M =
-    -([[M, L], Ls] + [[M, Ls], L]) / (2 hbar^2) = -(D M + M D - 2 L M Ls -
-    2 Ls M L) / (2 hbar^2), with D = L Ls + Ls L diagonal, s (2i + 1) except
-    D[dim-1, dim-1] = s (dim-1) in the truncated corner."""
-
-    def diag(i: int) -> Fraction:
-        return s * (2 * i + 1 if i < dim - 1 else dim - 1)
-
-    c = (diag(m) + diag(n)) * entry(m, n)
-    if m + 1 < dim and n + 1 < dim:
-        c -= 2 * s * (m + 1) * entry(m + 1, n + 1)
-    if m and n:
-        c -= 2 * s * n * entry(m - 1, n - 1)
-    return -2 * c / (s * s)
-
-
 def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> tuple[int, int]:
     """Largest squared window-column norm of lap X1 (``parity`` 0) or of
     lap X2 (``parity`` 1), as a numerator and a denominator.
@@ -236,52 +219,6 @@ def _exp_part(dim: int, s: Fraction, window: int, parity: int) -> tuple[int, int
     return ((dim / s / math.factorial(top - n)) ** 2 * _weight(top, n, s)).as_integer_ratio()
 
 
-def _u_part(dim: int, s: Fraction, window: int) -> Fraction:
-    """Largest squared window-column norm of lap X3 = lap U.
-
-    U' = (L' + Ls')/2 lives on the two diagonals next to the main one, and
-    the Laplacian keeps every diagonal, so each column has two entries.
-    """
-
-    def u(i: int, j: int) -> Fraction:
-        return s * j / 2 if i == j - 1 else Fraction(1, 2) if i == j + 1 else Fraction(0)
-
-    worst = Fraction(0)
-    for n in range(window + 1):
-        sq = Fraction(0)
-        for m in (n - 1, n + 1):
-            if 0 <= m < dim:
-                sq += _lap_entry(u, m, n, dim, s) ** 2 * _weight(m, n, s)
-        worst = max(worst, sq)
-    return worst
-
-
-def _isotropy_part(s: Fraction, window: int) -> Fraction:
-    """Largest squared window-column norm of Phi1^2 + Phi2^2 + Phi3^2.
-
-    With Phi1 = (e^L - e^-L)/2, Phi2 = -(i/2)(e^L + e^-L), Phi3 = 1 and
-    e^{+-L} commuting, the sum is 1 - e^L e^-L, and
-
-        (e^L e^-L)[m, n] = sum_j s^(j-m) C(j, m) (-s)^(n-j) C(n, j)
-                         = s^d C(n, m) sum_i (-1)^i C(d, i),   d = n - m,
-
-    so each column takes one row of Pascal's triangle and the alternating
-    sums of the earlier rows: O(window^2) integer work.
-    """
-    worst = Fraction(0)
-    row, alt = [1], []  # row n of Pascal's triangle; alt[d] = sum_i (-1)^i C(d, i)
-    for n in range(window + 1):
-        alt.append(sum(row[0::2]) - sum(row[1::2]))
-        sq = Fraction(0)
-        for d in range(n + 1):
-            g = (d == 0) - row[n - d] * alt[d]  # (1 - e^L e^-L)[n-d, n] / s^d
-            if g:
-                sq += (s**d * g) ** 2 * _weight(n - d, n, s)
-        worst = max(worst, sq)
-        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
-    return worst
-
-
 def _root(n: int, d: int) -> float:
     """sqrt(n/d), rounded once from the exact square (taken to 220 bits), so
     0.0 means underflow and OverflowError a root too large for a float."""
@@ -290,14 +227,24 @@ def _root(n: int, d: int) -> float:
 
 
 def _squared_residuals(config: FockConfig) -> dict[str, tuple[int, int]]:
-    """The exact squared residuals :func:`residual_report` rounds, as (num, den) pairs."""
+    """The exact squared residuals :func:`residual_report` rounds, as (num, den) pairs.
+
+    Two are closed forms.  e^{+-L} are polynomials in the nilpotent truncated
+    L, so they commute and e^L e^-L = 1 exactly: ``phi_isotropy``, the norm
+    of Phi1^2 + Phi2^2 + Phi3^2 = 1 - e^L e^-L, is 0.  [L, Ls] = s except in
+    the corner, where it is -s (dim-1); so with E the corner's unit matrix,
+    lap U = -(dim/s)([E, Ls] - [E, L]) holds -dim/s at [dim-1, dim-2] and
+    -dim (dim-1) at [dim-2, dim-1] alone.  Both columns have the squared norm
+    dim^2 (dim-1)/s, so X3 is that once the window reaches column dim-2.
+    """
     s = 2 * Fraction(config.hbar)
     dim, window = config.dim, config.safe_rows
+    u = dim * dim * (dim - 1) / s if window >= dim - 2 else Fraction(0)
     return {
         "X1": _exp_part(dim, s, window, 0),
         "X2": _exp_part(dim, s, window, 1),
-        "X3": _u_part(dim, s, window).as_integer_ratio(),
-        "phi_isotropy": _isotropy_part(s, window).as_integer_ratio(),
+        "X3": u.as_integer_ratio(),
+        "phi_isotropy": (0, 1),
     }
 
 

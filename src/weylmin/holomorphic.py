@@ -201,9 +201,6 @@ class PhiTriple(Frozen):
 
     __slots__ = _fields = ("components",)
 
-    def __init__(self, components: tuple[RatLambda, ...]) -> None:
-        self._init_fields(components)
-
     @staticmethod
     def of(*components: RatLike) -> "PhiTriple":
         return PhiTriple(tuple(RatLambda.coerce(c) for c in components))

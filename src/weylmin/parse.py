@@ -60,11 +60,8 @@ class ParseError(ValueError):
 
 
 class Token(Frozen):
+    # kind: NUM, NAME, OP, LPAREN, RPAREN, END
     __slots__ = _fields = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int) -> None:
-        # kind: NUM, NAME, OP, LPAREN, RPAREN, END
-        self._init_fields(kind, text, pos)
 
 
 _PUNCTUATION = dict.fromkeys("+-*/^", "OP") | {"(": "LPAREN", ")": "RPAREN"}
@@ -104,36 +101,21 @@ def tokenize(src: str) -> list[Token]:
 class Num(Frozen):
     __slots__ = _fields = ("value", "pos")
 
-    def __init__(self, value: int, pos: int) -> None:
-        self._init_fields(value, pos)
-
 
 class Name(Frozen):
     __slots__ = _fields = ("name", "pos")
-
-    def __init__(self, name: str, pos: int) -> None:
-        self._init_fields(name, pos)
 
 
 class Neg(Frozen):
     __slots__ = _fields = ("operand", "pos")
 
-    def __init__(self, operand: "Node", pos: int) -> None:
-        self._init_fields(operand, pos)
-
 
 class BinOp(Frozen):
     __slots__ = _fields = ("op", "left", "right", "pos")
 
-    def __init__(self, op: str, left: "Node", right: "Node", pos: int) -> None:
-        self._init_fields(op, left, right, pos)
-
 
 class Pow(Frozen):
     __slots__ = _fields = ("base", "exponent", "pos")
-
-    def __init__(self, base: "Node", exponent: int, pos: int) -> None:
-        self._init_fields(base, exponent, pos)
 
 
 Node = Union[Num, Name, Neg, BinOp, Pow]

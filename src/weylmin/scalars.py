@@ -57,17 +57,29 @@ class Frozen:
     """An immutable record: the base of every value type of the package.
 
     A subclass lists its attributes in ``_fields``, usually as its
-    ``__slots__`` too, and sets them in ``__init__`` with ``_init_fields``
-    or ``object.__setattr__``; afterwards they are read-only.  Two records are
-    equal when they have the same class and equal field tuples, the hash is
-    the hash of the field tuple, and the repr lists the fields.  The flat
-    types (:class:`Flat`) override ``__eq__`` with their stored form, which
-    is canonical; their ``_fields`` name views read off that form (the
-    ``coeffs`` of a Poly, the ``re`` and ``im`` of a GaussRational).
+    ``__slots__`` too.  The constructor takes them by position, then by
+    keyword, and raises TypeError on too many, a missing or an unknown one;
+    a record with defaults or checks sets them in its own ``__init__``, with
+    ``_init_fields`` or ``object.__setattr__``.  Afterwards they are
+    read-only.  Two records are equal when they have the same class and
+    equal field tuples, the hash is the hash of the field tuple, and the
+    repr lists the fields.  The flat types (:class:`Flat`) override
+    ``__eq__`` with their stored form, which is canonical; their ``_fields``
+    name views read off that form (the ``coeffs`` of a Poly, the ``re`` and
+    ``im`` of a GaussRational).
     """
 
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs:
+            args += tuple([kwargs.pop(name) for name in fields[len(args):] if name in kwargs])
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}, "
+                            "each once, by position or keyword")
+        self._init_fields(*args)
 
     def _init_fields(self, *values) -> None:
         for name, value in zip(self._fields, values):

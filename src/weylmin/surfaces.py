@@ -124,23 +124,11 @@ class FirstFundamental(Frozen):
 
     __slots__ = _fields = ("E", "F", "G")
 
-    def __init__(self, E: WeylElement, F: WeylElement, G: WeylElement) -> None:
-        self._init_fields(E, F, G)
-
 
 class VerificationReport(Frozen):
     """Outcome of the exact minimality checks, with residual witnesses."""
 
     __slots__ = _fields = ("hermitian", "harmonic", "conformal", "witnesses")
-
-    def __init__(
-        self,
-        hermitian: tuple[bool, ...],
-        harmonic: tuple[bool, ...],
-        conformal: bool,
-        witnesses: tuple[tuple[str, WeylElement], ...],
-    ) -> None:
-        self._init_fields(hermitian, harmonic, conformal, witnesses)
 
     @property
     def passes(self) -> bool:

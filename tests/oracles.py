@@ -1255,6 +1255,75 @@ def corner_column_norm(dim: int, s: Fraction, parity: int) -> Fraction:
     return (dim / s) ** 2 * acc * s
 
 
+def _fock_weight(m: int, n: int, s: Fraction) -> Fraction:
+    """|M[m, n]|^2 / |M'[m, n]|^2 = m! s^m / (n! s^n) in the basis f_n = Ls^n|0>."""
+    return s ** (m - n) * Fraction(math.factorial(m), math.factorial(n))
+
+
+def _lap_entry(entry, m: int, n: int, dim: int, s: Fraction) -> Fraction:
+    """(lap M')[m, n] from the entries ``entry(i, j)`` of M': lap M =
+    -([[M, L], Ls] + [[M, Ls], L]) / (2 hbar^2) = -(D M + M D - 2 L M Ls -
+    2 Ls M L) / (2 hbar^2), with D = L Ls + Ls L diagonal, s (2i + 1) except
+    D[dim-1, dim-1] = s (dim-1) in the truncated corner."""
+
+    def diag(i: int) -> Fraction:
+        return s * (2 * i + 1 if i < dim - 1 else dim - 1)
+
+    c = (diag(m) + diag(n)) * entry(m, n)
+    if m + 1 < dim and n + 1 < dim:
+        c -= 2 * s * (m + 1) * entry(m + 1, n + 1)
+    if m and n:
+        c -= 2 * s * n * entry(m - 1, n - 1)
+    return -2 * c / (s * s)
+
+
+def lap_u_columns(dim: int, s: Fraction) -> list:
+    """Squared norm of each column of lap X3 = lap U, entry by entry; the
+    residual on a window is the largest of its columns.
+
+    U' = (L' + Ls')/2 lives on the two diagonals next to the main one, and
+    the Laplacian keeps every diagonal, so each column has two entries.
+    """
+
+    def u(i: int, j: int) -> Fraction:
+        return s * j / 2 if i == j - 1 else Fraction(1, 2) if i == j + 1 else Fraction(0)
+
+    cols = []
+    for n in range(dim):
+        sq = Fraction(0)
+        for m in (n - 1, n + 1):
+            if 0 <= m < dim:
+                sq += _lap_entry(u, m, n, dim, s) ** 2 * _fock_weight(m, n, s)
+        cols.append(sq)
+    return cols
+
+
+def isotropy_columns(dim: int, s: Fraction) -> list:
+    """Squared norm of each column of Phi1^2 + Phi2^2 + Phi3^2.
+
+    With Phi1 = (e^L - e^-L)/2, Phi2 = -(i/2)(e^L + e^-L), Phi3 = 1 and
+    e^{+-L} commuting, the sum is 1 - e^L e^-L, and
+
+        (e^L e^-L)[m, n] = sum_j s^(j-m) C(j, m) (-s)^(n-j) C(n, j)
+                         = s^d C(n, m) sum_i (-1)^i C(d, i),   d = n - m,
+
+    so each column takes one row of Pascal's triangle and the alternating
+    sums of the earlier rows: O(window^2) integer work.
+    """
+    cols = []
+    row, alt = [1], []  # row n of Pascal's triangle; alt[d] = sum_i (-1)^i C(d, i)
+    for n in range(dim):
+        alt.append(sum(row[0::2]) - sum(row[1::2]))
+        sq = Fraction(0)
+        for d in range(n + 1):
+            g = (d == 0) - row[n - d] * alt[d]  # (1 - e^L e^-L)[n-d, n] / s^d
+            if g:
+                sq += (s**d * g) ** 2 * _fock_weight(n - d, n, s)
+        cols.append(sq)
+        row = [1, *(a + b for a, b in zip(row, row[1:])), 1]
+    return cols
+
+
 # -- seeded random generators -------------------------------------------------
 
 

@@ -295,6 +295,36 @@ class TestVerifyInputErrors:
         assert err == "input error: provenance lists 2 primitives for 3 components\n"
 
 
+    # The reader's shape errors, each with an edit of the enneper(1) document
+    # that reaches it, and its message.
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(lambda doc: doc["components"][0][0].update(coeff={"hbar_deg": 0}),
+                     "coefficient must be a list of records", id="coefficient"),
+        pytest.param(lambda doc: doc["components"].__setitem__(0, {"k": 1, "l": 0}),
+                     "element must be a list of term records", id="element"),
+        pytest.param(lambda doc: doc["provenance"]["primitives"].__setitem__(0, 5),
+                     "polynomial must be a list of records", id="polynomial"),
+        pytest.param(lambda doc: doc["provenance"]["params"][0].update(type="matrix"),
+                     "unknown parameter type 'matrix'", id="parameter-type"),
+        pytest.param(lambda doc: doc.pop("components"),
+                     "bad surface document: 'components'", id="missing-components"),
+        pytest.param(lambda doc: doc["provenance"].update(params=7),
+                     "bad surface document: 'int' object is not iterable", id="params-not-a-list"),
+    ])
+    def test_shape_errors(self, tmp_path, capsys, command, edit, message):
+        code, out, err = self.verify_edited(tmp_path, capsys, edit, command)
+        assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    @pytest.mark.parametrize("text", ["[]", "3", '"surface"', "null"])
+    def test_document_not_an_object(self, tmp_path, capsys, command, text):
+        path = tmp_path / "list.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, out, err) == (2, "", "input error: surface document must be an object\n")
+
+
 class TestConjugateCommand:
     def test_round_trip_through_files(self, tmp_path, capsys):
         src = GOLDENS / "enneper2.json"

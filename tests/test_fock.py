@@ -15,8 +15,10 @@ from oracles import (
     exact_catenoid_residuals,
     fock_exp_entry,
     generators,
+    isotropy_columns,
     isotropy_matrix,
     ladder,
+    lap_u_columns,
     laplace_matrix,
     long_double_residuals,
     loop_exp_lambda,
@@ -325,6 +327,18 @@ class TestExactResiduals:
             assert rows == {dim - 1} if dim >= 8 else rows <= {dim - 1}, name
         assert not mats["phi_isotropy"]
         assert bool(mats["X3"]) == (safe_rows >= dim - 2)
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.5, 0.7, 1e-3, 2.0, 1e-300])
+    def test_closed_forms_equal_the_loops(self, hbar):
+        # X3 and phi_isotropy are stated in closed form; the entry-by-entry
+        # loop and the Pascal-row loop they replaced must give the same pairs.
+        s = 2 * Fraction(hbar)
+        for dim in (*range(2, 25), 64):
+            u, phi = lap_u_columns(dim, s), isotropy_columns(dim, s)
+            for window in range(1, dim):
+                got = fock._squared_residuals(FockConfig(dim=dim, hbar=hbar, safe_rows=window))
+                assert got["X3"] == max(u[: window + 1]).as_integer_ratio(), (dim, window)
+                assert got["phi_isotropy"] == max(phi[: window + 1]).as_integer_ratio()
 
     @pytest.mark.parametrize("dim", [17, 32, 64, 96, 128])
     @pytest.mark.parametrize("hbar", [0.5, 1.0, 2.0])

@@ -67,6 +67,14 @@ def test_fock_report_runs_without_numpy():
     assert '"kind": "fock-residuals"' in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [["eval", "--expr", "L"], ["surface", "enneper", "--fmt", "text"]])
+def test_text_commands_run_without_json(argv):
+    code = "import sys\n{}from weylmin.cli import main\nraise SystemExit(main({!r}))\n"
+    free, held = (_python(code.format(block, argv)) for block in ("", "sys.modules['json'] = None\n"))
+    assert free.returncode == 0 and free.stdout, free.stderr
+    assert (held.returncode, held.stdout) == (free.returncode, free.stdout), held.stderr
+
+
 def test_fock_command_leaves_numpy_unloaded():
     proc = _python(
         "import contextlib, io, sys\n"

@@ -136,6 +136,14 @@ hbar_polys = st.builds(
 
 
 class TestHbarPoly:
+    def test_str_bytes(self):
+        half = GaussRational(Fraction(1, 2), Fraction(-3, 4))
+        assert str(HbarPoly()) == "0"
+        assert str(HbarPoly({0: Fraction(-2, 5)})) == "-2/5"
+        assert str(HbarPoly({1: 1})) == "1*h"
+        assert str(HbarPoly({2: half})) == "(1/2 - 3/4*i)*h^2"
+        assert str(HbarPoly({0: 3, 1: GR_I, 2: half, 5: -1})) == "3 + 1*i*h + (1/2 - 3/4*i)*h^2 + -1*h^5"
+
     def test_canonical_form(self):
         p = HbarPoly([(2, GaussRational(1)), (0, GaussRational(3)), (2, GaussRational(-1))])
         assert p == HbarPoly({0: GaussRational(3)})
@@ -182,6 +190,17 @@ class TestHbarPoly:
 
 
 class TestHbarRat:
+    def test_str_bytes(self):
+        h = HbarPoly({1: 1})
+        assert str(HbarRat(h * h - 1, h - 1)) == "1 + 1*h"
+        assert str(HbarRat(HbarPoly({1: 2}), 4)) == "1/2*h"
+        assert str(HbarRat(0, h)) == "0"
+        assert str(HbarRat(1, h)) == "(1)/(1*h)"
+        assert str(HbarRat(h, HbarPoly({0: 2, 1: 2}))) == "(1/2*h)/(1 + 1*h)"
+        assert str(HbarRat(GaussRational(1, 1), HbarPoly({0: 3, 2: GaussRational(0, 2)}))) == (
+            "((1/2 - 1/2*i))/(-3/2*i + 1*h^2)"
+        )
+
     def test_reduction(self):
         h = HbarPoly({1: GaussRational(1)})
         r = HbarRat(h * h, h)
