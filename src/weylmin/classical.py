@@ -5,10 +5,11 @@ u - i v, so every element degenerates to an ordinary polynomial in two
 real variables.  :class:`UVPoly` is that polynomial ring (coefficients
 still GaussRational; hermitian elements land in the real subring), and
 :func:`classical_limit` performs the substitution.  The image of
-``L^k Ls^l`` is the h-free part of its U,V-ordered form, so the limit is
-the h-free U,V accumulation of :mod:`weylmin.weyl` (the one that
-:func:`weylmin.weyl.uv_coefficients` groups); this module knows no
-commutation rule.  UVPoly is the kernel's flat form
+``L^k Ls^l`` is the h-free part of its U,V-ordered form, the commutative
+(u + iv)^k (u - iv)^l, so the limit is the h-free U,V accumulation of
+:mod:`weylmin.weyl` (the one that :func:`weylmin.weyl.uv_coefficients`
+groups), over the binomial table :func:`weylmin.weyl.uv_table_h_free`;
+this module knows no commutation rule.  UVPoly is the kernel's flat form
 (:class:`weylmin.scalars.Flat`) with rows ``(p, q, re, im)``, the
 commutative product and the (total degree, u-degree) term order that
 algebra elements use too.

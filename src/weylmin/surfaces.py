@@ -10,7 +10,10 @@ and take real parts; isotropy of Phi makes the result conformal and
 harmonicity is automatic because the components are real parts of
 holomorphic elements.  Exactness is preserved end to end: the verifier
 checks hermiticity, ``lap X^i = 0``, ``E = G`` and ``F = 0`` as algebra
-identities, not numerically.
+identities, not numerically, read off the components' rows; it builds an
+element only as the witness of a failure.  lap maps the row L^k Ls^l to
+4kl L^(k-1) Ls^(l-1), injectively on keys, so ``lap X^i = 0`` exactly when
+no row of X^i has both k > 0 and l > 0.
 
 Conformality is checked in the complex directions.  The form
 ``<x, y> = (1/2) sum (x y + y x)`` is bilinear and symmetric for any
@@ -19,8 +22,10 @@ components, hermitian or not, and ``X_u = dX + dbarX``,
 
     E - G = 2(<dX, dX> + <dbarX, dbarX>),    F = i(<dX, dX> - <dbarX, dbarX>).
 
-So X is conformal exactly when both squares vanish, and E - G and F are
-formed only as witnesses of a failure.  Both squares are needed: a
+So X is conformal exactly when both squares vanish, that is when each
+square's accumulator of rows (:func:`~weylmin.weyl.partial_square_sum`)
+has only zero numerator pairs, and E - G and F are formed only as
+witnesses of a failure.  Both squares are needed: a
 non-hermitian triple such as (L, iL, Ls) has ``<dX, dX> = 0`` but
 ``E - G = 2``.  For hermitian components the second is the star of the
 first (the star is antilinear and antimultiplicative, and ``(dA)* =
@@ -69,7 +74,7 @@ from .holomorphic import (
     phi_from_fg,
     poly_real_part,
 )
-from .weyl import Direction, WeylElement, symmetric_product_sum
+from .weyl import Direction, WeylElement, partial_square_sum, symmetric_product_sum
 
 
 class NonPolynomialPrimitiveError(ValueError):
@@ -163,21 +168,14 @@ def _partials(s: Surface, direction: Direction) -> tuple[WeylElement, ...]:
 def first_fundamental(s: Surface) -> FirstFundamental:
     xu = _partials(s, Direction.U)
     xv = _partials(s, Direction.V)
-    return FirstFundamental(
-        E=bilinear(xu, xu), F=bilinear(xu, xv), G=bilinear(xv, xv)
-    )
+    return FirstFundamental(bilinear(xu, xu), bilinear(xu, xv), bilinear(xv, xv))
 
 
 def verify_minimal(s: Surface) -> VerificationReport:
-    """Exact hermiticity, harmonicity and conformality checks.
-
-    Conformal means ``<dX, dX> = <dbarX, dbarX> = 0``, that is E - G = F
-    = 0 (see the module docstring); when every component is hermitian,
-    ``<dbarX, dbarX> = <dX, dX>*`` and the first square alone decides.
-    Only a failure forms ``E - G = 2(<dX, dX> + <dbarX, dbarX>)`` and
-    ``F = i(<dX, dX> - <dbarX, dbarX>)``, as witnesses: the same elements
-    as :func:`first_fundamental` gives, for any components.
-    """
+    """Exact hermiticity, harmonicity and conformality checks, read off the
+    rows as the module docstring says.  Only a failure builds elements, its
+    witnesses: ``X - X*``, ``lap X``, or E - G and F equal to those of
+    :func:`first_fundamental`, for any components."""
     hermitian = []
     harmonic = []
     witnesses: list[tuple[str, WeylElement]] = []
@@ -186,25 +184,20 @@ def verify_minimal(s: Surface) -> VerificationReport:
         hermitian.append(h)
         if not h:
             witnesses.append((f"hermitian:X{idx}", c - c.star()))
-        lap = c.laplace()
-        harmonic.append(lap.is_zero())
-        if not lap.is_zero():
-            witnesses.append((f"harmonic:X{idx}", lap))
-    d = _partials(s, Direction.D)
-    dd = bilinear(d, d)
-    bb = None if all(hermitian) else bilinear(dbar := _partials(s, Direction.DBAR), dbar)
-    conformal = dd.is_zero() and (bb is None or bb.is_zero())
+        harm = not any(r[0] and r[1] for r in c.rows)
+        harmonic.append(harm)
+        if not harm:
+            witnesses.append((f"harmonic:X{idx}", c.laplace()))
+    dd, den = partial_square_sum(s.components, 0)
+    bb = None if all(hermitian) else partial_square_sum(s.components, 1)[0]
+    conformal = not any(map(any, dd.values())) and (bb is None or not any(map(any, bb.values())))
     if not conformal:
-        bb = dd.star() if bb is None else bb
+        dd = WeylElement._new(dd, den)
+        bb = dd.star() if bb is None else WeylElement._new(bb, den)
         for name, w in (("conformal:E-G", (dd + bb).scale(2)), ("conformal:F", (dd - bb).scale(GR_I))):
             if not w.is_zero():
                 witnesses.append((name, w))
-    return VerificationReport(
-        hermitian=tuple(hermitian),
-        harmonic=tuple(harmonic),
-        conformal=conformal,
-        witnesses=tuple(witnesses),
-    )
+    return VerificationReport(tuple(hermitian), tuple(harmonic), conformal, tuple(witnesses))
 
 
 def phi_components(s: Surface) -> tuple[WeylElement, ...]:
@@ -248,6 +241,7 @@ def _weierstrass(kind: str, params: tuple, f: RatLambda, g: RatLambda, offsets, 
 
 
 _GAUSS_L = RatLambda(PolyLambda({1: 1}))
+_MINUS_I = GaussRational(0, -1)
 
 
 def _gauss_map_L(kind: str, params: tuple, F: RatLambda, offsets) -> Surface:
@@ -297,8 +291,7 @@ def surface_from_pair(
     f = PolyLambda.coerce(f)
     g = PolyLambda.coerce(g)
     offs = _offsets_tuple(4, offsets)
-    minus_i = GaussRational(0, -1)
-    prims = (f, f.scale(minus_i), g, g.scale(minus_i))
+    prims = (f, f.scale(_MINUS_I), g, g.scale(_MINUS_I))
     prov = Provenance("pair", (("f", f), ("g", g)), prims)
     return _surface_from_primitives(prims, offs, prov)
 
@@ -326,7 +319,7 @@ def conjugate_surface(s: Surface) -> Surface:
             f"cannot conjugate a surface of kind {prov.kind!r}: no primitives recorded"
         )
     # Re(-i P) = Im P
-    prims = tuple(p.scale(GaussRational(0, -1)) for p in prov.primitives)
+    prims = tuple(p.scale(_MINUS_I) for p in prov.primitives)
     offs = (Fraction(0),) * len(prims)
     return _surface_from_primitives(prims, offs, Provenance("conjugate", prov.params, prims))
 
@@ -351,21 +344,22 @@ def normal_element() -> tuple[WeylElement, WeylElement, WeylElement]:
     )
 
 
-def check_normal(s: Surface, n: Sequence[WeylElement]) -> bool:
-    """Whether <d_u X, N> and <d_v X, N> both vanish exactly."""
+def _tangents(s: Surface, n: Sequence[WeylElement]) -> tuple[tuple[WeylElement, ...], ...]:
+    """d_u X and d_v X, for a normal ``n`` of one component per surface component."""
     if len(n) != s.n:
         raise ValueError("normal must have one component per surface component")
-    xu = _partials(s, Direction.U)
-    xv = _partials(s, Direction.V)
+    return _partials(s, Direction.U), _partials(s, Direction.V)
+
+
+def check_normal(s: Surface, n: Sequence[WeylElement]) -> bool:
+    """Whether <d_u X, N> and <d_v X, N> both vanish exactly."""
+    xu, xv = _tangents(s, n)
     return bilinear(xu, tuple(n)).is_zero() and bilinear(xv, tuple(n)).is_zero()
 
 
 def mean_curvature_h0(s: Surface, n: Sequence[WeylElement]) -> WeylElement:
     """H0 = -(1/2)(<d_u X, d_u N> + <d_v X, d_v N>); zero for minimal data."""
-    if len(n) != s.n:
-        raise ValueError("normal must have one component per surface component")
-    xu = _partials(s, Direction.U)
-    xv = _partials(s, Direction.V)
+    xu, xv = _tangents(s, n)
     nu = tuple(c.derive(Direction.U) for c in n)
     nv = tuple(c.derive(Direction.V) for c in n)
     return (bilinear(xu, nu) + bilinear(xv, nv)).scale(Fraction(-1, 2))

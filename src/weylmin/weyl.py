@@ -36,13 +36,15 @@ It adds each (row pair, reordering term) into one accumulator in a plain
 loop (:func:`_products`); a left row without Ls, such as every row of dX
 for X = Re P, needs no reordering and its pairs go straight in.
 :func:`symmetric_product_sum` (the surface layer's bilinear form) puts
-all its products into one accumulator.  The writers read the rows
+all its products into one accumulator, and :func:`partial_square_sum` the
+squares of derivatives, mapped from the rows.  The writers read the rows
 through :func:`coefficients` or its U,V-ordered twin
 :func:`uv_coefficients`, one integer accumulation of the rows times their
 :func:`uv_table` rows; both give ``{(k, l): [(h-degree, re_num, re_den,
 im_num, im_den), ...]}``, each part an integer fraction in lowest terms.
 Text and JSON read the first and LaTeX the second; the classical limit is
-the h-free part of the accumulation behind it.
+the h-free part of the accumulation behind it, read from the binomial
+table :func:`uv_table_h_free`.
 
 The four derivations act on basis monomials by
 
@@ -61,7 +63,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Sequence, Union
 
 from .scalars import (
@@ -114,6 +116,12 @@ def _reorder(l: int, m: int) -> tuple[tuple[int, int], ...]:
 UV_TABLE_CAP = 300
 
 
+def _check_cap(k: int, l: int) -> None:
+    if k + l > UV_TABLE_CAP:
+        raise ValueError(f"U,V order is capped at total degree {UV_TABLE_CAP} (the U,V-table"
+                         f" cap); this element has a term L^k Ls^l of degree {k + l}")
+
+
 @lru_cache(maxsize=1024)
 def uv_table(k: int, l: int) -> tuple[Row, ...]:
     """L^k Ls^l in U,V order, as rows ``(p, q, h-degree, re, im)``.
@@ -123,9 +131,7 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
     loop, each new U moved left with ``V^q U = U V^q - i h q V^(q-1)``.
     A table past ``k + l = UV_TABLE_CAP`` raises ValueError, before any work.
     """
-    if k + l > UV_TABLE_CAP:
-        raise ValueError(f"U,V order is capped at total degree {UV_TABLE_CAP} (the U,V-table"
-                         f" cap); this element has a term L^k Ls^l of degree {k + l}")
+    _check_cap(k, l)
     acc = {(0, 0, 0): (1, 0)}
     for s in [1] * k + [-1] * l:
         acc = _accumulate({}, (
@@ -139,6 +145,16 @@ def uv_table(k: int, l: int) -> tuple[Row, ...]:
             if t[1] or t[2]
         ))
     return tuple((p, q, d, re, im) for (p, q, d), (re, im) in acc.items() if re or im)
+
+
+@lru_cache(maxsize=1024)
+def uv_table_h_free(k: int, l: int) -> tuple[Row, ...]:
+    """The h-free rows of :func:`uv_table`, with its cap: the commutative (U + iV)^k (U - iV)^l,
+    whose U^(k+l-q) V^q has the coefficient i^q sum_(a+b=q) C(k, a) C(l, b) (-1)^b."""
+    _check_cap(k, l)
+    sums = ((q, sum(comb(k, a) * comb(l, q - a) * (-1) ** (q - a) for a in range(q + 1)))
+            for q in range(k + l + 1))
+    return tuple((k + l - q, q, 0) + ((c, 0), (0, c), (-c, 0), (0, -c))[q % 4] for q, c in sums if c)
 
 
 def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
@@ -299,14 +315,14 @@ def coefficients(a: WeylElement) -> dict[Bidegree, Coeff]:
 def _uv_acc(a: WeylElement, h_free: bool = False) -> dict:
     """The element in U,V order, as an accumulator keyed by ``(p, q,
     h-degree)`` over ``a.den``.  With ``h_free`` only the h-free part, the
-    classical limit, is formed, from the h-free rows alone: no row of
-    :func:`uv_table` lowers the h-degree."""
+    classical limit, is formed, from the h-free rows alone (no row of
+    :func:`uv_table` lowers the h-degree) and :func:`uv_table_h_free`."""
+    table = uv_table_h_free if h_free else uv_table
     return _accumulate({}, (
         ((p, q, d + e), re * tr - im * ti, re * ti + im * tr)
         for k, l, d, re, im in a.rows
         if not (h_free and d)
-        for p, q, e, tr, ti in uv_table(k, l)
-        if not (h_free and e)
+        for p, q, e, tr, ti in table(k, l)
     ))
 
 
@@ -337,6 +353,20 @@ def symmetric_product_sum(
     for a, b in zip(rx + ry, ry + rx):
         _products(acc, a, b)
     return WeylElement._new(acc, 2 * dx * dy)
+
+
+def partial_square_sum(xs: Sequence[WeylElement], axis: int) -> tuple[dict, int]:
+    """sum_i (x_i')^2, x_i' = d x_i (``axis`` 0) or dbar x_i (1), as one accumulator over den^2:
+    :func:`symmetric_product_sum` of the derivatives with no element built, each x_i rescaled to
+    the common denominator den of ``xs`` and mapped by the derivative's row map on the fly."""
+    den = lcm(*(x.den for x in xs))
+    acc: dict = {}
+    for x in xs:
+        m = den // x.den
+        rows = ([(k, l - 1, d, w * re, w * im) for k, l, d, re, im in x.rows if (w := m * l)] if axis
+                else [(k - 1, l, d, w * re, w * im) for k, l, d, re, im in x.rows if (w := m * k)])
+        _products(acc, rows, rows)
+    return acc, den * den
 
 
 def derive_by_commutator(a: WeylElement, direction: Direction) -> WeylElement:

@@ -37,6 +37,7 @@ from weylmin.surfaces import (
     surface_from_fg,
     surface_from_pair,
     verify_minimal,
+    _partials,
     _surface_from_primitives,
 )
 from weylmin import weyl
@@ -387,6 +388,62 @@ class TestConformalIdentity:
             ("conformal:E-G", W("2")), ("conformal:F", W("-i"))]
 
 
+def _mixed(rng, n: int) -> list:
+    """n seeded components: mixed (k, l) rows with h-degree up to 3 over mixed
+    denominators, now and then zero, or i times the one before, so that the
+    squares of their derivatives cancel."""
+    comps: list = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.15:
+            comps.append(ZERO)
+        elif roll < 0.35 and comps:
+            comps.append(comps[-1].scale(GaussRational(0, 1)))
+        else:
+            x = random_weyl(rng, max_deg=4, terms=5, max_hbar=3)
+            comps.append(x.scale(Fraction(1, rng.choice((1, 3, 101, 309, 107)))))
+    return comps
+
+
+def _harmonic(rng) -> WeylElement:
+    """A seeded component whose rows have no L and Ls together."""
+    x = random_weyl(rng, max_deg=4, terms=5, max_hbar=3)
+    return WeylElement({kl: c for kl, c in x.terms if 0 in kl})
+
+
+class TestRowsLevelChecks:
+    """verify_minimal reads lap X = 0 and the squares of dX and dbarX off the
+    components' rows; each must agree with the elements it replaces."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_partial_squares_match_bilinear(self, seed):
+        rng = random.Random(500 + seed)
+        seen = set()
+        for n in range(4):
+            for _ in range(6):
+                comps = _mixed(rng, n)
+                # x and i x: squares that cancel to zero pairs
+                for s in (_raw(comps), _raw(comps + [c.scale(GaussRational(0, 1)) for c in comps])):
+                    for axis, direction in ((0, Direction.D), (1, Direction.DBAR)):
+                        acc, den = weyl.partial_square_sum(s.components, axis)
+                        want = bilinear(p := _partials(s, direction), p)
+                        assert WeylElement._new(acc, den) == want
+                        assert (not any(map(any, acc.values()))) == want.is_zero()
+                        seen.add((bool(acc), want.is_zero()))
+        assert seen == {(False, True), (True, True), (True, False)}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_harmonic_from_rows_matches_laplace(self, seed):
+        rng = random.Random(520 + seed)
+        seen = set()
+        for _ in range(30):
+            comps = _mixed(rng, 3) + [_harmonic(rng)]
+            want = tuple(c.laplace().is_zero() for c in comps)
+            assert verify_minimal(_raw(comps)).harmonic == want
+            seen.update(want)
+        assert seen == {True, False}
+
+
 class TestVerifierOracle:
     """verify_minimal decides conformality from the squares of dX and dbarX
     and forms E - G and F only as witnesses of a failure.  Its reports must
@@ -416,6 +473,32 @@ class TestVerifierOracle:
         assert rep.conformal and rep.harmonic == (True,) * 3
         assert rep.hermitian == (False, False, True) and not rep.passes
         assert [n for n, _ in rep.witnesses] == ["hermitian:X1", "hermitian:X2"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_raw_surfaces(self, seed):
+        # hermitian or not, harmonic or not, conformal or not
+        rng = random.Random(540 + seed)
+        failed = set()
+        for n in range(1, 5):
+            for hermitian in (True, False):
+                for _ in range(4):
+                    comps = _mixed(rng, n) + [_harmonic(rng)]
+                    if hermitian:
+                        comps = [c.real_part() for c in comps]
+                    rep = self.report(_raw(comps))
+                    failed.update(name.split(":")[0] for name, _ in rep.witnesses)
+        assert failed == {"hermitian", "harmonic", "conformal"}
+
+    def test_pass_path_builds_no_element(self, monkeypatch):
+        # every check of a passing surface is read off the rows
+        surfaces = [t for s in _catalogue() for t in (s, conjugate_surface(s))]
+
+        def refuse(*_):
+            raise AssertionError("a passing surface built an element")
+
+        for owner, name in ((Flat, "_set"), (WeylElement, "laplace"), (WeylElement, "derive")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert all(verify_minimal(s).passes for s in surfaces)
 
     def test_pass_path_forms_no_witness(self, monkeypatch):
         # a hermitian surface that passes takes no star and no sum

@@ -49,6 +49,7 @@ from weylmin.weyl import (
     symmetric_product_sum,
     uv_coefficients,
     uv_table,
+    uv_table_h_free,
 )
 
 I = WeylElement({(0, 0): HbarPoly({0: GaussRational(0, 1)})})
@@ -431,6 +432,15 @@ class TestGrading:
         for k in range(7):
             for l in range(7):
                 assert {p + q + 2 * d for p, q, d, _, _ in uv_table(k, l)} == {k + l}
+
+    def test_uv_table_h_free_is_the_h_free_rows(self):
+        # (U + iV)^k (U - iV)^l from binomials; past the cap no table is built
+        for k in range(13):
+            for l in range(13):
+                assert sorted(uv_table_h_free(k, l)) == sorted(r for r in uv_table(k, l) if not r[2])
+        for k, l in ((UV_TABLE_CAP + 1, 0), (UV_TABLE_CAP, 1), (10**9, 0)):
+            with pytest.raises(ValueError, match=f"capped at total degree {UV_TABLE_CAP} "):
+                uv_table_h_free(k, l)
 
     def test_uv_table_cap(self):
         # L^300 keeps its U,V order; past the cap no table is built
