@@ -7,17 +7,24 @@ expression evaluator.  Exit codes: 0 success / verification passed,
 tolerance, 2 parse or input error, 3 non-integrable Weierstrass data,
 4 non-polynomial primitive (out of the supported scope).  Each handler
 imports the layers it runs, so importing this module loads none of them.
+``COMMANDS`` holds every option once.  A command line that names a command
+exactly and gives each option at most once, as ``--flag value`` (a value
+not led by "-", or "-" itself) or ``--flag=value``, is read from it without
+argparse; any other, help and usage errors included, goes to argparse,
+loaded only then, so its text and exit codes stay argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import argparse
+
     from .holomorphic import PolyLambda
     from .surfaces import Surface
 
@@ -238,10 +245,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 # Options whose value is an expression, which may start with "-" ("-L").
-EXPR_OPTIONS = ("--expr", *dict.fromkeys(
-    flag for _, inputs, _, _ in SURFACE_COMMANDS.values()
-    for flag, reader, _ in inputs if reader != "int"
-))
+EXPR_OPTIONS = {"--expr", *(flag for _, inputs, _, _ in SURFACE_COMMANDS.values()
+                            for flag, reader, _ in inputs if reader != "int")}
 
 
 def _join_expr_values(argv: Sequence[str]) -> list[str]:
@@ -251,82 +256,102 @@ def _join_expr_values(argv: Sequence[str]) -> list[str]:
     the next option, as argparse would.
     """
     out: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in EXPR_OPTIONS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in EXPR_OPTIONS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
-def _add_output_args(p: argparse.ArgumentParser, default_fmt: str = "json") -> None:
-    p.add_argument(
-        "--fmt", choices=("text", "latex", "json"), default=default_fmt,
-        help=f"output format (default {default_fmt})",
-    )
-    p.add_argument("--out", default=None, help="output file (default stdout)")
+def _out(what: str = "") -> tuple:
+    return ("--out", None, None, None, False, f"{what}output file (default stdout)")
+
+
+def _fmt(default: str) -> tuple:
+    return ("--fmt", None, default, ("text", "latex", "json"), False, f"output format (default {default})")
+
+
+_IN = ("--in", None, None, None, True, "surface JSON file, or - for stdin")
+
+# Each command path: its help, its handler (None for a command that has
+# subcommands, whose paths follow it) and its options, each as (flag, type,
+# default, choices, required, help).  build_parser and _parse_fast read it.
+COMMANDS = {
+    ("surface",): ("build surfaces from Weierstrass data", None, ()),
+    **{("surface", name): (text, _cmd_surface, (
+        *((flag, int, 1, None, False, h) if reader == "int" else (flag, None, None, None, True, h)
+          for flag, reader, h in inputs),
+        ("--offsets", None, None, None, False, _OFFSETS_HELP[n_offsets]), _fmt("json"), _out()))
+       for name, (text, inputs, n_offsets, _) in SURFACE_COMMANDS.items()},
+    ("verify",): ("run the exact minimality checks", _cmd_verify, (_IN, _out("report "))),
+    ("conjugate",): ("conjugate surface from recorded primitives", _cmd_conjugate,
+                     (_IN, _fmt("json"), _out())),
+    ("fock",): ("truncated Fock-space checks", None, ()),
+    ("fock", "catenoid"): ("catenoid residual report", _cmd_fock_catenoid, (
+        ("--hbar", float, 1.0, None, False, "hbar value (default 1)"),
+        ("--dim", int, None, None, True, "truncation dimension"),
+        ("--safe-rows", int, None, None, False, "safe window (default dim//3)"),
+        ("--tol", float, 1e-8, None, False, "residual tolerance (default 1e-8)"),
+        _out("report "))),
+    ("eval",): ("evaluate an algebra expression", _cmd_eval, (
+        ("--expr", None, None, None, True, "expression (mode weyl)"),
+        ("--op", None, None, tuple(EVAL_OPS), False, "optional operation to apply"),
+        _fmt("text"), _out())),
+}
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """Every command with its help, so top-level help and errors never change,
     and the options of ``command`` alone, or of every command if it names none."""
+    import argparse
+
     parser = argparse.ArgumentParser(
-        prog="weylmin",
-        description="Exact noncommutative minimal-surface calculator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    surface = sub.add_parser("surface", help="build surfaces from Weierstrass data")
-    verify = sub.add_parser("verify", help="run the exact minimality checks")
-    conjugate = sub.add_parser("conjugate", help="conjugate surface from recorded primitives")
-    fock = sub.add_parser("fock", help="truncated Fock-space checks")
-    evaluate = sub.add_parser("eval", help="evaluate an algebra expression")
-    every = command not in sub.choices
-
-    if every or command == "surface":
-        ssub = surface.add_subparsers(dest="surface_command", required=True)
-        for name, (text, inputs, n_offsets, _) in SURFACE_COMMANDS.items():
-            p = ssub.add_parser(name, help=text)
-            for flag, reader, help_text in inputs:
-                if reader == "int":
-                    p.add_argument(flag, type=int, default=1, help=help_text)
-                else:
-                    p.add_argument(flag, required=True, help=help_text)
-            p.add_argument("--offsets", default=None, help=_OFFSETS_HELP[n_offsets])
-            _add_output_args(p)
-            p.set_defaults(func=_cmd_surface)
-
-    if every or command == "verify":
-        verify.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
-        verify.add_argument("--out", default=None, help="report output file (default stdout)")
-        verify.set_defaults(func=_cmd_verify)
-
-    if every or command == "conjugate":
-        conjugate.add_argument("--in", required=True, help="surface JSON file, or - for stdin")
-        _add_output_args(conjugate)
-        conjugate.set_defaults(func=_cmd_conjugate)
-
-    if every or command == "fock":
-        fsub = fock.add_subparsers(dest="fock_command", required=True)
-        p = fsub.add_parser("catenoid", help="catenoid residual report")
-        p.add_argument("--hbar", type=float, default=1.0, help="hbar value (default 1)")
-        p.add_argument("--dim", type=int, required=True, help="truncation dimension")
-        p.add_argument("--safe-rows", type=int, default=None, help="safe window (default dim//3)")
-        p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
-        p.add_argument("--out", default=None, help="report output file (default stdout)")
-        p.set_defaults(func=_cmd_fock_catenoid)
-
-    if every or command == "eval":
-        evaluate.add_argument("--expr", required=True, help="expression (mode weyl)")
-        evaluate.add_argument("--op", choices=tuple(EVAL_OPS), default=None,
-                              help="optional operation to apply")
-        _add_output_args(evaluate, default_fmt="text")
-        evaluate.set_defaults(func=_cmd_eval)
+        prog="weylmin", description="Exact noncommutative minimal-surface calculator.")
+    subs = {(): parser.add_subparsers(dest="command", required=True)}
+    every = (command,) not in COMMANDS
+    for path, (text, func, options) in COMMANDS.items():
+        if not (every or path[0] == command):
+            if len(path) == 1:
+                subs[()].add_parser(path[0], help=text)
+            continue
+        p = subs[path[:-1]].add_parser(path[-1], help=text)
+        for flag, *spec in options:
+            p.add_argument(flag, **dict(zip(("type", "default", "choices", "required", "help"), spec)))
+        if func:
+            p.set_defaults(func=func)
+        else:
+            subs[path] = p.add_subparsers(dest=f"{path[0]}_command", required=True)
     return parser
+
+
+def _parse_fast(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """argparse's namespace for a command line that names a command exactly
+    and gives each of its options at most once, as ``--flag value`` or
+    ``--flag=value``, with a valid value that starts with no "-" unless it is
+    "-" or follows "="; None for any other, help and errors included."""
+    path = next((p for p, (_, f, _) in COMMANDS.items() if f and tuple(argv[:len(p)]) == p), ())
+    _, func, options = COMMANDS.get(path, ("", None, ()))
+    specs = {flag: spec for flag, *spec in options}
+    found = {}
+    rest = iter(argv[len(path):])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        value = value if eq else next(rest, "")
+        if (flag not in specs or flag in found or not value
+                or not eq and value.startswith("-") and value != "-"):
+            return None
+        typ, _, choices, _, _ = specs[flag]
+        try:
+            found[flag] = value = typ(value) if typ else value
+        except ValueError:
+            return None
+        if choices and value not in choices:
+            return None
+    if not func or any(required and flag not in found for flag, _, _, _, required, _ in options):
+        return None
+    return SimpleNamespace(**dict(zip(("command", f"{path[0]}_command"), path)), func=func, **{
+        flag[2:].replace("-", "_"): found.get(flag, default) for flag, _, default, *_ in options})
 
 
 # The errors main reports, first match first: (home module, class, stderr
@@ -342,7 +367,7 @@ _ERRORS = (
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _join_expr_values(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_fast(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,7 +33,7 @@ become floats once, at the end.  They measure truncation alone: no
 roundoff enters.
 
 :func:`catenoid` and :func:`exp_lambda` return numpy matrices and import
-numpy when called; nothing else here needs it.
+numpy, the ``fock`` extra, when called; nothing else here needs it.
 
 ``dim`` is capped at :data:`MAX_DIM`; a larger value is refused before
 any work is done.
@@ -99,7 +99,10 @@ def exp_lambda(config: FockConfig, sign: int = 1, dagger: bool = False, dtype=No
     the matrix is exact; for the creation exponential rows stop at dim-1
     and the discarded tail is bounded by :func:`exp_tail_bound`.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:
+        raise ImportError("the Fock matrices need numpy: pip install 'weylmin[fock]'") from exc
 
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -152,11 +155,11 @@ def catenoid(config: FockConfig, dtype=None):
     X2 = -(i/4)(e^L - e^-L - e^Ls + e^-Ls)
     X3 = U
     """
-    import numpy as np
-
     ep, em, epd, emd = (
         exp_lambda(config, sign, dagger, dtype) for dagger in (False, True) for sign in (1, -1)
     )
+    import numpy as np  # after exp_lambda, which names the extra if numpy is missing
+
     x1 = 0.25 * (ep + em + epd + emd)
     x2 = -0.25j * (ep - em - epd + emd)
     rt = np.finfo(x1.dtype).dtype.type

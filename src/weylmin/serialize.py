@@ -221,6 +221,7 @@ def surface_to_obj(s: Surface) -> dict:
 
 
 def surface_from_obj(obj: object) -> Surface:
+    from .holomorphic import poly_real_part
     from .surfaces import Provenance, Surface
 
     if not isinstance(obj, dict):
@@ -247,7 +248,11 @@ def surface_from_obj(obj: object) -> Surface:
     if len(prov.primitives) not in (0, len(comps)):
         raise DeserializeError(f"provenance lists {len(prov.primitives)} primitives "
                                f"for {len(comps)} components")
-    return Surface(comps, offsets, prov)
+    s = Surface(comps, offsets, prov)
+    for i, (c, off, p) in enumerate(zip(comps, offsets, prov.primitives), start=1):
+        if c != poly_real_part(p) + off:
+            raise DeserializeError(f"component X{i} is not its offset plus Re of its primitive")
+    return s
 
 
 def report_to_obj(rep: VerificationReport) -> dict:

@@ -31,6 +31,9 @@ ORACLE = f"{SURFACES}::TestVerifierOracle"
 ROWS = f"{SURFACES}::TestRowsLevelChecks"
 LEFT = "tests/test_weyl.py::TestHolomorphicLeftFactor"
 MEMO = "tests/test_weyl.py::TestReorderMemo"
+CLI = "tests/test_cli.py"
+FAST = (f"{CLI}::test_fast_path_takes_well_formed_command_lines", f"{CLI}::test_fast_path_declines",
+        f"{CLI}::test_fast_path_namespace_is_argparses")
 
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # -- verify_minimal from rows --------------------------------------
@@ -98,6 +101,32 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # the product's cross gcds swapped
     ("scalars.py", "_divide_out(b, h) * _divide_out(d, g)", "_divide_out(b, g) * _divide_out(d, h)",
      ("tests/test_kernel.py::TestQuotient",)),
+    # -- the command line read without argparse ------------------------
+    # a repeated flag accepted, the last value kept
+    ("cli.py", "if (flag not in specs or flag in found or not value", "if (flag not in specs or not value",
+     FAST),
+    # the type conversion skipped: "64" for 64
+    ("cli.py", "found[flag] = value = typ(value) if typ else value", "found[flag] = value", FAST),
+    # the choices check skipped
+    ("cli.py", "        if choices and value not in choices:\n            return None\n", "", FAST),
+    # the required check skipped
+    ("cli.py", "if not func or any(required and flag not in found", "if not func or any(False and flag",
+     FAST),
+    # a "-"-led value after a separate flag taken as the value
+    ("cli.py", '                or not eq and value.startswith("-") and value != "-"):', "):", FAST),
+    # an absent option's default dropped
+    ("cli.py", "found.get(flag, default)", "found.get(flag)", FAST),
+    # a value after "--" joined to an expression option
+    ("cli.py", 'tok.startswith("-") and not tok.startswith("--")', 'tok.startswith("-")',
+     (f"{CLI}::test_join_expr_values_matches_the_index_walk",)),
+    # every command's parser built for any command
+    ("cli.py", "every = (command,) not in COMMANDS", "every = True",
+     (f"{CLI}::test_build_parser_adds_only_the_named_commands_options",)),
+    # the subcommand stored under another name than the fast path's
+    ("cli.py", 'dest=f"{path[0]}_command"', 'dest="subcommand"', FAST),
+    # -- the reader's check of the primitives --------------------------
+    ("serialize.py", "if c != poly_real_part(p) + off:", "if c == poly_real_part(p) + off:",
+     (f"{CLI}::TestVerifyInputErrors",)),
 ]
 
 

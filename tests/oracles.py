@@ -1380,3 +1380,20 @@ def random_rat(rng, num_deg: int = 4, den_deg: int = 2):
     while den.is_zero():
         den = random_poly_lambda(rng, den_deg, 2)
     return RatLambda(num, den)
+
+
+def join_expr_values_by_index(argv, expr_options) -> list:
+    """``cli._join_expr_values`` as an index walk: an expression option and a
+    following token that starts with one "-" become ``--flag=-value``."""
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in expr_options and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -9,11 +11,12 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import quotient_draws, random_poly_lambda
+from oracles import join_expr_values_by_index, quotient_draws, random_poly_lambda
 from weylmin import cli, parse, surfaces
 from weylmin.cli import build_parser, main
-from weylmin.holomorphic import RatLambda
+from weylmin.holomorphic import RatLambda, poly_to_weyl
 from weylmin.parse import parse_weyl
 from weylmin.serialize import surface_from_obj, surface_to_obj
 from weylmin.surfaces import enneper
@@ -159,8 +162,10 @@ class TestVerifyCommand:
 
     def test_verify_broken_golden(self, tmp_path, capsys):
         doc = json.loads((GOLDENS / "enneper.json").read_text())
-        # corrupt one coefficient: X1 loses hermiticity/harmonicity
+        # corrupt one coefficient: X1 loses hermiticity/harmonicity; the
+        # document goes raw, or the reader refuses X1 against its primitive
         doc["components"][0][0]["coeff"][0]["im_num"] = 5
+        doc["provenance"]["primitives"] = []
         broken = tmp_path / "broken.json"
         broken.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", "--in", str(broken))
@@ -293,6 +298,36 @@ class TestVerifyInputErrors:
         code, out, err = run(capsys, command, "--in", str(path))
         assert (code, out) == (2, "")
         assert err == "input error: provenance lists 2 primitives for 3 components\n"
+
+    # Edits of the enneper(1) document after which a component is no longer
+    # its offset plus Re of its primitive, and that component's index.
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    @pytest.mark.parametrize("edit,index", [
+        pytest.param(lambda doc: doc["provenance"]["primitives"].__setitem__(
+            0, doc["provenance"]["primitives"][1]), 1, id="second-primitive-over-first"),
+        pytest.param(lambda doc: doc["provenance"]["primitives"][0][0].update(deg=10**7), 1,
+                     id="huge-degree"),
+        pytest.param(lambda doc: doc["components"][2][0]["coeff"][0].update(im_num=5), 3,
+                     id="component"),
+        pytest.param(lambda doc: doc["offsets"][1].update(num=7), 2, id="offset"),
+        pytest.param(lambda doc: doc["provenance"]["primitives"][2][0]["coeff"][0].update(
+            hbar_deg=1), 3, id="hbar-degree"),
+    ])
+    def test_components_must_match_their_primitives(self, tmp_path, capsys, command, edit, index):
+        doc = json.loads((GOLDENS / "enneper.json").read_text())
+        edit(doc)
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: component X{index} is not its offset plus Re of its primitive\n"
+
+    @pytest.mark.parametrize("name", ["enneper", "enneper2", "quartic", "pair_r4"])
+    def test_goldens_match_their_primitives(self, name):
+        s = surface_from_obj(json.loads((GOLDENS / f"{name}.json").read_text()))
+        assert s.provenance.primitives
+        assert s.components == tuple(
+            poly_to_weyl(p).real_part() + off for p, off in zip(s.provenance.primitives, s.offsets))
 
 
     # The reader's shape errors, each with an edit of the enneper(1) document
@@ -672,6 +707,121 @@ def test_one_command_parser_writes_the_full_parsers_bytes(capsys, monkeypatch, a
     full = outcome(lambda: build_parser().parse_args(argv))
     assert one == full and full[1 if "--help" in argv else 2]
     assert built == [(argv[0] if argv else None,)]
+
+
+def test_build_parser_adds_only_the_named_commands_options():
+    for command in ("eval", "verify", "surface"):
+        sub = next(a for a in build_parser(command)._actions if isinstance(a, argparse._SubParsersAction))
+        assert [name for name, p in sub.choices.items() if len(p._actions) > 1] == [command]
+
+
+# -- the fast path against argparse --------------------------------------
+
+_LEAVES = [path for path, (_, func, _) in cli.COMMANDS.items() if func]
+# Values each kind of option accepts, and values its conversion refuses.
+_GOOD = {int: ["3", "12", " 7", "+4", "1_0"], float: ["1.5", "2", "1e-3", "inf", " 0.25"],
+         None: ["L", "L^2 + h", "x.json", "-", "a=b", "(U+i*V)^3"]}
+_BAD = {int: ["x1", "1.5", "0x10", "1,0"], float: ["abc", "1,5", "1e"], None: []}
+
+
+def _outcome(parse):
+    """``parse()``'s result, or the exit code, stdout and stderr of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse()
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def command_lines(draw):
+    """A command line drawn from cli.COMMANDS: a valid one, then perhaps
+    broken by one of the edits the fast path must decline or match."""
+    path = draw(st.sampled_from(_LEAVES))
+    options = cli.COMMANDS[path][2]
+    chosen = draw(st.permutations([opt for opt in options if opt[4] or draw(st.booleans())]))
+    tokens = []
+    for flag, typ, _, choices, _, _ in chosen:
+        value = draw(st.sampled_from(choices or _GOOD[typ]))
+        tokens.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    edit = draw(st.sampled_from(["none", "drop", "repeat", "bad", "choice", "dash", "empty",
+                                 "prefix", "stray", "other-flag"]))
+    if tokens and edit != "none":
+        at = draw(st.integers(0, len(tokens) - 1))
+        flag, typ, _, choices, _, _ = chosen[at]
+        if edit == "drop":
+            del tokens[at]
+        elif edit == "repeat":
+            tokens.append(tokens[at] if draw(st.booleans()) else [flag, (choices or _GOOD[typ])[0]])
+        elif edit == "bad" and _BAD[typ]:
+            tokens[at] = [flag, draw(st.sampled_from(_BAD[typ]))]
+        elif edit == "choice" and choices:
+            tokens[at] = [flag, draw(st.sampled_from(["yaml", "TEXT", "", "jso"]))]
+        elif edit == "dash":
+            tokens[at] = [flag, draw(st.sampled_from(["-x", "-1", "--", "-h", "--out"]))]
+        elif edit == "empty":
+            tokens[at] = [f"{flag}="]
+        elif edit == "prefix":
+            tokens[at] = [flag[:draw(st.integers(2, len(flag) - 1))], *tokens[at][1:]]
+        elif edit == "other-flag":
+            tokens[at] = [draw(st.sampled_from(["--bogus", "-h", "--help", "--in", "--dim"])),
+                          *tokens[at][1:]]
+    if edit == "stray":
+        tokens.insert(draw(st.integers(0, len(tokens))),
+                      [draw(st.sampled_from(["L", "extra", "--", "-h", "--help", "-", "--x=1"]))])
+    return [*path, *(t for pair in tokens for t in pair)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_fast_path_namespace_is_argparses(argv):
+    argv = cli._join_expr_values(argv)
+    fast = cli._parse_fast(argv)
+    full = _outcome(lambda: build_parser(argv[0]).parse_args(argv))
+    if fast is not None:
+        assert isinstance(full, argparse.Namespace), (argv, full)
+        assert vars(fast) == vars(full)
+    elif not isinstance(full, argparse.Namespace):
+        # a declined command line exits as argparse does, byte for byte
+        assert _outcome(lambda: main(argv)) == full
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "enneper"],
+    ["surface", "from-F", "--F", "-L^2"],
+    ["surface", "pair", "--f=L", "--g", "L^2", "--offsets", "1,2,3,4", "--fmt", "latex", "--out", "-"],
+    ["verify", "--in", "-"],
+    ["conjugate", "--in=x.json", "--fmt=text"],
+    ["fock", "catenoid", "--dim", "64", "--hbar", "2.0", "--safe-rows", "20", "--tol", "1e-3"],
+    ["eval", "--expr", "-", "--op", "lap"],
+    ["eval", "--expr", "L=2"],
+], ids=" ".join)
+def test_fast_path_takes_well_formed_command_lines(argv):
+    argv = cli._join_expr_values(argv)
+    fast = cli._parse_fast(argv)
+    assert fast is not None and vars(fast) == vars(build_parser(argv[0]).parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["eval"], ["surface"], ["fock"], ["nosuch"], ["--help"], ["eval", "-h"],
+    ["eval", "--expr", "L", "--"], ["eval", "--", "--expr", "L"], ["eval", "--exp", "L"],
+    ["eval", "--expr", "L", "--expr", "U"], ["eval", "--expr", "L", "extra"],
+    ["eval", "--expr", "L", "--fmt", "yaml"], ["eval", "--expr", "L", "--op"],
+    ["eval", "--expr="], ["eval", "--expr", ""], ["fock", "catenoid"],
+    ["fock", "catenoid", "--dim", "-5"], ["fock", "catenoid", "--dim", "8.0"],
+    ["fock", "catenoid", "--dim", "8", "--hbar", "x"], ["verify", "--in", "--out", "x"],
+    ["surface", "from-Ftilde", "--F", "L^3"], ["surface", "enneper", "--n", "2", "--n", "3"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_fast_path_declines(argv):
+    assert cli._parse_fast(cli._join_expr_values(argv)) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["--expr", "--f", "--F", "--Ft", "--g", "--out", "--n", "-L", "-",
+                                 "--", "-2", "L", "--expr=-L", "-h"]), max_size=8))
+def test_join_expr_values_matches_the_index_walk(argv):
+    assert cli._join_expr_values(argv) == join_expr_values_by_index(argv, cli.EXPR_OPTIONS)
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,15 @@ def test_fock_matrices_load_numpy():
     assert proc.stdout.split() == ["True"] * 5
 
 
+@pytest.mark.parametrize("name", ["catenoid", "exp_lambda"])
+def test_fock_matrices_without_numpy_name_the_extra(monkeypatch, name):
+    from weylmin import fock
+
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError, match=r"weylmin\[fock\]"):
+        getattr(fock, name)(fock.FockConfig(dim=6))
+
+
 def test_fock_names_resolve_on_use():
     from weylmin.fock import FockConfig, catenoid, residual_report
 
@@ -164,12 +173,25 @@ def test_commands_leave_heavy_modules_unloaded(argv):
         " if m in sys.modules]))\n"
         "    sys.stderr.write('\\n' + ' '.join(sorted(m[len('weylmin.'):] for m in sys.modules"
         " if m.startswith('weylmin.'))))\n"
+        "    sys.stderr.write('\\n' + ' '.join(m for m in ('argparse', 'gettext', 'locale')"
+        " if m in sys.modules))\n"
     )
-    stderr, heavy, loaded = proc.stderr.rsplit("\n", 2)
+    stderr, heavy, loaded, parser = proc.stderr.rsplit("\n", 3)
     assert proc.returncode == code, proc.stderr
     assert stderr.startswith(prefix) and bool(stderr) == bool(prefix), proc.stderr
     assert heavy == "[]", proc.stderr
     assert loaded.split() == sorted(modules.split()), argv
+    # only help and usage errors build the argparse parser
+    assert ("argparse" in parser.split()) == (argv == ["--help"]), parser
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["surface", "from-fg", "--help"], ["eval", "--fmt", "yaml"]])
+def test_help_and_errors_are_argparses_bytes(argv):
+    code = "from weylmin.cli import {}\n{}({!r})\n"
+    cli, full = (_python(code.format(name, call, argv)) for name, call in (
+        ("main", "main"), ("build_parser", "build_parser().parse_args")))
+    assert (cli.returncode, cli.stdout, cli.stderr) == (full.returncode, full.stdout, full.stderr)
+    assert cli.returncode in (0, 2) and (cli.stdout or cli.stderr)
 
 
 def test_import_loads_no_submodule():

@@ -231,6 +231,7 @@ class TestWriter:
     def test_every_document_kind(self, capsys, tmp_path, argv):
         broken = json.loads((GOLDENS / "enneper.json").read_text())
         broken["components"][0][0]["coeff"][0]["im_num"] = 5
+        broken["provenance"]["primitives"] = []  # raw: the reader would refuse the mismatch
         (tmp_path / "broken.json").write_text(json.dumps(broken))
         main([str(tmp_path / "broken.json") if a == "BROKEN" else a for a in argv])
         out = capsys.readouterr().out

@@ -482,6 +482,24 @@ class TestStar:
         assert (U * V + V * U).is_hermitian()
         assert not (U * V).is_hermitian()
 
+    def test_hermitian_predicate_matches_star(self):
+        # seeded hermitian elements with h rows, each one coefficient or one
+        # row away from hermitian, and zero: against X == X*
+        rng = random.Random(28)
+        seen = set()
+        for _ in range(40):
+            a = random_weyl(rng, max_deg=5, terms=6, max_hbar=2)
+            h = (a + random_weyl(rng, max_deg=3, terms=2).shift_hbar(1)).real_part()
+            k, l, d, *_ = rng.choice(h.rows)
+            nudge = WeylElement({(k, l): HbarPoly({d: random_gauss(rng)})})
+            drop = WeylElement._wrap([r for r in h.rows if r[:3] != (k, l, d)], h.den)
+            extra = WeylElement({(k + 1, l): HbarPoly({d: 1})})
+            for x in (h, h + nudge, drop, h + extra, h.shift_hbar(2), ZERO):
+                got = x.is_hermitian()
+                assert got == (x == x.star())
+                seen.add(got)
+        assert seen == {True, False}
+
 
 class TestDerivations:
     def test_on_generators(self):
