@@ -12,11 +12,23 @@ exactly and gives each option at most once, as ``--flag value`` (a value
 not led by "-", or "-" itself) or ``--flag=value``, is read from it without
 argparse; any other, help and usage errors included, goes to argparse,
 loaded only then, so its text and exit codes stay argparse's.
+
+``main`` returns the exit code to in-process callers.  ``run``, the entry
+point of ``python -m weylmin`` and of the ``weylmin`` script, ends the
+process once ``main`` has returned a code: it runs the ``atexit``
+callbacks, flushes stdout and stderr and exits with that code, without
+tearing the interpreter down (freeing every module and a last collection
+cost more than a small command's algebra).  A failed flush is reported as
+the interpreter reports it, "Exception ignored in: <stdout>" and exit 120.
+Under ``-i``, with another thread alive, or when ``main`` raises
+(argparse's own exits included), the interpreter exits as usual.
 """
 
 from __future__ import annotations
 
+import atexit
 import math
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -378,5 +390,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
 
 
+def run() -> None:
+    """Run ``main`` on the command line and end the process with its code
+    (see the module docstring)."""
+    code = main()
+    threading = sys.modules.get("threading")
+    if sys.flags.inspect or threading and threading.active_count() > 1:
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    os._exit(_flush_std_files() or code)
+
+
+def _flush_std_files() -> int:
+    """Flush stdout, then stderr, as the interpreter's exit does: 120, its
+    exit code for a failed flush, if one failed, else 0.
+
+    A failed flush of stdout is reported here as that exit reports it.  It
+    may have dropped the data, so the interpreter's own flush could then
+    succeed, and an exit left to it would hide the lost output."""
+    failed = 0
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None or getattr(stream, "closed", False):
+            continue
+        try:
+            stream.flush()
+        except Exception as exc:
+            failed = 120
+            if stream is sys.stdout:
+                import traceback
+
+                sys.stderr.write("".join([f"Exception ignored in: {stream!r}\n",
+                                          *traceback.format_exception_only(type(exc), exc)]))
+    return failed
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

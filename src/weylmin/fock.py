@@ -45,7 +45,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .scalars import Frozen
+from .records import Frozen
 
 _TERM_CUTOFF = 1e-18
 

@@ -36,13 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+from .records import Frozen
 from .scalars import (
     GR_I,
     GaussRational,
     HP_ONE,
     HbarLike,
     HbarPoly,
-    Frozen,
     Poly,
     Quotient,
     hp_exact_div,

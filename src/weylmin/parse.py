@@ -43,7 +43,8 @@ from __future__ import annotations
 from functools import cache
 from typing import TYPE_CHECKING, Union
 
-from .scalars import GR_I, Frozen, GaussRational, HP_HBAR
+from .records import Frozen
+from .scalars import GR_I, GaussRational, HP_HBAR
 from . import weyl
 from .weyl import WeylElement
 

@@ -10,26 +10,34 @@ integers, floats by ``repr``, NaN and infinities refused, and a trailing
 newline.  Its bytes are those of ``json.dumps(obj, indent=2,
 sort_keys=True, allow_nan=False)``, written by one small recursive writer
 instead of the standard library's pure-Python encoder (its C encoder runs
-only without ``indent``), which recurses only into containers.
+only without ``indent``), which recurses only into containers.  The
+writer loads no :mod:`json`: it quotes strings with the C function that
+``json`` itself binds, and writes integers, finite floats, booleans and
+None directly.  Only what it cannot write, a NaN or an infinity (json's
+ValueError), a key that is not a string, or a value of another type, goes
+to ``json.dumps``.
 Elements are read through :func:`weylmin.weyl.coefficients` and
 Lambda-polynomials through :func:`~weylmin.scalars.grouped`, which it
 calls: both give each part as integers in lowest terms, and one function
-writes the records of both.  Beyond the kernel (:mod:`weylmin.scalars`),
-which every command loads, each function imports the layers it uses, so
-writing a Fock report loads no algebra layer.
+writes the records of both.  Each function imports the layers it uses,
+the kernel (:mod:`weylmin.scalars`) included, so writing a Fock report
+loads no algebra layer.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 from typing import TYPE_CHECKING
 
-from .scalars import Coeff, GaussRational, HbarPoly, grouped
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # pragma: no cover - an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .holomorphic import PolyLambda, RatLambda
+    from .scalars import Coeff, HbarPoly
     from .surfaces import Surface, VerificationReport
     from .weyl import WeylElement
 
@@ -55,14 +63,17 @@ def _key(k: object) -> str:
     if isinstance(k, str):
         return _quote(k)
     if k is None or isinstance(k, (int, float)):
+        import json
+
         return _quote(json.dumps(k, allow_nan=False))
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def _write(x: object, nl: str, out: list[str]) -> None:
     """Append ``x`` to ``out`` in the canonical layout; ``nl`` is the newline and indent
-    ``x`` starts on.  Strings and integers are written here, a dict's in its own loop, by
-    sorted keys (no two are equal: sorted items), every other scalar by ``json.dumps``."""
+    ``x`` starts on.  Strings, integers, finite floats, booleans and None are written
+    here, a dict's in its own loop, by sorted keys (no two are equal: sorted items),
+    every other scalar by ``json.dumps``."""
     if type(x) is str:
         out.append(_quote(x))
     elif type(x) is int:
@@ -90,7 +101,17 @@ def _write(x: object, nl: str, out: list[str]) -> None:
             _write(v, inner, out)
             sep = comma
         out.append(nl + "]" if x else "[]")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif x is None:
+        out.append("null")
+    elif type(x) is float and isfinite(x):
+        out.append(repr(x))
     else:
+        import json
+
         out.append(json.dumps(x, allow_nan=False))
 
 
@@ -116,6 +137,8 @@ def _exact(rec: object, name: str, typ: type = int):
     a bool is not an integer, and a number or an object is not a string."""
     x = _field(rec, name)
     if type(x) is not typ:
+        import json
+
         got = json.dumps(x, default=repr)
         noun = "an integer" if typ is int else "a string"
         raise DeserializeError(f"field {name!r} must be {noun}, got {got}")
@@ -130,6 +153,8 @@ def _rational(rec: object, num: str, den: str) -> Fraction:
 
 
 def _coeff_from_obj(obj: object) -> HbarPoly:
+    from .scalars import GaussRational, HbarPoly
+
     if not isinstance(obj, list):
         raise DeserializeError("coefficient must be a list of records")
     return HbarPoly(
@@ -159,6 +184,8 @@ def weyl_from_obj(obj: object) -> WeylElement:
 
 
 def poly_to_obj(p: PolyLambda) -> list[dict]:
+    from .scalars import grouped
+
     return [{"deg": d, "coeff": _coeff_to_obj(c)} for (d,), c in grouped(p.rows, p.den, 1).items()]
 
 
@@ -245,6 +272,8 @@ def surface_from_obj(obj: object) -> Surface:
         raise DeserializeError(f"bad surface document: {exc}") from exc
     if "n" in obj and _exact(obj, "n") != len(comps):
         raise DeserializeError("component count does not match n")
+    if len(offsets) != len(comps):
+        raise DeserializeError(f"document lists {len(offsets)} offsets for {len(comps)} components")
     if len(prov.primitives) not in (0, len(comps)):
         raise DeserializeError(f"provenance lists {len(prov.primitives)} primitives "
                                f"for {len(comps)} components")

@@ -66,7 +66,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .scalars import GR_I, Frozen, GaussRational, HbarPoly
+from .records import Frozen
+from .scalars import GR_I, GaussRational, HbarPoly
 from .holomorphic import (
     NotIntegrableError,
     PolyLambda,

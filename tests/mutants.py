@@ -32,6 +32,8 @@ ROWS = f"{SURFACES}::TestRowsLevelChecks"
 LEFT = "tests/test_weyl.py::TestHolomorphicLeftFactor"
 MEMO = "tests/test_weyl.py::TestReorderMemo"
 CLI = "tests/test_cli.py"
+WRITER = "tests/test_serialize.py::TestWriter"
+EXIT = "tests/test_process_exit.py"
 FAST = (f"{CLI}::test_fast_path_takes_well_formed_command_lines", f"{CLI}::test_fast_path_declines",
         f"{CLI}::test_fast_path_namespace_is_argparses")
 
@@ -127,6 +129,29 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # -- the reader's check of the primitives --------------------------
     ("serialize.py", "if c != poly_real_part(p) + off:", "if c == poly_real_part(p) + off:",
      (f"{CLI}::TestVerifyInputErrors",)),
+    # the offset count check negated
+    ("serialize.py", "if len(offsets) != len(comps):", "if len(offsets) == len(comps):",
+     (f"{CLI}::TestVerifyInputErrors",)),
+    # -- the writer without json ---------------------------------------
+    # true and false swapped
+    ("serialize.py", '    elif x is True:\n        out.append("true")\n    elif x is False:\n'
+     '        out.append("false")\n', '    elif x is True:\n        out.append("false")\n'
+     '    elif x is False:\n        out.append("true")\n', (WRITER,)),
+    # a non-finite float written by repr
+    ("serialize.py", "elif type(x) is float and isfinite(x):", "elif type(x) is float:", (WRITER,)),
+    # -- the process exit ----------------------------------------------
+    # stdout and stderr not flushed
+    ("cli.py", "            stream.flush()\n", "            pass\n", (EXIT,)),
+    # the atexit callbacks not run
+    ("cli.py", "    atexit._run_exitfuncs()\n", "", (EXIT,)),
+    # exit 0 whatever main returned
+    ("cli.py", "    os._exit(_flush_std_files() or code)\n", "    _flush_std_files()\n    os._exit(0)\n",
+     (EXIT,)),
+    # the direct exit under -i too
+    ("cli.py", "if sys.flags.inspect or threading", "if threading", (EXIT,)),
+    # a failed flush neither reported nor exiting 120
+    ("cli.py", "            failed = 120\n            if stream is sys.stdout:\n",
+     "            continue\n            if stream is sys.stdout:\n", (EXIT,)),
 ]
 
 

@@ -299,6 +299,20 @@ class TestVerifyInputErrors:
         assert (code, out) == (2, "")
         assert err == "input error: provenance lists 2 primitives for 3 components\n"
 
+    @pytest.mark.parametrize("command", ["verify", "conjugate"])
+    @pytest.mark.parametrize("edit,count", [
+        pytest.param(lambda offsets: offsets.pop(), 2, id="one-removed"),
+        pytest.param(lambda offsets: offsets.append({"num": 0, "den": 1}), 4, id="one-added"),
+    ])
+    def test_offset_count_other_than_n(self, tmp_path, capsys, command, edit, count):
+        doc = json.loads((GOLDENS / "enneper.json").read_text())
+        edit(doc["offsets"])
+        doc["provenance"]["primitives"] = []  # raw: the offsets alone are wrong
+        path = tmp_path / "offsets.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert (code, out, err) == (2, "", f"input error: document lists {count} offsets for 3 components\n")
+
     # Edits of the enneper(1) document after which a component is no longer
     # its offset plus Re of its primitive, and that component's index.
     @pytest.mark.parametrize("command", ["verify", "conjugate"])

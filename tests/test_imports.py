@@ -67,7 +67,11 @@ def test_fock_report_runs_without_numpy():
     assert '"kind": "fock-residuals"' in proc.stdout
 
 
-@pytest.mark.parametrize("argv", [["eval", "--expr", "L"], ["surface", "enneper", "--fmt", "text"]])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expr", "L"], ["surface", "enneper", "--fmt", "text"],
+    ["eval", "--expr", "L", "--fmt", "json"], ["surface", "from-Ftilde", "--Ft", "L^3"],
+    ["fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"],
+])
 def test_text_commands_run_without_json(argv):
     code = "import sys\n{}from weylmin.cli import main\nraise SystemExit(main({!r}))\n"
     free, held = (_python(code.format(block, argv)) for block in ("", "sys.modules['json'] = None\n"))
@@ -128,7 +132,7 @@ def test_unknown_attribute_still_raises():
         weylmin.no_such_name
 
 
-_SURFACE = "cli holomorphic scalars surfaces weyl"
+_SURFACE = "cli holomorphic records scalars surfaces weyl"
 _BUILD = f"{_SURFACE} parse"
 
 # Each command, by its argv: the exact set of weylmin submodules it may
@@ -136,15 +140,15 @@ _BUILD = f"{_SURFACE} parse"
 # read from the CLI's own tables, so a command that starts loading a layer
 # it does not run fails.
 COMMAND_LOADS = {
-    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "json"): ("cli parse scalars serialize weyl", 0, ""),
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "json"): ("cli parse records scalars serialize weyl", 0, ""),
     ("surface", "from-Ftilde", "--Ft", "L^3"): (f"{_BUILD} serialize", 0, ""),
     ("verify", "--in", str(GOLDENS / "quartic.json")): (f"{_SURFACE} serialize", 0, ""),
     ("conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "latex"):
         (f"{_SURFACE} render serialize", 0, ""),
     ("fock", "catenoid", "--dim", "64", "--hbar", "1.0", "--safe-rows", "20"):
-        ("cli fock scalars serialize", 0, ""),
-    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "text"): ("cli parse render scalars weyl", 0, ""),
-    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "latex"): ("cli parse render scalars weyl", 0, ""),
+        ("cli fock records serialize", 0, ""),
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "text"): ("cli parse records render scalars weyl", 0, ""),
+    ("eval", "--expr", "(L+Ls)^3 - h", "--fmt", "latex"): ("cli parse records render scalars weyl", 0, ""),
     **{("surface", *argv, "--fmt", fmt): (f"{modules} {writer}", 0, "")
        for argv, modules in ((("from-fg", "--f", "2", "--g", "L"), _BUILD),
                              (("from-F", "--F", "1+L^3"), _BUILD),
@@ -155,7 +159,7 @@ COMMAND_LOADS = {
     ("conjugate", "--in", str(GOLDENS / "enneper.json"), "--fmt", "text"):
         (f"{_SURFACE} render serialize", 0, ""),
     ("--help",): ("cli", 0, ""),
-    ("eval", "--expr", "L/"): ("cli parse scalars weyl", 2, "parse error: "),
+    ("eval", "--expr", "L/"): ("cli parse records scalars weyl", 2, "parse error: "),
     ("verify", "--in", "missing.json"): (f"{_SURFACE} serialize", 2, "error: "),
 }
 
@@ -164,17 +168,17 @@ COMMAND_LOADS = {
 def test_commands_leave_heavy_modules_unloaded(argv):
     modules, code, prefix = COMMAND_LOADS[tuple(argv)]
     proc = _python(
-        "import runpy, sys\n"
+        "import atexit, runpy, sys\n"
         f"sys.argv = ['weylmin', *{argv!r}]\n"
-        "try:\n"
-        "    runpy.run_module('weylmin', run_name='__main__', alter_sys=True)\n"
-        "finally:\n"
+        "@atexit.register\n"  # the CLI's exit runs atexit callbacks, not the caller's finally
+        "def report():\n"
         "    sys.stderr.write('\\n' + repr([m for m in ('dataclasses', 'inspect', 'weylmin.classical')"
         " if m in sys.modules]))\n"
         "    sys.stderr.write('\\n' + ' '.join(sorted(m[len('weylmin.'):] for m in sys.modules"
         " if m.startswith('weylmin.'))))\n"
         "    sys.stderr.write('\\n' + ' '.join(m for m in ('argparse', 'gettext', 'locale')"
         " if m in sys.modules))\n"
+        "runpy.run_module('weylmin', run_name='__main__', alter_sys=True)\n"
     )
     stderr, heavy, loaded, parser = proc.stderr.rsplit("\n", 3)
     assert proc.returncode == code, proc.stderr
@@ -203,7 +207,7 @@ def test_import_loads_no_submodule():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "['weylmin']", "['weylmin', 'weylmin.scalars', 'weylmin.weyl']"
+        "['weylmin']", "['weylmin', 'weylmin.records', 'weylmin.scalars', 'weylmin.weyl']"
     ]
 
 
