@@ -313,20 +313,14 @@ COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """Every command with its help, so top-level help and errors never change,
-    and the options of ``command`` alone, or of every command if it names none."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, for help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="weylmin", description="Exact noncommutative minimal-surface calculator.")
     subs = {(): parser.add_subparsers(dest="command", required=True)}
-    every = (command,) not in COMMANDS
     for path, (text, func, options) in COMMANDS.items():
-        if not (every or path[0] == command):
-            if len(path) == 1:
-                subs[()].add_parser(path[0], help=text)
-            continue
         p = subs[path[:-1]].add_parser(path[-1], help=text)
         for flag, *spec in options:
             p.add_argument(flag, **dict(zip(("type", "default", "choices", "required", "help"), spec)))
@@ -379,7 +373,7 @@ _ERRORS = (
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _join_expr_values(sys.argv[1:] if argv is None else argv)
-    args = _parse_fast(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_fast(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,11 +13,10 @@ columns ``n <= safe_rows`` (default dim // 3).
 The catenoid components are built from exponentials of L and Ls.  For
 ``exp(c a)`` the column series is exactly finite (k <= n); for
 ``exp(c a^T)`` the series is cut at row dim-1 and the discarded tail at
-column n admits the explicit bound
-
-    sum_{k > dim-1-n} |c|^k sqrt((n+k)!/n!) / k!,
-
-which :func:`exp_tail_bound` computes and residual reports include.
+column n is T(n) = sum_{k >= dim-n} |c|^k sqrt((n+k)!/n!) / k!.  Each term
+of T(n) is at most the same k's term of T(n+1), which has one term more, so
+the last window column's tail bounds every column's: it is the reports'
+tail bound, summed by :func:`exp_tail_bound`.
 
 :func:`residual_report` is exact.  In the basis f_n = Ls^n|0> =
 sqrt(n! s^n)|n>, with s = 2 hbar taken as the exact rational value of the
@@ -130,21 +129,23 @@ def exp_lambda(config: FockConfig, sign: int = 1, dagger: bool = False, dtype=No
 
 
 def exp_tail_bound(config: FockConfig) -> float:
-    """Largest discarded-tail bound for exp(+-Ls) over the safe window."""
-    lam = config.lam_scale
-    worst = 0.0
-    for n in range(config.safe_rows + 1):
-        cut = config.dim - n  # first omitted k
-        t = 1.0
-        total = 0.0
-        for k in range(1, cut + 400):
-            t *= lam * math.sqrt(n + k) / k
-            if k >= cut:
-                total += t
-                if t < total * 1e-20:
-                    break
-        worst = max(worst, total)
-    return worst
+    """T(safe_rows) of the module docstring, in floats.  The terms' ratio
+    |c| sqrt(n+k+1)/(k+1) falls in k, so once it is below 1 the rest is below
+    a geometric series's, and the sum stops when that is below 1e-20 of the
+    sum, too little to change the float.  A term that underflows to 0 ends
+    the sum, and one that overflows makes it inf."""
+    lam, n = config.lam_scale, config.safe_rows
+    cut = config.dim - n  # first omitted k
+    t, total, k = 1.0, 0.0, 0
+    while 0 < t < math.inf:
+        k += 1
+        t *= lam * math.sqrt(n + k) / k
+        if k >= cut:
+            total += t
+            r = lam * math.sqrt(n + k + 1) / (k + 1)  # the next term's ratio
+            if r < 1 and t * r < (1 - r) * total * 1e-20:
+                return total
+    return max(total, t)  # t is 0 or inf
 
 
 def catenoid(config: FockConfig, dtype=None):

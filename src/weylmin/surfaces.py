@@ -75,7 +75,7 @@ from .holomorphic import (
     phi_from_fg,
     poly_real_part,
 )
-from .weyl import Direction, WeylElement, partial_square_sum, symmetric_product_sum
+from .weyl import Direction, WeylElement, bilinear, partial_square_sum
 
 
 class NonPolynomialPrimitiveError(ValueError):
@@ -152,14 +152,6 @@ def _offsets_tuple(n: int, offsets: Union[Sequence[Union[int, Fraction]], None])
     if len(out) != n:
         raise ValueError(f"expected {n} offsets, got {len(out)}")
     return tuple(out)
-
-
-def bilinear(xs: Sequence[WeylElement], ys: Sequence[WeylElement]) -> WeylElement:
-    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i); a square,
-    ``bilinear(xs, xs)`` with one object twice, is sum X^i X^i, one product each."""
-    if len(xs) != len(ys):
-        raise ValueError("vectors must have equal length")
-    return symmetric_product_sum(xs, ys)
 
 
 def _partials(s: Surface, direction: Direction) -> tuple[WeylElement, ...]:

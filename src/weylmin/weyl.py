@@ -35,10 +35,10 @@ Gaussian-integer numerators over one denominator, with the product here.
 It adds each (row pair, reordering term) into one accumulator in a plain
 loop (:func:`_products`); a left row without Ls, such as every row of dX
 for X = Re P, needs no reordering and its pairs go straight in.
-:func:`symmetric_product_sum` (the surface layer's bilinear form) puts
+The symmetrized form :func:`bilinear`, which the surface layer uses, puts
 all its products into one accumulator, and :func:`partial_square_sum` the
-squares of derivatives, mapped from the rows.  The writers read the rows
-through :func:`coefficients` or its U,V-ordered twin
+squares of derivatives, mapped from the rows, one product each.  The
+writers read the rows through :func:`coefficients` or its U,V-ordered twin
 :func:`uv_coefficients`, one integer accumulation of the rows times their
 :func:`uv_table` rows; both give ``{(k, l): [(h-degree, re_num, re_den,
 im_num, im_den), ...]}``, each part an integer fraction in lowest terms.
@@ -179,14 +179,6 @@ def _products(acc: dict, a: Iterable[Row], b: Sequence[Row]) -> dict:
     return acc
 
 
-def _real(acc: dict, den: int) -> "WeylElement":
-    """Re P of the accumulator P over ``den``: P plus its adjoint, whose
-    ``(l, k, d)`` entry is ``conj P[k, l, d]``, over ``2 den``.  The
-    adjoint is added into ``acc`` itself."""
-    adjoint = [((l, k, d), re, -im) for (k, l, d), (re, im) in acc.items()]
-    return WeylElement._new(_accumulate(acc, adjoint), 2 * den)
-
-
 class WeylElement(Flat):
     """An algebra element in normal-ordered canonical form.
 
@@ -249,12 +241,15 @@ class WeylElement(Flat):
         return set(self.rows) == {(l, k, d, re, -im) for k, l, d, re, im in self.rows}
 
     def real_part(self) -> "WeylElement":
-        """Re A = (A + A*)/2, always hermitian."""
-        return _real({(k, l, d): (re, im) for k, l, d, re, im in self.rows}, self.den)
+        """Re A = (A + A*)/2, always hermitian: the rows and their adjoints,
+        ``(l, k, d, re, -im)``, added in one accumulator over ``2 den``."""
+        acc = {(k, l, d): (re, im) for k, l, d, re, im in self.rows}
+        adjoint = (((l, k, d), re, -im) for k, l, d, re, im in self.rows)
+        return WeylElement._new(_accumulate(acc, adjoint), 2 * self.den)
 
     def imag_part(self) -> "WeylElement":
         """Im A = (A - A*)/(2i) = Re(-iA), always hermitian."""
-        return _real({(k, l, d): (im, -re) for k, l, d, re, im in self.rows}, self.den)
+        return self.scale(-GR_I).real_part()
 
     # -- calculus --------------------------------------------------------
 
@@ -338,18 +333,13 @@ def commutator(a: WeylElement, b: WeylElement) -> WeylElement:
     return a * b - b * a
 
 
-def symmetric_product_sum(
-    xs: Sequence[WeylElement], ys: Sequence[WeylElement]
-) -> WeylElement:
-    """(1/2) sum_i (x_i y_i + y_i x_i), with every product in one accumulator;
-    a square (``xs is ys``) is sum_i x_i x_i, one product per pair."""
-    rx, dx = _common(xs)
+def bilinear(xs: Sequence[WeylElement], ys: Sequence[WeylElement]) -> WeylElement:
+    """The symmetrized form <X, Y> = (1/2) sum (X^i Y^i + Y^i X^i), with
+    every product in one accumulator; X and Y must have equal length."""
+    if len(xs) != len(ys):
+        raise ValueError("vectors must have equal length")
+    (rx, dx), (ry, dy) = _common(xs), _common(ys)
     acc: dict = {}
-    if xs is ys:
-        for a in rx:
-            _products(acc, a, a)
-        return WeylElement._new(acc, dx * dx)
-    ry, dy = _common(ys)
     for a, b in zip(rx + ry, ry + rx):
         _products(acc, a, b)
     return WeylElement._new(acc, 2 * dx * dy)
@@ -357,8 +347,8 @@ def symmetric_product_sum(
 
 def partial_square_sum(xs: Sequence[WeylElement], axis: int) -> tuple[dict, int]:
     """sum_i (x_i')^2, x_i' = d x_i (``axis`` 0) or dbar x_i (1), as one accumulator over den^2:
-    :func:`symmetric_product_sum` of the derivatives with no element built, each x_i rescaled to
-    the common denominator den of ``xs`` and mapped by the derivative's row map on the fly."""
+    :func:`bilinear` of the derivatives with themselves, one product each and no element built,
+    each x_i rescaled to the common denominator den of ``xs`` and mapped by the row map on the fly."""
     den = lcm(*(x.den for x in xs))
     acc: dict = {}
     for x in xs:

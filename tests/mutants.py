@@ -34,6 +34,7 @@ MEMO = "tests/test_weyl.py::TestReorderMemo"
 CLI = "tests/test_cli.py"
 WRITER = "tests/test_serialize.py::TestWriter"
 EXIT = "tests/test_process_exit.py"
+TAIL = ("tests/test_fock.py::TestTailBound",)
 FAST = (f"{CLI}::test_fast_path_takes_well_formed_command_lines", f"{CLI}::test_fast_path_declines",
         f"{CLI}::test_fast_path_namespace_is_argparses")
 
@@ -121,11 +122,11 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     # a value after "--" joined to an expression option
     ("cli.py", 'tok.startswith("-") and not tok.startswith("--")', 'tok.startswith("-")',
      (f"{CLI}::test_join_expr_values_matches_the_index_walk",)),
-    # every command's parser built for any command
-    ("cli.py", "every = (command,) not in COMMANDS", "every = True",
-     (f"{CLI}::test_build_parser_adds_only_the_named_commands_options",)),
     # the subcommand stored under another name than the fast path's
     ("cli.py", 'dest=f"{path[0]}_command"', 'dest="subcommand"', FAST),
+    # a json import at the top of the CLI, which only a fresh interpreter sees
+    ("cli.py", "import atexit\nimport math\n", "import atexit\nimport json\nimport math\n",
+     ("tests/test_imports.py::test_text_commands_run_without_json",)),
     # -- the reader's check of the primitives --------------------------
     ("serialize.py", "if c != poly_real_part(p) + off:", "if c == poly_real_part(p) + off:",
      (f"{CLI}::TestVerifyInputErrors",)),
@@ -139,6 +140,24 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
      '    elif x is False:\n        out.append("true")\n', (WRITER,)),
     # a non-finite float written by repr
     ("serialize.py", "elif type(x) is float and isfinite(x):", "elif type(x) is float:", (WRITER,)),
+    # -- the Fock tail bound from the last window column ----------------
+    # the column before the last
+    ("fock.py", "lam, n = config.lam_scale, config.safe_rows\n",
+     "lam, n = config.lam_scale, config.safe_rows - 1\n", TAIL),
+    # the first omitted term skipped
+    ("fock.py", "        if k >= cut:\n", "        if k > cut:\n", TAIL),
+    # the sum stopped 400 terms past the cut, as it once was
+    ("fock.py", "    while 0 < t < math.inf:\n", "    while 0 < t < math.inf and k < cut + 400:\n", TAIL),
+    # a term that overflows before the cut read as a zero tail
+    ("fock.py", "    return max(total, t)  # t is 0 or inf\n", "    return total\n", TAIL),
+    # the geometric rest called negligible at 1e-10 of the sum
+    ("fock.py", "t * r < (1 - r) * total * 1e-20", "t * r < (1 - r) * total * 1e-10", TAIL),
+    # -- the bilinear form and the imaginary part ------------------------
+    # vectors of unequal length taken pairwise to the shorter
+    ("weyl.py", "    if len(xs) != len(ys):\n", "    if False:\n", (f"{SURFACES}::TestBilinear",)),
+    # Im A as Re(iA)
+    ("weyl.py", "return self.scale(-GR_I).real_part()", "return self.scale(GR_I).real_part()",
+     ("tests/test_weyl.py::TestStar",)),
     # -- the process exit ----------------------------------------------
     # stdout and stderr not flushed
     ("cli.py", "            stream.flush()\n", "            pass\n", (EXIT,)),

@@ -1324,6 +1324,28 @@ def isotropy_columns(dim: int, s: Fraction) -> list:
     return cols
 
 
+def column_tail(config, n: int) -> float:
+    """The discarded tail of exp(+-Ls) at column n, sum_{k >= dim-n} |c|^k
+    sqrt((n+k)!/n!) / k!, summed in floats term by term until a term falls
+    below 1e-20 of the sum; a term that underflows to 0 ends the sum, and
+    one that overflows makes it inf."""
+    lam, cut = config.lam_scale, config.dim - n  # cut: the first omitted k
+    t, total, k = 1.0, 0.0, 0
+    while 0 < t < math.inf:
+        k += 1
+        t *= lam * math.sqrt(n + k) / k
+        if k >= cut:
+            total += t
+            if t < total * 1e-20:
+                break
+    return total if k >= cut else t
+
+
+def tail_bound_by_columns(config) -> float:
+    """The largest :func:`column_tail` over every window column."""
+    return max(column_tail(config, n) for n in range(config.safe_rows + 1))
+
+
 # -- seeded random generators -------------------------------------------------
 
 

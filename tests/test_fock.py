@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    column_tail,
     corner_column_norm,
     dense_derive_matrix,
     dense_generators,
@@ -24,6 +25,7 @@ from oracles import (
     loop_exp_lambda,
     random_weyl,
     schoolbook_matmul,
+    tail_bound_by_columns,
     weyl_matrix,
     window_norm,
 )
@@ -159,6 +161,59 @@ class TestExp:
         ]
         assert bounds[0] > bounds[1] > bounds[2]
         assert bounds[2] < 1e-30
+
+
+TAIL_HBARS = (1e-300, 1e-8, 0.5, 1.0, 2.0, 10.0, 100.0, 700.0, 1e300)
+
+
+class TestTailBound:
+    """exp_tail_bound sums the last window column's tail alone, which bounds
+    every column's, until the terms fall and their geometric rest is
+    negligible; the oracle sums every column term by term."""
+
+    @pytest.mark.parametrize("dim", [*range(2, 26), 32, 48, 64, 100, 128, 200, 256])
+    def test_matches_every_column_oracle(self, dim):
+        for hbar in TAIL_HBARS:
+            for window in sorted({1, dim // 3, dim - 1} - {0}):
+                cfg = FockConfig(dim=dim, hbar=hbar, safe_rows=window)
+                assert exp_tail_bound(cfg) == tail_bound_by_columns(cfg), (dim, hbar, window)
+
+    @pytest.mark.parametrize("hbar", [0.5, 2.0, 100.0, 700.0])
+    def test_column_tails_grow_with_the_column(self, hbar):
+        cfg = FockConfig(dim=120, hbar=hbar, safe_rows=119)
+        tails = [column_tail(cfg, n) for n in range(120)]
+        assert tails == sorted(tails) and exp_tail_bound(cfg) == tails[-1]
+
+    def test_sums_past_the_peak_of_the_terms(self):
+        # the terms peak near k = 560 here, after the cut at k = 2, and the
+        # sum runs on until their rest is negligible
+        cfg = FockConfig(dim=1024, hbar=100.0, safe_rows=1022)
+        got = exp_tail_bound(cfg)
+        assert got >= column_tail(cfg, 1022)
+        assert got == 5.514318996527858e+219
+
+    @pytest.mark.parametrize("hbar, want", [(1e-300, 0.0), (1e300, math.inf)])
+    def test_underflow_and_overflow_return_at_once(self, monkeypatch, hbar, want):
+        # the terms underflow to 0 or overflow to inf by k = 3: at most two
+        # square roots a term, and one for |c|
+        calls = []
+
+        class Math:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def sqrt(x):
+                calls.append(x)
+                return math.sqrt(x)
+
+        monkeypatch.setattr(fock, "math", Math())
+        for window in (1, 341, 1023):
+            cfg = FockConfig(dim=1024, hbar=hbar, safe_rows=window)
+            calls.clear()
+            got = exp_tail_bound(cfg)
+            assert len(calls) <= 7, (hbar, window)
+            assert got == tail_bound_by_columns(cfg) and (window == 1023 or got == want)
 
 
 class TestDerivatives:

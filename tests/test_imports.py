@@ -21,7 +21,7 @@ import pytest
 
 import weylmin
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+SRC = str(pathlib.Path(weylmin.__file__).resolve().parent.parent)  # the copy under test
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
 

@@ -41,12 +41,12 @@ from weylmin.weyl import (
     ZERO,
     Direction,
     WeylElement,
+    bilinear,
     coefficients,
     commutator,
     derive_by_commutator,
     from_uv,
     sym,
-    symmetric_product_sum,
     uv_coefficients,
     uv_table,
     uv_table_h_free,
@@ -202,7 +202,7 @@ class TestHolomorphicLeftFactor:
     def test_holomorphic_squares(self, seed, reorders):
         for a, b, x, y in self.operands(seed):
             for xs in ((a,), (a, b), (a, x, b)):
-                assert symmetric_product_sum(xs, xs) == bilinear_literal(xs, xs)
+                assert bilinear(xs, xs) == bilinear_literal(xs, xs)
         assert reorders and all(l for l, _ in reorders)
 
 
